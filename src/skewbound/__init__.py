@@ -8,7 +8,7 @@ lower bounds from eigenvalue minimization on a doubled space.
 
 from .errors import (
     BoundViolation,
-    CommonEigenstateWarning,
+    ConvergenceFailure,
     DegenerateDenominator,
     DimensionMismatch,
     DomainError,
@@ -70,8 +70,8 @@ from .bounds import (
     EmbeddingVectors,
     OperatorSet,
     SpectralBound,
+    SpectralData,
     WitnessResult,
-    bound_genskew,
     bound_wy,
     bound_wyd,
     embedding,
@@ -79,6 +79,7 @@ from .bounds import (
     h_op,
     h_tot,
     pure_variance_bound,
+    sample_states,
     separability_witness,
     tighten_alpha_scan,
 )
@@ -89,6 +90,7 @@ from .channels import (
     channel_skew,
     luders_channel,
     phase_damping,
+    pooled_set,
 )
 from .qubit import (
     BlochState,

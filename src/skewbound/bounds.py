@@ -2,8 +2,10 @@
 
 The sum of skew informations of a collection of operators equals a bilinear
 form of a PSD operator ``H_tot`` on the doubled space, evaluated between the
-purification-like vectors ``|Phi~^s> = sum_i lambda_i^s |i>|i*>``.  Ground and
-first-excited eigenvalues of ``H_tot`` then bound the sum for every state.
+purification-like vectors ``|Phi~^s> = sum_i lambda_i^s |i>|i*> = vec(rho^s)``.
+The spectrum of ``H_tot`` -- its smallest eigenvalue eps1 above the kernel and
+the kernel projector -- depends only on the operators; each state's bound is
+then eps1 times the weight of its embedding outside the kernel.
 
 Two doubling conventions appear:
 
@@ -19,28 +21,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CommonEigenstateWarning,
-    DimensionMismatch,
-    DomainError,
-    NoFeasibleChiWarning,
-)
+from .errors import DimensionMismatch, DomainError, NoFeasibleChiWarning
 from .linalg import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
     as_operator,
-    density,
     hermitian_eigen,
-    partial_trace_second,
+    matrix_power,
     random_density,
-    sqrt_trace,
 )
 from .moments import (
     MeanOrder,
@@ -53,6 +47,7 @@ from .moments import (
 
 __all__ = [
     "OperatorSet",
+    "SpectralData",
     "EmbeddingVectors",
     "SpectralBound",
     "embedding",
@@ -62,7 +57,7 @@ __all__ = [
     "bound_wyd",
     "tighten_alpha_scan",
     "pure_variance_bound",
-    "bound_genskew",
+    "sample_states",
     "empirical_minimum",
     "separability_witness",
     "WitnessResult",
@@ -72,8 +67,33 @@ _ZERO_CUTOFF = 1e-14
 
 
 @dataclass(frozen=True)
+class SpectralData:
+    """State-independent half of the spectral bound of one operator set.
+
+    ``kernel`` holds orthonormal columns spanning every eigenvector of
+    ``H_tot`` with eigenvalue at most ``w_0 + 1e-8 max(1, epsilonK)``; it
+    always contains vec(I)/sqrt(d), and more for reducible sets.
+    ``epsilon1`` is the smallest eigenvalue above that kernel (0 if none).
+    """
+
+    H: np.ndarray
+    epsilon1: float
+    epsilonK: float
+    kernel: np.ndarray
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.kernel.shape[1]
+
+    def kernel_weight(self, phi: np.ndarray) -> float:
+        """||P_ker phi||^2 of a unit vector, capped at 1."""
+        return min(float(np.sum(np.abs(self.kernel.conj().T @ phi) ** 2)), 1.0)
+
+
+@dataclass(frozen=True)
 class OperatorSet:
-    """A collection of same-dimension operators with cached Hermitian splits."""
+    """A collection of same-dimension operators with cached Hermitian splits
+    and, once first asked for, cached spectral data of ``H_tot``."""
 
     operators: tuple
 
@@ -93,6 +113,7 @@ class OperatorSet:
                     comps.append(C)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "_components", tuple(comps))
+        object.__setattr__(self, "_spectra", {})
 
     @property
     def dim(self) -> int:
@@ -101,6 +122,22 @@ class OperatorSet:
     def components(self):
         """Nonzero Hermitian split parts of every operator."""
         return self._components
+
+    def spectral(self, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
+        """Spectral data of ``H_tot``, built and diagonalized once per tolerances."""
+        if tol not in self._spectra:
+            H = h_tot(self, tol=tol)
+            w, V = hermitian_eigen(H, tol)
+            epsK = float(w[-1])
+            in_kernel = w <= w[0] + 1e-8 * max(1.0, epsK)
+            above = w[~in_kernel]
+            self._spectra[tol] = SpectralData(
+                H=H,
+                epsilon1=float(above[0]) if above.size else 0.0,
+                epsilonK=epsK,
+                kernel=V[:, in_kernel],
+            )
+        return self._spectra[tol]
 
 
 def _as_set(ops) -> OperatorSet:
@@ -120,33 +157,30 @@ class EmbeddingVectors:
 
 @dataclass(frozen=True)
 class SpectralBound:
-    """Result of a spectral lower bound on a sum of skew informations."""
+    """Result of a spectral lower bound on a sum of skew informations.
 
-    epsilon0: float
+    ``interval`` is [0, epsilonK (1 - ||P_ker phi||^2)] at phi = vec(sqrt(rho)),
+    which encloses the symmetric skew sum at this state.
+    """
+
     epsilon1: float
     epsilonK: float
     bound: float
-    used_excited: bool
+    kernel_dim: int
     interval: tuple
-    saturating_state: Optional[DensityOperator]
 
 
 def embedding(rho: DensityOperator, s: float) -> EmbeddingVectors:
-    """Vectors sum_i lambda_i^s |i>|i*> for exponents s and 1-s."""
+    """Row-major vec(rho^s) = sum_i lambda_i^s |i>|i*>, and vec(rho^(1-s))."""
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
-    w, V = rho.eigenvalues, rho.eigenvectors
-    d = rho.dim
-    phi_s = np.zeros(d * d, dtype=complex)
-    phi_1ms = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if w[i] <= 0:
-            continue
-        pair = np.kron(V[:, i], V[:, i].conj())
-        phi_s += w[i] ** s * pair
-        phi_1ms += w[i] ** (1 - s) * pair
+    w = rho.eigenvalues
     norms = (float(np.sum(w ** (2 * s))), float(np.sum(w ** (2 * (1 - s)))))
-    return EmbeddingVectors(phi_s=phi_s, phi_1ms=phi_1ms, norms=norms)
+    return EmbeddingVectors(
+        phi_s=matrix_power(rho, s).ravel(),
+        phi_1ms=matrix_power(rho, 1 - s).ravel(),
+        norms=norms,
+    )
 
 
 def h_op(A_hermitian, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -179,124 +213,45 @@ def h_tot(ops, pairing: str = "transpose", tol: Tolerances = DEFAULT_TOL) -> np.
     return H
 
 
-def _share_eigenstate(C1: np.ndarray, C2: np.ndarray, tol: float = 1e-8) -> bool:
-    """Exact common-eigenvector test, degeneracy-aware."""
-    w, V = np.linalg.eigh(C1)
-    scale = max(1.0, float(np.max(np.abs(C2))))
-    i = 0
-    d = len(w)
-    while i < d:
-        j = i
-        while j + 1 < d and w[j + 1] - w[i] < tol:
-            j += 1
-        P = V[:, i : j + 1]
-        B = P.conj().T @ C2 @ P
-        _, U = np.linalg.eigh((B + B.conj().T) / 2)
-        for k in range(U.shape[1]):
-            v = P @ U[:, k]
-            mu = v.conj() @ C2 @ v
-            if np.linalg.norm(C2 @ v - mu * v) < tol * scale:
-                return True
-        i = j + 1
-    return False
+def _spectral(ops, rho: DensityOperator, tol: Tolerances) -> SpectralData:
+    oset = _as_set(ops)
+    if oset.dim != rho.dim:
+        raise DimensionMismatch("operator and state dimensions differ")
+    return oset.spectral(tol)
 
 
-def _check_no_common_eigenstate(components) -> bool:
-    """Precondition of the nonzero bound: some pair shares no eigenstate.
-
-    Failure is warning-grade (the ground eigenvalue, which is then 0, is
-    still a valid bound), but the first-excited fallback is disabled: with a
-    shared eigenstate the kernel contains product vectors, so the fallback's
-    maximally-entangled-kernel argument breaks down.
-    """
-    n = len(components)
-    ok = False
-    if n >= 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not _share_eigenstate(components[i], components[j]):
-                    ok = True
-                    break
-            if ok:
-                break
-    if not ok:
-        warnings.warn(
-            "every pair of split components shares an eigenstate (or the set "
-            "is trivial); the bound degrades to the ground eigenvalue",
-            CommonEigenstateWarning,
-            stacklevel=3,
-        )
-    return ok
+def _unit(v: np.ndarray, norm2: float) -> np.ndarray:
+    return v / math.sqrt(max(norm2, 1e-300))
 
 
-def _eig_gaps(H, tol: Tolerances):
-    """Spectrum of H plus (eps0, eps1, epsK, ground projector columns)."""
-    w, V = hermitian_eigen(H, tol)
-    epsK = float(w[-1])
-    tol_eig = 1e-8 * max(1.0, epsK)
-    eps0 = max(float(w[0]), 0.0)
-    ground = w <= w[0] + tol_eig
-    above = w[~ground]
-    eps1 = float(above[0]) if above.size else eps0
-    eps1 = max(eps1, eps0)
-    return w, V, eps0, eps1, epsK, ground, tol_eig
-
-
-def _spectral_bound(
-    H, rho: DensityOperator, tol: Tolerances, allow_excited: bool = True
-) -> SpectralBound:
-    w, V, eps0, eps1, epsK, ground, tol_eig = _eig_gaps(H, tol)
-    d = rho.dim
+def _half_weight(spec: SpectralData, rho: DensityOperator) -> float:
+    """||P_ker phi||^2 at the unit vector phi = vec(sqrt(rho))."""
     emb = embedding(rho, 0.5)
-    phi = emb.phi_s / math.sqrt(max(emb.norms[0], 1e-300))
-    ov2 = float(np.sum(np.abs(V[:, ground].conj().T @ phi) ** 2))
-    hi = epsK - (epsK - eps0) * min(ov2, 1.0)
-    used_excited = eps0 <= tol_eig and allow_excited
-    if used_excited:
-        bound = eps1 * max(0.0, 1.0 - sqrt_trace(rho) ** 2 / d)
-    else:
-        bound = eps0
-    v0 = V[:, int(np.argmax(ground))] if ground.any() else V[:, 0]
-    red = partial_trace_second(np.outer(v0, v0.conj()), (d, d))
-    red = (red + red.conj().T) / 2
-    sat = None
-    if float(np.linalg.eigvalsh(red)[-1]) < 1 - 1e-8:  # entangled ground vector
-        sat = density(red / np.trace(red).real, tol)
+    return spec.kernel_weight(_unit(emb.phi_s, emb.norms[0]))
+
+
+def _result(spec: SpectralData, bound: float, ov2: float) -> SpectralBound:
     return SpectralBound(
-        epsilon0=eps0,
-        epsilon1=eps1,
-        epsilonK=epsK,
+        epsilon1=spec.epsilon1,
+        epsilonK=spec.epsilonK,
         bound=max(bound, 0.0),
-        used_excited=used_excited,
-        interval=(eps0, max(hi, eps0)),
-        saturating_state=sat,
+        kernel_dim=spec.kernel_dim,
+        interval=(0.0, max(spec.epsilonK * (1.0 - ov2), 0.0)),
     )
 
 
 def bound_wy(ops, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> SpectralBound:
-    """Lower bound on sum_k I_rho(A_k) at s = 1/2.
+    """Lower bound eps1 (1 - ||P_ker phi||^2) on sum_k I_rho(A_k) at s = 1/2.
 
-    Ground eigenvalue of H_tot when it is positive; otherwise the
-    first-excited fallback eps1 * (1 - (Tr sqrt(rho))^2 / d).
+    phi = vec(sqrt(rho)) is a unit vector with <phi|H_tot|phi> equal to the
+    skew sum, and H_tot >= eps1 (1 - P_ker) because H_tot is PSD.  The bound
+    therefore holds for every operator set, reducible ones included.  It
+    also bounds every sum of generalized skews, whatever the mean orders,
+    because each generalized skew dominates the symmetric skew information.
     """
-    oset = _as_set(ops)
-    if oset.dim != rho.dim:
-        raise DimensionMismatch("operator and state dimensions differ")
-    ok = _check_no_common_eigenstate(oset.components())
-    return _spectral_bound(h_tot(oset, tol=tol), rho, tol, allow_excited=ok)
-
-
-def bound_genskew(ops, rho: DensityOperator, orders, tol: Tolerances = DEFAULT_TOL) -> SpectralBound:
-    """Same spectral machinery bounding sum_k of generalized skews.
-
-    Valid for any order list because every generalized skew dominates the
-    symmetric skew information; the state-independent part is identical.
-    """
-    oset = _as_set(ops)
-    orders = [as_mean_order(o) for o in orders]
-    if len(orders) != len(oset.operators):
-        raise DomainError("need one mean order per operator")
-    return bound_wy(oset, rho, tol)
+    spec = _spectral(ops, rho, tol)
+    ov2 = _half_weight(spec, rho)
+    return _result(spec, spec.epsilon1 * (1.0 - ov2), ov2)
 
 
 _CHI_OVERLAP_FLOOR = 1e-14
@@ -339,30 +294,19 @@ def bound_wyd(
         raise DomainError(f"s must lie in (0, 1), got {s}")
     if abs(s - 0.5) < 1e-12:
         raise DomainError("s = 1/2 has an exact spectral bound; use bound_wy")
-    oset = _as_set(ops)
-    if oset.dim != rho.dim:
-        raise DimensionMismatch("operator and state dimensions differ")
-    ok = _check_no_common_eigenstate(oset.components())
+    spec = _spectral(ops, rho, tol)
     d = rho.dim
-    H = h_tot(oset, tol=tol)
-    base = _spectral_bound(H, rho, tol, allow_excited=ok)
-    w = rho.eigenvalues
-    theta = math.sqrt(float(np.sum(w ** (2 * s))) * float(np.sum(w ** (2 * (1 - s)))))
     emb = embedding(rho, s)
-    phis = emb.phi_s / math.sqrt(max(emb.norms[0], 1e-300))
-    phi1s = emb.phi_1ms / math.sqrt(max(emb.norms[1], 1e-300))
-    Hp1s = H @ emb.phi_1ms
-    Hps = H @ emb.phi_s
+    theta = math.sqrt(emb.norms[0] * emb.norms[1])
+    phis = _unit(emb.phi_s, emb.norms[0])
+    phi1s = _unit(emb.phi_1ms, emb.norms[1])
+    Hp1s = spec.H @ emb.phi_1ms
+    Hps = spec.H @ emb.phi_s
     n1 = np.linalg.norm(Hp1s)
     n2 = np.linalg.norm(Hps)
     phiH1s = Hp1s / n1 if n1 > 1e-12 else None
     phiHs = Hps / n2 if n2 > 1e-12 else None
-    mes = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        mes += np.kron(e, e)
-    mes /= math.sqrt(d)
+    mes = np.eye(d).ravel() / math.sqrt(d)
     candidates = [phis, phi1s, mes]
     if phiH1s is not None:
         candidates.append(phiH1s)
@@ -375,26 +319,22 @@ def bound_wyd(
             if v.size == d * d and n > 0:
                 candidates.append(v / n)
 
-    def excited_factor(exp: float) -> float:
-        num = float(np.sum(w**exp)) ** 2
-        den = float(np.sum(w ** (2 * exp)))
-        return math.sqrt(max(0.0, 1.0 - num / (d * den)))
+    def excited_factor(phi: np.ndarray) -> float:
+        # ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi
+        return math.sqrt(1.0 - spec.kernel_weight(phi))
 
     best = None
     branches = []
     if phiH1s is not None:
-        branches.append((phis, phiH1s, excited_factor(1 - s)))
+        branches.append((phis, phiH1s, excited_factor(phi1s)))
     if phiHs is not None:
-        branches.append((phi1s, phiHs, excited_factor(s)))
+        branches.append((phi1s, phiHs, excited_factor(phis)))
     for chi in candidates:
         for ref1, ref2, fac in branches:
             f = _feasible_f(chi, ref1, ref2)
             if f is None:
                 continue
-            if base.used_excited:
-                val = f * fac * theta * base.epsilon1
-            else:
-                val = f * theta * base.epsilon0
+            val = f * fac * theta * spec.epsilon1
             best = val if best is None else max(best, val)
     if best is None:
         warnings.warn(
@@ -403,15 +343,7 @@ def bound_wyd(
             stacklevel=2,
         )
         best = 0.0
-    return SpectralBound(
-        epsilon0=base.epsilon0,
-        epsilon1=base.epsilon1,
-        epsilonK=base.epsilonK,
-        bound=max(best, 0.0),
-        used_excited=base.used_excited,
-        interval=base.interval,
-        saturating_state=base.saturating_state,
-    )
+    return _result(spec, best, _half_weight(spec, rho))
 
 
 def tighten_alpha_scan(
@@ -480,7 +412,24 @@ def _sum_value(ops, rho, s_or_order, tol):
     return sum(gen_skew(A, rho, as_mean_order(s), tol) for A in oset.operators)
 
 
-_CHUNK = 256
+def sample_states(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):
+    """Iterator over ``samples`` Hilbert-Schmidt states drawn from one stream.
+
+    Each state's rank is drawn uniformly from ``ranks`` (default: 1..dim) and
+    everything comes from ``np.random.default_rng(seed)`` in order, so a fixed
+    seed gives the same states to every caller.
+    """
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    rank_pool = tuple(ranks) if ranks else tuple(range(1, dim + 1))
+    for r in rank_pool:
+        if not 1 <= r <= dim:
+            raise DomainError(f"rank {r} outside [1, {dim}]")
+    rng = np.random.default_rng(seed)
+    return (
+        random_density(dim, int(rank_pool[rng.integers(len(rank_pool))]), rng)
+        for _ in range(samples)
+    )
 
 
 def empirical_minimum(
@@ -489,45 +438,20 @@ def empirical_minimum(
     samples: int,
     seed,
     ranks: Optional[Sequence[int]] = None,
-    jobs: int = 1,
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Sampling oracle: min over random states of the relevant skew sum.
 
     ``s_or_order``: a float in (0, 1) selects the s-family, a nonpositive
     float or MeanOrder the generalized family, a list one order per operator.
-    States are Hilbert-Schmidt samples with ranks drawn uniformly from
-    ``ranks`` (default: 1..d).  Deterministic for a fixed seed regardless of
-    ``jobs``: the stream is chunked and each chunk owns a spawned seed.
+    States come from :func:`sample_states`, so the result is deterministic
+    for a fixed seed.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
     oset = _as_set(ops)
-    d = oset.dim
-    rank_pool = tuple(ranks) if ranks else tuple(range(1, d + 1))
-    for r in rank_pool:
-        if not 1 <= r <= d:
-            raise DomainError(f"rank {r} outside [1, {d}]")
-    ss = np.random.SeedSequence(seed)
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    children = ss.spawn(n_chunks)
-
-    def run_chunk(idx: int) -> float:
-        rng = np.random.default_rng(children[idx])
-        count = min(_CHUNK, samples - idx * _CHUNK)
-        best = math.inf
-        for _ in range(count):
-            rank = rank_pool[rng.integers(0, len(rank_pool))]
-            rho = random_density(d, int(rank), rng)
-            best = min(best, _sum_value(oset, rho, s_or_order, tol))
-        return best
-
-    if jobs > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            minima = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        minima = [run_chunk(i) for i in range(n_chunks)]
-    return min(minima)
+    return min(
+        _sum_value(oset, rho, s_or_order, tol)
+        for rho in sample_states(oset.dim, samples, seed, ranks)
+    )
 
 
 @dataclass(frozen=True)

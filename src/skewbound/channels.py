@@ -18,6 +18,7 @@ __all__ = [
     "phase_damping",
     "amplitude_damping",
     "channel_skew",
+    "pooled_set",
     "channel_bound",
 ]
 
@@ -86,20 +87,19 @@ def channel_skew(ch: KrausChannel, rho: DensityOperator, tol: Tolerances = DEFAU
     return sum(wyd_skew(K, rho, 0.5, tol) for K in ch.kraus)
 
 
+def pooled_set(channels) -> OperatorSet:
+    """The Kraus operators of all channels as one operator set.
+
+    An empty pool and channels on different systems are rejected.
+    """
+    return OperatorSet(tuple(K for ch in channels for K in ch.kraus))
+
+
 def channel_bound(channels, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> SpectralBound:
     """State-independent lower bound on the summed channel coherences.
 
-    Pools the Kraus operators of all channels into one operator set and runs
-    the same spectral machinery as the plain operator bound; heterogeneous
-    dimensions are rejected.
+    Runs the plain operator bound on the pooled Kraus operators; build the
+    :func:`pooled_set` once and call ``bound_wy`` on it to bound many states
+    from one spectral decomposition.
     """
-    chs = list(channels)
-    if not chs:
-        raise DomainError("need at least one channel")
-    d = chs[0].dim
-    pooled = []
-    for ch in chs:
-        if ch.dim != d:
-            raise DimensionMismatch("all channels must act on one system")
-        pooled.extend(ch.kraus)
-    return bound_wy(OperatorSet(tuple(pooled)), rho, tol)
+    return bound_wy(pooled_set(channels), rho, tol)

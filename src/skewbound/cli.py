@@ -31,7 +31,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_VIOLATION = 4
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 class ParseError(Exception):
@@ -125,6 +125,15 @@ def _parse_nu_value(x) -> float:
     raise ParseError(f"bad nu value {x!r}")
 
 
+def _number(x, field: str, kind=float):
+    """``kind(x)``, or a ParseError naming the field."""
+    try:
+        return kind(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ParseError(f"{field} must be {what}, got {x!r}") from exc
+
+
 def _parse_params(obj) -> Params:
     if not isinstance(obj, dict):
         raise ParseError("params must be an object")
@@ -133,18 +142,18 @@ def _parse_params(obj) -> Params:
         raise ParseError(f"unknown params fields: {sorted(unknown)}")
     p = Params()
     if "s" in obj:
-        p.s = float(obj["s"])
+        p.s = _number(obj["s"], "params.s")
     if "nu" in obj:
         if not isinstance(obj["nu"], list):
             raise ParseError("params.nu must be an array")
         p.nu = [_parse_nu_value(x) for x in obj["nu"]]
     for key in ("grid_points", "samples", "seed"):
         if key in obj:
-            setattr(p, key, int(obj[key]))
+            setattr(p, key, _number(obj[key], f"params.{key}", int))
     if "dims" in obj:
         if not (isinstance(obj["dims"], list) and len(obj["dims"]) == 2):
             raise ParseError("params.dims must be [dA, dB]")
-        p.dims = [int(x) for x in obj["dims"]]
+        p.dims = [_number(x, "params.dims", int) for x in obj["dims"]]
     for key in ("ops_a", "ops_b"):
         if key in obj:
             if not isinstance(obj[key], list):
@@ -157,7 +166,9 @@ def _parse_params(obj) -> Params:
         unknown = set(tobj) - _KNOWN_TOLS
         if unknown:
             raise ParseError(f"unknown tolerance fields: {sorted(unknown)}")
-        p.tolerances = Tolerances(**{k: float(v) for k, v in tobj.items()})
+        p.tolerances = Tolerances(
+            **{k: _number(v, f"params.tolerances.{k}") for k, v in tobj.items()}
+        )
     return p
 
 
@@ -185,7 +196,7 @@ def load_problem(path: str, tol_override: Optional[float] = None) -> ProblemFile
     unknown = set(raw) - _KNOWN_TOP
     if unknown:
         raise ParseError(f"unknown top-level fields: {sorted(unknown)}")
-    version = int(raw.get("version", 1))
+    version = _number(raw.get("version", 1), "version", int)
     params = _parse_params(raw.get("params", {}))
     if tol_override is not None:
         params.tolerances = Tolerances(
@@ -205,7 +216,8 @@ def load_problem(path: str, tol_override: Optional[float] = None) -> ProblemFile
             vec = robj["bloch"]
             if not (isinstance(vec, list) and len(vec) == 3):
                 raise ParseError("bloch vector must have three components")
-            rho = qubit.BlochState(np.array([float(x) for x in vec])).to_density(tol)
+            bloch = [_number(x, "rho.bloch") for x in vec]
+            rho = qubit.BlochState(np.array(bloch)).to_density(tol)
         else:
             rho = linalg.density(_parse_matrix(robj, "rho"), tol)
     operators = {}
@@ -297,13 +309,33 @@ def cmd_moments(pf: ProblemFile, args) -> tuple:
 
 def _bound_report(sb: bounds.SpectralBound) -> dict:
     return {
-        "epsilon0": sb.epsilon0,
         "epsilon1": sb.epsilon1,
         "epsilonK": sb.epsilonK,
         "bound": sb.bound,
-        "used_excited": sb.used_excited,
+        "kernel_dim": sb.kernel_dim,
         "interval": [sb.interval[0], sb.interval[1]],
     }
+
+
+def _run_oracle(report: dict, dim: int, samples: int, seed, tol: Tolerances,
+                total, bound) -> int:
+    """Sample states from one stream and record, over the same samples, the
+    smallest skew sum ``total(rho)`` and the smallest margin over the
+    state-dependent ``bound(rho)``; a negative margin is a build bug."""
+    lowest = margin = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rho in bounds.sample_states(dim, samples, seed):
+            t = total(rho)
+            lowest = min(lowest, t)
+            margin = min(margin, t - bound(rho))
+    report["oracle_min"] = lowest
+    report["oracle_samples"] = samples
+    report["oracle_margin_min"] = margin
+    if margin < -tol.tol_residual:
+        report["oracle_violation"] = True
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 def cmd_bound(pf: ProblemFile, args) -> tuple:
@@ -312,15 +344,17 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
     tol = pf.params.tolerances
     ops = bounds.OperatorSet(tuple(pf.operators.values()))
     s = args.s if args.s is not None else pf.params.s
-    if abs(s - 0.5) < 1e-12:
-        sb = bounds.bound_wy(ops, pf.rho, tol)
-    else:
-        sb = bounds.bound_wyd(ops, pf.rho, s, tol=tol)
+
+    def bound_at(rho):
+        if abs(s - 0.5) < 1e-12:
+            return bounds.bound_wy(ops, rho, tol)
+        return bounds.bound_wyd(ops, rho, s, tol=tol)
+
     report = {
         "command": "bound",
         "report_version": REPORT_VERSION,
         "s": s,
-        **_bound_report(sb),
+        **_bound_report(bound_at(pf.rho)),
     }
     code = EXIT_OK
     if args.alpha_scan:
@@ -329,47 +363,24 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
         report["alpha_scan_plain"] = bounds.pure_variance_bound(ops, grid, tol)
     if args.oracle:
         seed = args.seed if args.seed is not None else pf.params.seed
-        oracle = bounds.empirical_minimum(
-            ops, s, args.oracle, seed, jobs=max(args.jobs, 1), tol=tol
+        code = _run_oracle(
+            report, ops.dim, args.oracle, seed, tol,
+            total=lambda rho: sum(moments.wyd_skew(A, rho, s, tol) for A in ops.operators),
+            bound=lambda rho: bound_at(rho).bound,
         )
-        report["oracle_min"] = oracle
-        report["oracle_samples"] = args.oracle
-        # the bound is state dependent, so the build-bug sentinel compares
-        # each sample against the bound evaluated at that sample's state
-        d = ops.dim
-        rng = np.random.default_rng(seed)
-        margin = math.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for _ in range(args.oracle):
-                sample = linalg.random_density(d, int(rng.integers(1, d + 1)), rng)
-                if abs(s - 0.5) < 1e-12:
-                    total = sum(moments.wyd_skew(A, sample, s, tol) for A in ops.operators)
-                    if sb.used_excited:
-                        ref = sb.epsilon1 * max(0.0, 1 - linalg.sqrt_trace(sample) ** 2 / d)
-                    else:
-                        ref = sb.epsilon0
-                else:
-                    total = sum(moments.wyd_skew(A, sample, s, tol) for A in ops.operators)
-                    ref = bounds.bound_wyd(ops, sample, s, tol=tol).bound
-                margin = min(margin, total - ref)
-        report["oracle_margin_min"] = margin
-        if margin < -tol.tol_residual:
-            report["oracle_violation"] = True
-            code = EXIT_VIOLATION
     return code, report
 
 
 def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
     _need(pf.channels, "channel-bound needs at least one channel")
+    _need(pf.rho is not None, "channel-bound needs a rho")
     tol = pf.params.tolerances
     chs = list(pf.channels.values())
-    sb = channels.channel_bound(chs, pf.rho, tol) if pf.rho is not None else None
-    _need(sb is not None, "channel-bound needs a rho")
+    kset = channels.pooled_set(chs)
     report = {
         "command": "channel-bound",
         "report_version": REPORT_VERSION,
-        **_bound_report(sb),
+        **_bound_report(bounds.bound_wy(kset, pf.rho, tol)),
     }
     skews = {ch.label or f"channel{i}": channels.channel_skew(ch, pf.rho, tol)
              for i, ch in enumerate(chs)}
@@ -378,19 +389,11 @@ def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
     code = EXIT_OK
     if args.oracle:
         seed = args.seed if args.seed is not None else pf.params.seed
-        d = chs[0].dim
-        rng = np.random.default_rng(seed)
-        worst = math.inf
-        for _ in range(args.oracle):
-            rho = linalg.random_density(d, int(rng.integers(1, d + 1)), rng)
-            total = sum(channels.channel_skew(ch, rho, tol) for ch in chs)
-            ref = sb.epsilon1 * max(0.0, 1 - linalg.sqrt_trace(rho) ** 2 / d) \
-                if sb.used_excited else sb.epsilon0
-            worst = min(worst, total - ref)
-        report["oracle_margin_min"] = worst
-        if worst < -tol.tol_residual:
-            report["oracle_violation"] = True
-            code = EXIT_VIOLATION
+        code = _run_oracle(
+            report, kset.dim, args.oracle, seed, tol,
+            total=lambda rho: sum(channels.channel_skew(ch, rho, tol) for ch in chs),
+            bound=lambda rho: bounds.bound_wy(kset, rho, tol).bound,
+        )
     return code, report
 
 
@@ -590,7 +593,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, oracle=False):
         p.add_argument("file", help="problem file (path or bundled name)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--jobs", type=int, default=1)
         if oracle:
             p.add_argument("--oracle", type=int, default=0, metavar="N")
             p.add_argument("--seed", type=int, default=None)

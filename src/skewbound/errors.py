@@ -53,10 +53,6 @@ class IncompleteChannel(SkewboundError):
     """Kraus operators do not sum to the identity."""
 
 
-class CommonEigenstateWarning(UserWarning):
-    """Every operator pair shares an eigenstate; spectral bound will be 0."""
-
-
 class NoFeasibleChiWarning(UserWarning):
     """No reference state satisfied tau1*tau2 < 1; bound reported as 0."""
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     NotHermitian,
@@ -108,8 +109,6 @@ def hermitian_eigen(M, tol: Tolerances = DEFAULT_TOL):
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        from .errors import ConvergenceFailure
-
         raise ConvergenceFailure(str(exc)) from exc
     return w, _fix_phases(V)
 

@@ -173,10 +173,22 @@ def _mean_weights(eigs: np.ndarray, order: MeanOrder, tol_psd: float) -> np.ndar
     """
     d = len(eigs)
     W = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            if min(eigs[i], eigs[j]) > tol_psd:
-                W[i, j] = W[j, i] = generalized_mean(eigs[i], eigs[j], order)
+    pos = eigs > tol_psd
+    x = eigs[pos]
+    if order.is_min:
+        M = np.minimum.outer(x, x)
+    else:
+        # same log-domain formulas as generalized_mean, on all pairs at once
+        a = np.log(x)
+        mid = (a[:, None] + a[None, :]) / 2
+        diff = a[:, None] - a[None, :]
+        if order.is_zero or abs(order.nu) < _NU_SERIES_CUTOFF:
+            M = np.exp(mid + order.nu * diff**2 / 8)
+        else:
+            z = np.abs(order.nu * diff / 2)
+            logcosh = z + np.log1p(np.exp(-2 * z)) - math.log(2)
+            M = np.exp(mid + logcosh / order.nu)
+    W[np.ix_(pos, pos)] = M
     return W
 
 

@@ -33,7 +33,7 @@ def test_criterion_1_four_operator_example():
     oracle = sb.empirical_minimum(ops, 0.5, 5000, seed=101, ranks=[1])
     elapsed = time.perf_counter() - t0
     ok = (
-        abs(bound.epsilon0) <= 1e-8
+        bound.kernel_dim == 1
         and abs(bound.epsilon1 - 2.32339) <= 1e-4
         and abs(bound.bound - 1.5489) <= 1e-3
         and scan <= 1.5489 + 1e-6
@@ -43,7 +43,7 @@ def test_criterion_1_four_operator_example():
     )
     announce(
         1, ok,
-        f"eps0={bound.epsilon0:.2e} eps1={bound.epsilon1:.6f} "
+        f"kernel_dim={bound.kernel_dim} eps1={bound.epsilon1:.6f} "
         f"bound={bound.bound:.5f} scan={scan:.5f} oracle_min={oracle:.5f} "
         f"runtime={elapsed:.2f}s",
     )
@@ -78,7 +78,7 @@ def test_criterion_3_damping_channels():
     for p in (0.1, 0.5, 0.9):
         chs = [sb.phase_damping(p), sb.amplitude_damping(p)]
         sbnd = sb.channel_bound(chs, RHO37)
-        eps1_ok = abs(sbnd.epsilon1 - p) <= 1e-8 and abs(sbnd.epsilon0) <= 1e-10
+        eps1_ok = abs(sbnd.epsilon1 - p) <= 1e-8 and sbnd.kernel_dim == 1
         rng = np.random.default_rng(300 + int(10 * p))
         worst = math.inf
         for _ in range(2000):
@@ -97,7 +97,7 @@ def test_criterion_3_damping_channels():
 
 def test_criterion_4_qubit_order_family():
     ops = sb.OperatorSet(four_qubit_ops())
-    sbnd = sb.bound_genskew(ops, RHO37, [0.0] * 4)
+    sbnd = sb.bound_wy(ops, RHO37)  # every generalized skew dominates the symmetric one
     floor = sb.pure_variance_bound(ops, 201)
     targets = {0.0: 0.1834, -1.0: 0.3515, -2.0: 0.4835, float("-inf"): 0.8788}
     ok = abs(sbnd.bound - 0.1921) <= 1e-3

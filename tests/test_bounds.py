@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewbound import (
-    CommonEigenstateWarning,
     DomainError,
     OperatorSet,
-    bound_genskew,
     bound_wy,
     bound_wyd,
     density,
@@ -24,13 +25,14 @@ from skewbound import (
     random_density,
     random_hermitian,
     random_operator,
+    sample_states,
     separability_witness,
     sqrt_trace,
     tighten_alpha_scan,
     variance,
     wyd_skew,
 )
-from conftest import SZ, four_3x3_ops, four_qubit_ops, spin_ops
+from conftest import SX, SZ, four_3x3_ops, four_qubit_ops, spin_ops
 
 RHO37 = density(np.diag([0.3, 0.7]))
 
@@ -118,9 +120,8 @@ class TestHTot:
 class TestBoundWY:
     def test_spin_half(self):
         sb = bound_wy(spin_ops(0.5), RHO37)
-        assert sb.epsilon0 == pytest.approx(0.0, abs=1e-10)
+        assert sb.kernel_dim == 1
         assert sb.epsilon1 == pytest.approx(1.0, abs=1e-10)
-        assert sb.used_excited
         expect = 1 - sqrt_trace(RHO37) ** 2 / 2
         assert sb.bound == pytest.approx(expect, abs=1e-10)
 
@@ -132,7 +133,7 @@ class TestBoundWY:
 
     def test_four_3x3_pure(self):
         sb = bound_wy(four_3x3_ops(), pure_state([1, 0, 0]))
-        assert sb.epsilon0 == pytest.approx(0.0, abs=1e-8)
+        assert sb.kernel_dim == 1
         assert sb.epsilon1 == pytest.approx(2.32339, abs=1e-4)
         assert sb.bound == pytest.approx(1.5489, abs=1e-3)
 
@@ -153,33 +154,43 @@ class TestBoundWY:
             assert sb.interval[0] - 1e-9 <= total <= sb.interval[1] + 1e-9
 
     def test_zero_ground_state_is_maximally_entangled(self):
-        # when eps0 = 0, the ground vector has flat Schmidt spectrum
+        # vec(I) spans the kernel of an irreducible set, so the kernel vector
+        # is maximally entangled: its reduction is I/d
         for ops in (spin_ops(0.5), spin_ops(1), four_3x3_ops()):
-            H = h_tot(ops)
-            w, V = hermitian_eigen(H)
-            assert abs(w[0]) < 1e-8
-            d = int(round(math.sqrt(H.shape[0])))
-            red = partial_trace_second(np.outer(V[:, 0], V[:, 0].conj()), (d, d))
+            spec = OperatorSet(ops).spectral()
+            d = len(ops[0])
+            assert spec.kernel_dim == 1
+            mes = np.eye(d).ravel() / math.sqrt(d)
+            assert np.linalg.norm(spec.H @ mes) < 1e-12
+            assert spec.kernel_weight(mes) == pytest.approx(1.0, abs=1e-12)
+            k = spec.kernel[:, 0]
+            red = partial_trace_second(np.outer(k, k.conj()), (d, d))
             np.testing.assert_allclose(red, np.eye(d) / d, atol=1e-8)
 
-    def test_saturation_at_ground_reduction(self, rng):
-        # an entangled ground vector's reduction saturates bound = eps0
-        saturated = 0
-        for _ in range(10):
-            A = random_hermitian(3, rng)
-            B = random_hermitian(3, rng)
-            H = h_tot([A, B])
-            w, V = hermitian_eigen(H)
-            red = partial_trace_second(np.outer(V[:, 0], V[:, 0].conj()), (3, 3))
-            if np.linalg.eigvalsh(red)[-1] > 1 - 1e-8:
-                continue  # product ground vector: nothing to saturate
-            rho = density((red + red.conj().T) / 2)
-            total = wyd_skew(A, rho, 0.5) + wyd_skew(B, rho, 0.5)
-            assert total == pytest.approx(float(w[0]), abs=1e-8)
-            sb = bound_wy([A, B], rho)
-            assert sb.saturating_state is not None
-            saturated += 1
-        assert saturated > 0
+    def test_projector_bound_saturates(self):
+        # sqrt(rho) = cos(t) K + sin(t) E with K in the kernel and E a Hermitian
+        # eps1-eigenvector has skew sum sin^2(t) eps1 = eps1 (1 - ||P_ker phi||^2)
+        reducible = (np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ))
+        for ops in (spin_ops(0.5), four_3x3_ops(), reducible):
+            oset = OperatorSet(ops)
+            spec = oset.spectral()
+            d = oset.dim
+            in_kernel = np.diag(np.linspace(1.0, 2.0, d))
+            K = sum(np.vdot(v.reshape(d, d), in_kernel) * v.reshape(d, d)
+                    for v in spec.kernel.T)
+            w, V = hermitian_eigen(spec.H)
+            M = V[:, int(np.argmin(np.abs(w - spec.epsilon1)))].reshape(d, d)
+            E = M + M.conj().T
+            if np.linalg.norm(E) < 1e-6:
+                E = 1j * (M - M.conj().T)
+            K, E = K / np.linalg.norm(K), E / np.linalg.norm(E)
+            for t in (0.05, 0.1, 0.2):
+                X = math.cos(t) * K + math.sin(t) * E
+                rho = density(X @ X)
+                sb = bound_wy(oset, rho)
+                total = sum(wyd_skew(A, rho, 0.5) for A in oset.operators)
+                assert total == pytest.approx(math.sin(t) ** 2 * spec.epsilon1, abs=1e-10)
+                assert sb.bound == pytest.approx(total, abs=1e-10)
 
     def test_excited_family_saturation(self):
         # states built on span{ground, first excited} reach the fallback bound
@@ -209,10 +220,82 @@ class TestBoundWY:
                 expect = 1.0 * (1 - sqrt_trace(rho) ** 2 / 2)
                 assert total == pytest.approx(expect, abs=1e-8)
 
-    def test_common_eigenstate_warning(self):
-        with pytest.warns(CommonEigenstateWarning):
+    def test_single_operator_kernel(self):
+        # diagonal matrices commute with SZ: a two-dimensional kernel that
+        # holds RHO37, reported as a field rather than a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sb = bound_wy([SZ], RHO37)
+        assert sb.kernel_dim == 2
         assert sb.bound == pytest.approx(0.0, abs=1e-10)
+
+
+def _reducible_case(seed: int, sizes, n_ops: int, kind: str):
+    """Operators block-diagonal over ``sizes`` in a random basis, and a state.
+
+    ``kind`` is "rank_deficient", "commuting" (block-aligned, a multiple of
+    the identity on each block, so every skew vanishes) or "full_rank".
+    """
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    U = np.linalg.qr(random_operator(d, rng))[0]
+    ops = []
+    for _ in range(n_ops):
+        A = np.zeros((d, d), dtype=complex)
+        i = 0
+        for n in sizes:
+            A[i:i + n, i:i + n] = random_hermitian(n, rng)
+            i += n
+        ops.append(U @ A @ U.conj().T)
+    if kind == "commuting":
+        p = rng.dirichlet(np.ones(len(sizes)))
+        rho = density(U @ np.diag(np.repeat(p / sizes, sizes)) @ U.conj().T)
+    elif kind == "rank_deficient":
+        rho = random_density(d, int(rng.integers(1, d)), rng)
+    else:
+        rho = random_density(d, d, rng)
+    return OperatorSet(tuple(ops)), rho
+
+
+class TestReducibleSets:
+    def test_reproducer(self):
+        # kernel = M_2 (x) I; a fallback that assumed ker H_tot = span{vec I}
+        # reported 1.0 here
+        ops = (np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ))
+        rho = density(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rho's embedding lies in the kernel
+            bounds = (bound_wy(ops, rho), bound_wyd(ops, rho, 0.3))
+        for sb in bounds:
+            assert sb.kernel_dim == 4
+            assert sb.bound <= 1e-12
+        for s in (0.3, 0.5):
+            assert sum(wyd_skew(A, rho, s) for A in ops) == pytest.approx(0.0, abs=1e-12)
+
+    def test_reducible_kernel_is_commutant(self):
+        spec = OperatorSet((np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ))).spectral()
+        assert np.linalg.norm(spec.H @ np.eye(4).ravel()) < 1e-12
+        # the commutant M_2 (x) I: every A (x) I lies in the kernel
+        for A in (SX, SZ, np.array([[0, 1], [0, 0]])):
+            v = np.kron(A, np.eye(2)).ravel()
+            assert spec.kernel_weight(v / np.linalg.norm(v)) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+        n_ops=st.integers(2, 3),
+        kind=st.sampled_from(["rank_deficient", "commuting", "full_rank"]),
+    )
+    def test_bound_below_skew_sum(self, seed, sizes, n_ops, kind):
+        oset, rho = _reducible_case(seed, sizes, n_ops, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for s in (0.3, 0.5, 0.7):
+                sb = bound_wy(oset, rho) if s == 0.5 else bound_wyd(oset, rho, s)
+                total = sum(wyd_skew(A, rho, s) for A in oset.operators)
+                assert sb.kernel_dim >= len(sizes)
+                assert sb.bound <= total + 1e-8 * max(1.0, total)
 
 
 class TestBoundWYD:
@@ -290,30 +373,37 @@ class TestAlphaScan:
 class TestBoundGenSkew:
     def test_qubit_example_bound(self):
         ops = four_qubit_ops()
-        sb = bound_genskew(ops, RHO37, [0.0, 0.0, 0.0, 0.0])
-        assert sb.epsilon0 == pytest.approx(0.0, abs=1e-8)
+        sb = bound_wy(ops, RHO37)
+        assert sb.kernel_dim == 1
         assert sb.bound == pytest.approx(0.1921, abs=1e-3)
 
     def test_same_epsilons_as_wy(self):
+        # one bound serves every order list: mixed orders stay above it
         ops = spin_ops(0.5)
         a = bound_wy(ops, RHO37)
-        b = bound_genskew(ops, RHO37, [-1.0, -2.0, float("-inf")])
-        assert a.epsilon0 == b.epsilon0
-        assert a.epsilon1 == b.epsilon1
+        b = bound_wy(OperatorSet(ops), RHO37)
+        assert (a.epsilon1, a.kernel_dim, a.bound) == (b.epsilon1, b.kernel_dim, b.bound)
+        orders = [-1.0, -2.0, float("-inf")]
+        total = sum(gen_skew(A, RHO37, o) for A, o in zip(ops, orders))
+        assert total >= a.bound - 1e-8
 
     def test_validity_all_orders(self, rng):
         ops = four_qubit_ops()
         for order in (0.0, -1.0, -2.0, float("-inf")):
-            sb = bound_genskew(ops, RHO37, [order] * 4)
+            sb = bound_wy(ops, RHO37)
             total = sum(gen_skew(A, RHO37, order) for A in ops)
             assert total >= sb.bound - 1e-8
 
     def test_pure_state_coincides_with_wy(self, rng):
+        # on a pure state every order gives the symmetric skew sum
         psi = random_density(2, 1, rng)
         ops = four_qubit_ops()
         a = bound_wy(ops, psi)
-        b = bound_genskew(ops, psi, [0.0] * 4)
-        assert a.bound == b.bound
+        wy = sum(wyd_skew(A, psi, 0.5) for A in ops)
+        for order in (0.0, -1.0, float("-inf")):
+            total = sum(gen_skew(A, psi, order) for A in ops)
+            assert total == pytest.approx(wy, abs=1e-10)
+            assert total >= a.bound - 1e-8
 
 
 class TestEmpiricalMinimum:
@@ -336,12 +426,13 @@ class TestEmpiricalMinimum:
         assert got >= 1.5489 - 1e-6
         assert got > 1.3993
 
-    def test_deterministic_and_jobs_invariant(self):
+    def test_deterministic_single_stream(self):
         ops = spin_ops(0.5)
         a = empirical_minimum(ops, 0.5, 600, seed=11)
         b = empirical_minimum(ops, 0.5, 600, seed=11)
-        c = empirical_minimum(ops, 0.5, 600, seed=11, jobs=4)
-        assert a == b == c
+        by_hand = min(sum(wyd_skew(A, rho, 0.5) for A in ops)
+                      for rho in sample_states(2, 600, 11))
+        assert a == b == by_hand
 
     def test_order_families(self):
         ops = four_qubit_ops()

@@ -14,6 +14,7 @@ from skewbound import (
     luders_channel,
     maximally_mixed,
     phase_damping,
+    pooled_set,
     pure_state,
     random_density,
     sqrt_trace,
@@ -79,7 +80,7 @@ class TestChannelBound:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_damping_pair_eps1(self, p):
         sb = channel_bound([phase_damping(p), amplitude_damping(p)], RHO37)
-        assert sb.epsilon0 == pytest.approx(0.0, abs=1e-10)
+        assert sb.kernel_dim == 1
         assert sb.epsilon1 == pytest.approx(p, abs=1e-10)
         expect = p * (1 - sqrt_trace(RHO37) ** 2 / 2)
         assert sb.bound == pytest.approx(expect, abs=1e-10)
@@ -115,9 +116,10 @@ class TestChannelBound:
         rho = random_density(2, 2, rng)
         a = channel_bound([ch], rho)
         b = bound_wy(OperatorSet(ch.kraus), rho)
-        assert a.epsilon0 == b.epsilon0
-        assert a.epsilon1 == b.epsilon1
-        assert a.bound == b.bound
+        c = bound_wy(pooled_set([ch]), rho)
+        assert a.kernel_dim == b.kernel_dim == c.kernel_dim
+        assert a.epsilon1 == b.epsilon1 == c.epsilon1
+        assert a.bound == b.bound == c.bound
 
     def test_rejects_heterogeneous_dims(self):
         with pytest.raises(DimensionMismatch):

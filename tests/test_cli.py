@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from skewbound import bounds, empirical_minimum, wyd_skew
 from skewbound.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -97,6 +98,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "moments", "example4")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("fields", [
+        {"version": "x"},
+        {"params": {"s": "half"}},
+        {"params": {"grid_points": "many"}},
+        {"params": {"samples": None}},
+        {"params": {"seed": [1]}},
+        {"params": {"dims": ["a", 2]}},
+        {"params": {"tolerances": {"tol_herm": "tiny"}}},
+        {"params": {"tolerances": {"tol_trace": None}}},
+        {"params": {"tolerances": {"tol_psd": [1e-10]}}},
+        {"params": {"tolerances": {"tol_recon": "x"}}},
+        {"params": {"tolerances": {"tol_residual": {}}}},
+        {"rho": {"bloch": [0, "y", 0]}},
+    ], ids=lambda f: json.dumps(f))
+    def test_malformed_number_is_2(self, capsys, tmp_path, fields):
+        path = write_json(tmp_path, "bad.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]],
+            "operators": {"Z": [[1, 0], [0, -1]]}, **fields,
+        })
+        code, _, err = run(capsys, "moments", path)
+        assert code == EXIT_PARSE
+        assert err.startswith("parse error: ")
+
 
 class TestGoldenReports:
     def _json_report(self, capsys, *argv):
@@ -156,6 +180,52 @@ class TestGoldenReports:
         # per-sample margin against the state-dependent bound stays nonnegative
         assert rep["oracle_margin_min"] >= -1e-8
 
+    @pytest.mark.parametrize("s", ["0.5", "0.3"])
+    def test_oracle_min_is_empirical_minimum(self, capsys, s):
+        # oracle_min and oracle_margin_min come from one stream of samples
+        code, out, _ = run(capsys, "bound", "example1_spin1", "--format", "json",
+                           "--s", s, "--oracle", "60", "--seed", "4")
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        pf = load_problem("example1_spin1")
+        tol = pf.params.tolerances
+        ops = bounds.OperatorSet(tuple(pf.operators.values()))
+        assert rep["oracle_min"] == empirical_minimum(ops, float(s), 60, 4, tol=tol)
+        margins = []
+        for rho in bounds.sample_states(3, 60, 4):
+            total = sum(wyd_skew(A, rho, float(s), tol) for A in ops.operators)
+            sb = (bounds.bound_wy(ops, rho, tol) if s == "0.5"
+                  else bounds.bound_wyd(ops, rho, float(s), tol=tol))
+            margins.append(total - sb.bound)
+        assert rep["oracle_margin_min"] == min(margins)
+
+    def test_channel_oracle_min_is_empirical_minimum(self, capsys):
+        code, out, _ = run(capsys, "channel-bound", "example3", "--format", "json",
+                           "--oracle", "60", "--seed", "4")
+        assert code == EXIT_OK
+        pf = load_problem("example3")
+        kraus = [K for ch in pf.channels.values() for K in ch.kraus]
+        want = empirical_minimum(kraus, 0.5, 60, 4, tol=pf.params.tolerances)
+        assert json.loads(out)["oracle_min"] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "example1_spinhalf", "--s", "0.3", "--oracle", "25"),
+        ("bound", "example2", "--oracle", "25"),
+        ("channel-bound", "example3", "--oracle", "25"),
+    ])
+    def test_oracle_builds_h_tot_once(self, capsys, monkeypatch, argv):
+        calls = []
+        real = bounds.h_tot
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "h_tot", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     def test_oracle_nonhalf_s(self, capsys):
         code, out, _ = run(capsys, "bound", "example1_spinhalf", "--format", "json",
                            "--s", "0.3", "--oracle", "40", "--seed", "2")
@@ -180,9 +250,10 @@ class TestFormats:
     def test_json_schema_stable(self, capsys):
         code, out, _ = run(capsys, "bound", "example1_spinhalf", "--format", "json")
         rep = json.loads(out)
+        assert rep["report_version"] == 2
         assert set(rep) == {
-            "command", "report_version", "s", "epsilon0", "epsilon1",
-            "epsilonK", "bound", "used_excited", "interval",
+            "command", "report_version", "s", "epsilon1",
+            "epsilonK", "bound", "kernel_dim", "interval",
         }
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skewbound import (
+    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     NotHermitian,
@@ -16,6 +17,7 @@ from skewbound import (
     pure_state,
     random_density,
     random_hermitian,
+    SkewboundError,
 )
 from conftest import SX, SY
 
@@ -46,6 +48,9 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_convergence_failure_is_exported(self):
+        assert issubclass(ConvergenceFailure, SkewboundError)
 
     def test_deterministic(self, rng):
         H = random_hermitian(5, rng)

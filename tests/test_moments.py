@@ -113,6 +113,29 @@ class TestGeneralizedMean:
         assert generalized_mean(0.3, 0.7, -1e6) == pytest.approx(0.3, rel=1e-6)
 
 
+class TestMeanWeights:
+    @pytest.mark.parametrize("nu", [0.0, -1e-7, -1.0, -50.0, float("-inf")])
+    def test_matches_scalar_mean(self, nu):
+        from skewbound.moments import _mean_weights
+
+        tol_psd = 1e-10
+        spectra = [
+            np.array([0.0, 0.0, 0.2, 0.8]),
+            np.array([0.0, 1e-10, 0.25, 0.25 * (1 + 1e-12), 0.5 - 1e-15, 0.5]),
+            np.array([1e-9, 1e-9 * (1 + 1e-13), 0.3, 0.7 - 2e-9]),
+            np.sort(np.random.default_rng(5).dirichlet(np.ones(7))),
+        ]
+        for eigs in spectra:
+            W = _mean_weights(eigs, MeanOrder(nu), tol_psd)
+            for i, x in enumerate(eigs):
+                for j, y in enumerate(eigs):
+                    if min(x, y) > tol_psd:
+                        want = generalized_mean(x, y, nu)
+                        assert abs(W[i, j] - want) <= 1e-14 * want
+                    else:
+                        assert W[i, j] == 0.0
+
+
 class TestGenSkew:
     def test_zero_order_matches_wyd(self, rng):
         rho = random_density(4, 3, rng)
