@@ -27,11 +27,9 @@ from .linalg import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
-    conj_transpose_basis,
     density,
     haar_unitary,
     hermitian_eigen,
-    kron,
     matrix_power,
     maximally_mixed,
     partial_trace_second,
@@ -76,7 +74,6 @@ from .bounds import (
     bound_wyd,
     embedding,
     empirical_minimum,
-    h_op,
     h_tot,
     pure_variance_bound,
     sample_states,

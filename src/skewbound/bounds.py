@@ -7,13 +7,16 @@ The spectrum of ``H_tot`` -- its smallest eigenvalue eps1 above the kernel and
 the kernel projector -- depends only on the operators; each state's bound is
 then eps1 times the weight of its embedding outside the kernel.
 
-Two doubling conventions appear:
+Doubled-space vectors are row-major vec(X) of d x d matrices X, so each
+generator is a map on matrices.  Two doubling conventions appear:
 
-* ``transpose`` pairing, ``(A (x) I - I (x) A^T)/sqrt(2)``, matches the
-  conjugated vectors above and carries the skew-information identity;
-* ``plain`` pairing, ``(A (x) I - I (x) A)/sqrt(2)``, matches the
-  unconjugated doubling ``|psi>|psi>`` and is valid for pure-state variance
-  sums only.  It is the classical eigenvalue-minimization machinery and often
+* ``transpose`` pairing, ``(A (x) I - I (x) A^T)/sqrt(2)``, is
+  X -> [A, X]/sqrt(2); it matches the conjugated vectors above and carries
+  the skew-information identity;
+* ``plain`` pairing, ``(A (x) I - I (x) A)/sqrt(2)``, is
+  X -> (A X - X A^T)/sqrt(2); it matches the unconjugated doubling
+  ``|psi>|psi>`` = vec(psi psi^T) and is valid for pure-state variance sums
+  only.  It is the classical eigenvalue-minimization machinery and often
   gives different (sometimes better) pure-state floors.
 """
 
@@ -41,7 +44,6 @@ from .moments import (
     as_mean_order,
     gen_skew,
     hermitian_split,
-    require_hermitian,
     wyd_skew,
 )
 
@@ -51,7 +53,6 @@ __all__ = [
     "EmbeddingVectors",
     "SpectralBound",
     "embedding",
-    "h_op",
     "h_tot",
     "bound_wy",
     "bound_wyd",
@@ -183,33 +184,26 @@ def embedding(rho: DensityOperator, s: float) -> EmbeddingVectors:
     )
 
 
-def h_op(A_hermitian, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Doubled-space generator (A (x) I - I (x) A^T)/sqrt(2).
-
-    Its kernel contains every |a_i>|a_i*> built from eigenvectors of A, so
-    squares of these generators vanish exactly on conjugation-symmetric
-    product directions.
-    """
-    A = require_hermitian(A_hermitian, tol)
-    d = A.shape[0]
-    I = np.eye(d)
-    return (np.kron(A, I) - np.kron(I, A.T)) / math.sqrt(2)
-
-
-def _h_plain(C: np.ndarray) -> np.ndarray:
-    d = C.shape[0]
-    I = np.eye(d)
-    return (np.kron(C, I) - np.kron(I, C)) / math.sqrt(2)
-
-
 def h_tot(ops, pairing: str = "transpose", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """PSD total operator: sum of squared generators of all split parts."""
+    """PSD total operator: sum of squared generators of all split parts.
+
+    With S = sum_C C^2 and C^p = C^T (transpose pairing) or C (plain), it is
+    (S (x) I + I (x) S^p)/2 - sum_C C (x) C^p; on vec(X) the transpose form
+    acts as X -> sum_C [C, [C, X]]/2.  ``tol`` is unused: the split parts
+    are Hermitian by construction.
+    """
     oset = _as_set(ops)
     d = oset.dim
-    H = np.zeros((d * d, d * d), dtype=complex)
-    for C in oset.components():
-        Hk = h_op(C, tol) if pairing == "transpose" else _h_plain(C)
-        H += Hk @ Hk
+    Cs = np.asarray(oset.components(), dtype=complex).reshape(-1, d, d)
+    Cp = Cs.transpose(0, 2, 1) if pairing == "transpose" else Cs
+    S = np.sum(Cs @ Cs, axis=0)
+    # matmul rounds S[i, j] and S[j, i] differently; hermitian_eigen's
+    # absolute check would reject that defect once entries reach ~1e6
+    S = (S + S.conj().T) / 2
+    Sp = S.T if pairing == "transpose" else S
+    I = np.eye(d)
+    H = (np.kron(S, I) + np.kron(I, Sp)) / 2
+    H -= np.einsum("kij,kab->iajb", Cs, Cp).reshape(d * d, d * d)
     return H
 
 
@@ -260,16 +254,17 @@ _CHI_OVERLAP_FLOOR = 1e-14
 def _feasible_f(chi, ref1, ref2):
     """f(tau1, tau2) for one reference state, or None if infeasible.
 
-    The minimal feasible tau_i is the Gram-Schmidt residual norm
-    sqrt(1/|<chi|ref_i>|^2 - 1); f decreases in each argument on the feasible
-    region, so the minimal pair maximizes f.
+    The minimal feasible tau_i is the Gram-Schmidt residual
+    ||ref_i - <chi|ref_i> chi|| / |<chi|ref_i>| (= sqrt(1/|<chi|ref_i>|^2 - 1)
+    for unit vectors, without its cancellation near overlap 1); f decreases
+    in each argument on the feasible region, so the minimal pair maximizes f.
     """
-    o1 = abs(np.vdot(chi, ref1)) ** 2
-    o2 = abs(np.vdot(chi, ref2)) ** 2
-    if o1 < _CHI_OVERLAP_FLOOR or o2 < _CHI_OVERLAP_FLOOR:
+    o1 = np.vdot(chi, ref1)
+    o2 = np.vdot(chi, ref2)
+    if abs(o1) ** 2 < _CHI_OVERLAP_FLOOR or abs(o2) ** 2 < _CHI_OVERLAP_FLOOR:
         return None
-    t1 = math.sqrt(max(0.0, 1.0 / o1 - 1.0))
-    t2 = math.sqrt(max(0.0, 1.0 / o2 - 1.0))
+    t1 = float(np.linalg.norm(ref1 - o1 * chi)) / abs(o1)
+    t2 = float(np.linalg.norm(ref2 - o2 * chi)) / abs(o2)
     if t1 * t2 >= 1.0:
         return None
     return (1.0 - t1 * t2) / ((1.0 + t1 * t1) * (1.0 + t2 * t2))
@@ -287,8 +282,9 @@ def bound_wyd(
     The bilinear form is no longer an expectation value, so the spectral
     bound is filtered through a reverse Cauchy-Schwarz factor built from
     reference states chi.  The default candidates each collapse one overlap
-    to 1; callers may supply more.  If every candidate is infeasible the
-    bound degrades to 0 with a warning.
+    to 1; callers may supply more, each a nonzero vector of d^2 entries
+    (DimensionMismatch or DomainError otherwise).  If every candidate is
+    infeasible the bound degrades to 0 with a warning.
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -315,9 +311,12 @@ def bound_wyd(
     if chi_candidates:
         for chi in chi_candidates:
             v = np.asarray(chi, dtype=complex).ravel()
+            if v.size != d * d:
+                raise DimensionMismatch(f"chi candidate has {v.size} entries, need {d * d}")
             n = np.linalg.norm(v)
-            if v.size == d * d and n > 0:
-                candidates.append(v / n)
+            if n == 0:
+                raise DomainError("chi candidate is the zero vector")
+            candidates.append(v / n)
 
     def excited_factor(phi: np.ndarray) -> float:
         # ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi
@@ -360,7 +359,10 @@ def tighten_alpha_scan(
     bounds the pure-state variance sum on the slice <C> = alpha.  Minimizing
     over the grid and maximizing over components tightens the plain ground
     eigenvalue.  The grid is a documented approximation of the continuum
-    minimum; returns max(scan, eps0).
+    minimum.  The transpose pairing reuses the set's cached ``H_tot`` and
+    starts from 0, the ground eigenvalue it always has (vec(I) is in its
+    kernel); the plain pairing builds its own ``H_tot`` and starts from its
+    ground eigenvalue.
     """
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
@@ -368,8 +370,12 @@ def tighten_alpha_scan(
         raise DomainError(f"unknown pairing {pairing!r}")
     oset = _as_set(ops)
     d = oset.dim
-    H = h_tot(oset, pairing=pairing, tol=tol)
-    best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
+    if pairing == "transpose":
+        H = oset.spectral(tol).H
+        best = 0.0
+    else:
+        H = h_tot(oset, pairing=pairing, tol=tol)
+        best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
     I = np.eye(d)
     for C in oset.components():
         evs = np.linalg.eigvalsh(C)

@@ -4,8 +4,9 @@ Everything downstream works with plain ``numpy`` complex matrices; the only
 wrapped type is :class:`DensityOperator`, which validates a state once and
 caches its spectral decomposition.  Conventions used throughout the package:
 
-* vectors on a doubled space ``H (x) H`` are row-major Kronecker products, so
-  ``kron(u, v)`` reshaped to ``(d, d)`` is ``outer(u, v)``;
+* vectors on a doubled space ``H (x) H`` are row-major vec(X) = ``X.ravel()``
+  of d x d matrices, so ``np.kron(u, v)`` is vec(``outer(u, v)``),
+  ``(A (x) I) vec X = vec(A X)`` and ``(I (x) B) vec X = vec(X B^T)``;
 * ``|psi*>`` means entrywise complex conjugation in the computational basis;
 * eigenvalues are always returned ascending, eigenvector phases are fixed by
   making the largest-magnitude component real and positive.
@@ -36,8 +37,6 @@ __all__ = [
     "maximally_mixed",
     "matrix_power",
     "sqrt_trace",
-    "conj_transpose_basis",
-    "kron",
     "partial_trace_second",
     "random_density",
     "random_operator",
@@ -190,16 +189,6 @@ def matrix_power(rho: DensityOperator, s: float) -> np.ndarray:
 def sqrt_trace(rho: DensityOperator) -> float:
     """Tr sqrt(rho) = sum_i sqrt(lambda_i)."""
     return float(np.sum(np.sqrt(rho.eigenvalues)))
-
-
-def conj_transpose_basis(M) -> np.ndarray:
-    """Transpose with respect to the computational basis (no conjugation)."""
-    return as_operator(M).T.copy()
-
-
-def kron(M, N) -> np.ndarray:
-    """Kronecker product (row-major convention)."""
-    return np.kron(as_operator(M), as_operator(N))
 
 
 def partial_trace_second(M, dims) -> np.ndarray:

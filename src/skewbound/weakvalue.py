@@ -5,18 +5,22 @@ The bilinear form <Phi~^s| H_A^2 |Phi~^(1-s)> expands over any product basis
 Phi^s, Phi^(1-s) and post-selections |a_i a_j*>, weighted by the overlap
 coefficients.  Summing the (complex) table reproduces the skew information
 exactly, with vanishing total imaginary part.
+
+With U the matrix of basis columns a_i, <a_i a_j*|vec(M)> = (U^H M U)[i, j],
+so every table is one such product: the weights are U^H rho^s U and the
+numerators <a_i a_j*|H_A|Phi~^s> are U^H [A, rho^s] U / sqrt(2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bounds import embedding, h_op
 from .errors import DimensionMismatch, DomainError, NotOrthonormal, OrthogonalSelection
-from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator
+from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power
 from .moments import require_hermitian
 
 __all__ = [
@@ -69,6 +73,8 @@ class ReconstructionResult(NamedTuple):
 
 
 def _check_basis(basis, d: int) -> np.ndarray:
+    if basis is None:
+        return np.eye(d, dtype=complex)
     U = np.column_stack([np.asarray(b, dtype=complex).ravel() for b in basis])
     if U.shape != (d, d):
         raise DomainError(f"need {d} basis vectors of dimension {d}")
@@ -96,33 +102,21 @@ def reconstruct_skew(
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     A = require_hermitian(A, tol)
-    d = rho.dim
-    U = _check_basis(basis, d) if basis is not None else np.eye(d, dtype=complex)
-    emb = embedding(rho, s)
-    H = h_op(A, tol)
-    values_s = np.full((d, d), np.nan, dtype=complex)
-    values_1ms = np.full((d, d), np.nan, dtype=complex)
-    weights_s = np.zeros((d, d), dtype=complex)
-    weights_1ms = np.zeros((d, d), dtype=complex)
-    defined = np.zeros((d, d), dtype=bool)
-    total = 0.0 + 0.0j
-    Hs = H @ emb.phi_s  # H_A is Hermitian, so <phi_s|H = (H phi_s)^dag
-    H1s = H @ emb.phi_1ms
-    for i in range(d):
-        for j in range(d):
-            post = np.kron(U[:, i], U[:, j].conj())
-            ws = np.vdot(post, emb.phi_s)  # = N_s~^{ij}
-            w1s = np.vdot(post, emb.phi_1ms)
-            weights_s[i, j] = ws
-            weights_1ms[i, j] = w1s
-            # pre-cancellation form: the weights cancel the weak-value
-            # denominators, so the summand is overlap-free
-            summand = np.vdot(Hs, post) * np.vdot(post, H1s)
-            total += summand
-            if abs(ws) > tol_overlap and abs(w1s) > tol_overlap:
-                defined[i, j] = True
-                values_s[i, j] = np.vdot(post, Hs) / ws
-                values_1ms[i, j] = np.vdot(post, H1s) / w1s
+    U = _check_basis(basis, rho.dim)
+    P, Q = matrix_power(rho, s), matrix_power(rho, 1 - s)
+    Uh = U.conj().T
+    weights_s, weights_1ms = Uh @ P @ U, Uh @ Q @ U
+    # <a_i a_j*|H_A|Phi~^s> and likewise for 1-s
+    T_s = Uh @ (A @ P - P @ A) @ U / math.sqrt(2)
+    T_1ms = Uh @ (A @ Q - Q @ A) @ U / math.sqrt(2)
+    # pre-cancellation form: the weights cancel the weak-value denominators,
+    # so each summand is overlap-free
+    total = np.sum(T_s.conj() * T_1ms)
+    defined = (np.abs(weights_s) > tol_overlap) & (np.abs(weights_1ms) > tol_overlap)
+    values_s = np.full_like(T_s, np.nan)
+    values_1ms = np.full_like(T_1ms, np.nan)
+    values_s[defined] = T_s[defined] / weights_s[defined]
+    values_1ms[defined] = T_1ms[defined] / weights_1ms[defined]
     table = WeakValueTable(
         values_s=values_s,
         values_1ms=values_1ms,
@@ -159,36 +153,34 @@ def subsystem_weak_values(
         raise DomainError(f"s must lie in (0, 1), got {s}")
     A = require_hermitian(A, tol)
     d = rho.dim
-    U = _check_basis(basis, d) if basis is not None else np.eye(d, dtype=complex)
-    emb = embedding(rho, s)
-    V = emb.phi_s.reshape(d, d)  # V[p, q]: component on |p>|q>
-    I = np.eye(d, dtype=complex)
-    AI = np.kron(A, I)
-    IAT = np.kron(I, A.T)
+    U = _check_basis(basis, d)
+    P = matrix_power(rho, s)  # Phi~^s = vec(P)
+    Uh = U.conj().T
+    ov = Uh @ P @ U
+    # <a_i a_j*|(A (x) I)|Phi~^s> and <a_i a_j*|(I (x) A^T)|Phi~^s>, since
+    # these operators map vec(P) to vec(A P) and vec(P A)
+    num_f = Uh @ (A @ P) @ U
+    num_c = Uh @ (P @ A) @ U
     res_f = 0.0
     res_c = 0.0
     checked = 0
     for i in range(d):
         for j in range(d):
-            post = np.kron(U[:, i], U[:, j].conj())
-            ov = np.vdot(post, emb.phi_s)
-            if abs(ov) <= tol_overlap:
+            if abs(ov[i, j]) <= tol_overlap:
                 continue
             # collapsed preselection: <a_j*| applied to the second factor
-            phi_j = V @ U[:, j]
+            phi_j = P @ U[:, j]
             nj = np.linalg.norm(phi_j)
             if nj <= tol_overlap:
                 continue
-            lhs_f = np.vdot(post, AI @ emb.phi_s) / ov
             rhs_f = weak_value(A, phi_j / nj, U[:, i], tol_overlap)
-            res_f = max(res_f, abs(lhs_f - rhs_f))
-            phi_i = V @ U[:, i]
+            res_f = max(res_f, abs(num_f[i, j] / ov[i, j] - rhs_f))
+            phi_i = P @ U[:, i]
             ni = np.linalg.norm(phi_i)
             if ni <= tol_overlap:
                 continue
-            lhs_c = np.vdot(post, IAT @ emb.phi_s) / ov
             rhs_c = np.conj(weak_value(A, phi_i / ni, U[:, j], tol_overlap))
-            res_c = max(res_c, abs(lhs_c - rhs_c))
+            res_c = max(res_c, abs(num_c[i, j] / ov[i, j] - rhs_c))
             checked += 1
     return SubsystemReport(
         factorization_residual=res_f,

@@ -296,7 +296,8 @@ def test_criterion_6_structure_suites():
         w2, V2 = sb.hermitian_eigen(H)
         eps0 = max(float(w2[0]), 0.0)
         d = ops[0].shape[0]
-        stacked = np.vstack([sb.h_op(O) for O in ops])
+        I = np.eye(d)
+        stacked = np.vstack([(np.kron(O, I) - np.kron(I, O.T)) / math.sqrt(2) for O in ops])
         smin = float(np.linalg.svd(stacked, compute_uv=False)[-1])
         kernels_meet = smin < 1e-8
         if kernels_meet != (eps0 < 1e-8):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewbound import (
+    DimensionMismatch,
     DomainError,
     OperatorSet,
     bound_wy,
@@ -15,7 +16,6 @@ from skewbound import (
     embedding,
     empirical_minimum,
     gen_skew,
-    h_op,
     h_tot,
     hermitian_eigen,
     maximally_mixed,
@@ -25,6 +25,7 @@ from skewbound import (
     random_density,
     random_hermitian,
     random_operator,
+    random_pure_vector,
     sample_states,
     separability_witness,
     sqrt_trace,
@@ -33,8 +34,22 @@ from skewbound import (
     wyd_skew,
 )
 from conftest import SX, SZ, four_3x3_ops, four_qubit_ops, spin_ops
+from skewbound.bounds import _feasible_f
 
 RHO37 = density(np.diag([0.3, 0.7]))
+
+
+def _h_tot_kron(ops, pairing="transpose"):
+    """Reference H_tot: the sum of squared kron generators (C (x) I - I (x) C^p)/sqrt(2)."""
+    oset = OperatorSet(tuple(ops))
+    d = oset.dim
+    I = np.eye(d)
+    H = np.zeros((d * d, d * d), dtype=complex)
+    for C in oset.components():
+        pair = C.T if pairing == "transpose" else C
+        Hk = (np.kron(C, I) - np.kron(I, pair)) / math.sqrt(2)
+        H += Hk @ Hk
+    return H
 
 
 class TestEmbedding:
@@ -75,28 +90,49 @@ class TestEmbedding:
             assert abs(got - wyd_skew(A, rho, s)) < 1e-9
 
 
-class TestHOp:
+class TestHTot:
     def test_identity_maps_to_zero(self):
-        np.testing.assert_allclose(h_op(np.eye(3)), np.zeros((9, 9)), atol=1e-14)
+        np.testing.assert_allclose(h_tot([np.eye(3)]), np.zeros((9, 9)), atol=1e-14)
 
     def test_pauli_z_spectrum(self):
-        evs = np.linalg.eigvalsh(h_op(SZ))
-        np.testing.assert_allclose(evs, [-math.sqrt(2), 0, 0, math.sqrt(2)], atol=1e-12)
+        evs = np.linalg.eigvalsh(h_tot([SZ]))
+        np.testing.assert_allclose(evs, [0, 0, 2, 2], atol=1e-12)
 
     def test_kernel_contains_conjugate_pairs(self, rng):
         A = random_hermitian(4, rng)
         w, V = hermitian_eigen(A)
-        H = h_op(A)
+        H = h_tot([A])
         for i in range(4):
             vec = np.kron(V[:, i], V[:, i].conj())
             assert np.linalg.norm(H @ vec) < 1e-10
 
-
-class TestHTot:
     def test_single_hermitian(self, rng):
         A = random_hermitian(3, rng)
-        H = h_op(A)
-        np.testing.assert_allclose(h_tot([A]), H @ H, atol=1e-12)
+        np.testing.assert_allclose(h_tot([A]), _h_tot_kron([A]), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        n_ops=st.integers(1, 4),
+        pairing=st.sampled_from(["transpose", "plain"]),
+    )
+    def test_matches_kron_reference(self, seed, d, n_ops, pairing):
+        rng = np.random.default_rng(seed)
+        ops = [random_operator(d, rng) for _ in range(n_ops)]
+        np.testing.assert_allclose(
+            h_tot(ops, pairing), _h_tot_kron(ops, pairing), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("pairing", ["transpose", "plain"])
+    def test_exactly_hermitian_at_large_scale(self, rng, pairing):
+        # entries ~1e7: a last-bit asymmetry would exceed the absolute tol_herm
+        for make in (random_hermitian, random_operator):
+            ops = [1e3 * make(6, rng) for _ in range(3)]
+            H = h_tot(ops, pairing)
+            np.testing.assert_array_equal(H, H.conj().T)
+        rho = random_density(6, 6, rng)
+        assert bound_wy(ops, rho).bound <= sum(wyd_skew(A, rho, 0.5) for A in ops)
 
     def test_spin_sets_eigenvalues(self):
         for j in (0.5, 1):
@@ -336,6 +372,22 @@ class TestBoundWYD:
         sb = bound_wyd(spin_ops(0.5), RHO37, 0.3, chi_candidates=[chi])
         total = sum(wyd_skew(S, RHO37, 0.3) for S in spin_ops(0.5))
         assert sb.bound <= total + 1e-9
+
+    def test_candidate_of_wrong_size_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            bound_wyd(spin_ops(0.5), RHO37, 0.3, chi_candidates=[np.ones(3)])
+
+    def test_zero_candidate_rejected(self):
+        with pytest.raises(DomainError):
+            bound_wyd(spin_ops(0.5), RHO37, 0.3, chi_candidates=[np.zeros(4)])
+
+    def test_feasible_f_at_reference_has_no_cancellation(self, rng):
+        # chi = ref1 gives tau1 = 0, so f = 1/(1 + tau2^2) = |<chi|ref2>|^2
+        for _ in range(200):
+            n = int(rng.integers(2, 7)) ** 2
+            chi, ref2 = (random_pure_vector(n, rng) for _ in range(2))
+            want = abs(np.vdot(chi, ref2)) ** 2
+            assert _feasible_f(chi, chi, ref2) == pytest.approx(want, rel=1e-12)
 
 
 class TestAlphaScan:

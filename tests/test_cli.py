@@ -212,6 +212,7 @@ class TestGoldenReports:
         ("bound", "example1_spinhalf", "--s", "0.3", "--oracle", "25"),
         ("bound", "example2", "--oracle", "25"),
         ("channel-bound", "example3", "--oracle", "25"),
+        ("bound", "example2", "--alpha-scan"),
     ])
     def test_oracle_builds_h_tot_once(self, capsys, monkeypatch, argv):
         calls = []
@@ -224,7 +225,8 @@ class TestGoldenReports:
         monkeypatch.setattr(bounds, "h_tot", counted)
         code, _, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert len(calls) == 1
+        # the alpha scan reuses the set's H_tot and adds only the plain pairing
+        assert len(calls) == (2 if "--alpha-scan" in argv else 1)
 
     def test_oracle_nonhalf_s(self, capsys):
         code, out, _ = run(capsys, "bound", "example1_spinhalf", "--format", "json",

@@ -7,10 +7,8 @@ from skewbound import (
     DomainError,
     NotHermitian,
     StateValidationError,
-    conj_transpose_basis,
     density,
     hermitian_eigen,
-    kron,
     matrix_power,
     maximally_mixed,
     partial_trace_second,
@@ -19,7 +17,7 @@ from skewbound import (
     random_hermitian,
     SkewboundError,
 )
-from conftest import SX, SY
+from conftest import SX
 
 
 class TestHermitianEigen:
@@ -110,52 +108,6 @@ class TestMatrixPower:
             np.testing.assert_allclose(
                 matrix_power(rho, s) @ matrix_power(rho, 1 - s), rho.matrix, atol=1e-9
             )
-
-
-class TestTranspose:
-    def test_pauli(self):
-        np.testing.assert_array_equal(conj_transpose_basis(SY), -SY)
-        np.testing.assert_array_equal(conj_transpose_basis(SX), SX)
-
-    def test_involution_and_spectrum(self, rng):
-        H = random_hermitian(4, rng)
-        T = conj_transpose_basis(H)
-        np.testing.assert_array_equal(conj_transpose_basis(T), H)
-        np.testing.assert_allclose(
-            np.linalg.eigvalsh(T), np.linalg.eigvalsh(H), atol=1e-10
-        )
-
-    def test_conjugate_sandwich_identity(self, rng):
-        # <i*|X^T|j*> = <j|X|i> for any matrix and any orthonormal frame
-        from skewbound import haar_unitary, random_operator
-
-        d = 4
-        X = random_operator(d, rng)
-        U = haar_unitary(d, rng)
-        XT = conj_transpose_basis(X)
-        for i in range(d):
-            for j in range(d):
-                lhs = np.vdot(U[:, i].conj(), XT @ U[:, j].conj())
-                rhs = np.vdot(U[:, j], X @ U[:, i])
-                assert abs(lhs - rhs) < 1e-10
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        got = kron(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-        np.testing.assert_array_equal(np.diag(got), [10, 14, 15, 21])
-
-    def test_vector_action(self, rng):
-        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        N = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        u = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        np.testing.assert_allclose(
-            kron(M, N) @ np.kron(u, v), np.kron(M @ u, N @ v), atol=1e-10
-        )
 
 
 class TestPartialTrace:

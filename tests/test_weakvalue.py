@@ -7,6 +7,7 @@ from skewbound import (
     NotHermitian,
     OrthogonalSelection,
     density,
+    embedding,
     haar_unitary,
     pure_state,
     random_density,
@@ -19,6 +20,32 @@ from skewbound import (
 from conftest import SX, SZ
 
 RHO37 = density(np.diag([0.3, 0.7]))
+
+
+def _reconstruct_kron(A, rho, s, U, tol_overlap=1e-12):
+    """Reference table: one kron postselection |a_i a_j*> per entry."""
+    d = rho.dim
+    emb = embedding(rho, s)
+    I = np.eye(d)
+    H = (np.kron(A, I) - np.kron(I, A.T)) / math.sqrt(2)
+    Hs, H1s = H @ emb.phi_s, H @ emb.phi_1ms
+    values_s = np.full((d, d), np.nan, dtype=complex)
+    values_1ms = np.full((d, d), np.nan, dtype=complex)
+    weights_s = np.zeros((d, d), dtype=complex)
+    weights_1ms = np.zeros((d, d), dtype=complex)
+    defined = np.zeros((d, d), dtype=bool)
+    total = 0.0 + 0.0j
+    for i in range(d):
+        for j in range(d):
+            post = np.kron(U[:, i], U[:, j].conj())
+            ws, w1s = np.vdot(post, emb.phi_s), np.vdot(post, emb.phi_1ms)
+            weights_s[i, j], weights_1ms[i, j] = ws, w1s
+            total += np.vdot(Hs, post) * np.vdot(post, H1s)
+            if abs(ws) > tol_overlap and abs(w1s) > tol_overlap:
+                defined[i, j] = True
+                values_s[i, j] = np.vdot(post, Hs) / ws
+                values_1ms[i, j] = np.vdot(post, H1s) / w1s
+    return total.real, values_s, values_1ms, weights_s, weights_1ms, defined
 
 
 class TestWeakValue:
@@ -95,6 +122,24 @@ class TestReconstruction:
         # undefined entries stay NaN, never silently zero
         undef = ~rec.table.defined
         assert np.all(np.isnan(rec.table.values_s[undef].real))
+
+    def test_matches_kron_reference(self, rng):
+        cases = [(SX, pure_state([1, 0]), 0.5, np.eye(2))]
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+            U = haar_unitary(d, rng) if rng.random() < 0.5 else np.eye(d)
+            cases.append((random_hermitian(d, rng), rho, float(rng.uniform(0.1, 0.9)), U))
+        for A, rho, s, U in cases:
+            rec = reconstruct_skew(A, rho, s, basis=list(U.T))
+            value, v_s, v_1ms, w_s, w_1ms, defined = _reconstruct_kron(A, rho, s, U)
+            t = rec.table
+            assert rec.value == pytest.approx(value, abs=1e-12)
+            np.testing.assert_array_equal(t.defined, defined)
+            for got, want in ((t.values_s, v_s), (t.values_1ms, v_1ms),
+                              (t.weights_s, w_s), (t.weights_1ms, w_1ms)):
+                np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=True)
 
     def test_weights_are_unnormalized_overlaps(self):
         rec = reconstruct_skew(SX, RHO37, 0.5)
