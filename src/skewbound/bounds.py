@@ -44,6 +44,7 @@ from .moments import (
     as_mean_order,
     gen_skew,
     hermitian_split,
+    variance,
     wyd_skew,
 )
 
@@ -94,7 +95,7 @@ class SpectralData:
 @dataclass(frozen=True)
 class OperatorSet:
     """A collection of same-dimension operators with cached Hermitian splits
-    and, once first asked for, cached spectral data of ``H_tot``."""
+    and, once first asked for, cached ``H_tot`` spectra and alpha-scan floors."""
 
     operators: tuple
 
@@ -115,6 +116,7 @@ class OperatorSet:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "_components", tuple(comps))
         object.__setattr__(self, "_spectra", {})
+        object.__setattr__(self, "_scans", {})
 
     @property
     def dim(self) -> int:
@@ -127,7 +129,7 @@ class OperatorSet:
     def spectral(self, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
         """Spectral data of ``H_tot``, built and diagonalized once per tolerances."""
         if tol not in self._spectra:
-            H = h_tot(self, tol=tol)
+            H = h_tot(self)
             w, V = hermitian_eigen(H, tol)
             epsK = float(w[-1])
             in_kernel = w <= w[0] + 1e-8 * max(1.0, epsK)
@@ -184,21 +186,20 @@ def embedding(rho: DensityOperator, s: float) -> EmbeddingVectors:
     )
 
 
-def h_tot(ops, pairing: str = "transpose", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def h_tot(ops, pairing: str = "transpose") -> np.ndarray:
     """PSD total operator: sum of squared generators of all split parts.
 
     With S = sum_C C^2 and C^p = C^T (transpose pairing) or C (plain), it is
     (S (x) I + I (x) S^p)/2 - sum_C C (x) C^p; on vec(X) the transpose form
-    acts as X -> sum_C [C, [C, X]]/2.  ``tol`` is unused: the split parts
-    are Hermitian by construction.
+    acts as X -> sum_C [C, [C, X]]/2.
     """
     oset = _as_set(ops)
     d = oset.dim
     Cs = np.asarray(oset.components(), dtype=complex).reshape(-1, d, d)
     Cp = Cs.transpose(0, 2, 1) if pairing == "transpose" else Cs
     S = np.sum(Cs @ Cs, axis=0)
-    # matmul rounds S[i, j] and S[j, i] differently; hermitian_eigen's
-    # absolute check would reject that defect once entries reach ~1e6
+    # matmul rounds S[i, j] and S[j, i] differently; symmetrize so that
+    # H_tot is Hermitian to the last bit
     S = (S + S.conj().T) / 2
     Sp = S.T if pairing == "transpose" else S
     I = np.eye(d)
@@ -362,19 +363,23 @@ def tighten_alpha_scan(
     minimum.  The transpose pairing reuses the set's cached ``H_tot`` and
     starts from 0, the ground eigenvalue it always has (vec(I) is in its
     kernel); the plain pairing builds its own ``H_tot`` and starts from its
-    ground eigenvalue.
+    ground eigenvalue.  The floor is cached on the operator set per
+    (pairing, grid_points, tol).
     """
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
     if pairing not in ("transpose", "plain"):
         raise DomainError(f"unknown pairing {pairing!r}")
     oset = _as_set(ops)
+    key = (pairing, grid_points, tol)
+    if key in oset._scans:
+        return oset._scans[key]
     d = oset.dim
     if pairing == "transpose":
         H = oset.spectral(tol).H
         best = 0.0
     else:
-        H = h_tot(oset, pairing=pairing, tol=tol)
+        H = h_tot(oset, pairing=pairing)
         best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
     I = np.eye(d)
     for C in oset.components():
@@ -390,6 +395,7 @@ def tighten_alpha_scan(
             worst = g if worst is None else min(worst, g)
         if worst is not None:
             best = max(best, worst)
+    oset._scans[key] = best
     return best
 
 
@@ -477,8 +483,8 @@ def separability_witness(
     """Variance-sum entanglement witness on a bipartite state.
 
     Separable states obey lhs >= threshold where the threshold adds the
-    pure-state variance floors of the two local operator sets; a violation
-    certifies entanglement.
+    pure-state variance floors of the two local operator sets, cached on
+    each OperatorSet passed in; a violation certifies entanglement.
     """
     setA, setB = _as_set(opsA), _as_set(opsB)
     if len(setA.operators) != len(setB.operators):
@@ -486,8 +492,6 @@ def separability_witness(
     dA, dB = setA.dim, setB.dim
     if rho_AB.dim != dA * dB:
         raise DimensionMismatch(f"state dim {rho_AB.dim} != {dA}*{dB}")
-    from .moments import variance
-
     IA, IB = np.eye(dA), np.eye(dB)
     lhs = 0.0
     for A, B in zip(setA.operators, setB.operators):

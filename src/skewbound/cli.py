@@ -17,12 +17,12 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from . import bounds, channels, equalities, linalg, moments, qubit, weakvalue
+from . import bounds, channels, linalg, moments, qubit, sweeps, weakvalue
 from .errors import SkewboundError
 from .linalg import DensityOperator, Tolerances
 
@@ -199,13 +199,7 @@ def load_problem(path: str, tol_override: Optional[float] = None) -> ProblemFile
     version = _number(raw.get("version", 1), "version", int)
     params = _parse_params(raw.get("params", {}))
     if tol_override is not None:
-        params.tolerances = Tolerances(
-            tol_herm=params.tolerances.tol_herm,
-            tol_trace=params.tolerances.tol_trace,
-            tol_psd=params.tolerances.tol_psd,
-            tol_recon=params.tolerances.tol_recon,
-            tol_residual=tol_override,
-        )
+        params.tolerances = replace(params.tolerances, tol_residual=tol_override)
     tol = params.tolerances
     rho = None
     if "rho" in raw:
@@ -444,130 +438,11 @@ def cmd_weakvalue(pf: ProblemFile, args) -> tuple:
     }
 
 
-# ------------------------------------------------------------ verify suites
-
-
-def _suite_equalities(seeds: int, tol: Tolerances):
-    worst = 0.0
-    worst_case = ""
-    for seed in range(seeds):
-        rng = np.random.default_rng(10_000 + seed)
-        d = int(rng.integers(2, 6))
-        rho = linalg.random_density(d, int(rng.integers(1, d + 1)), rng)
-        A = linalg.random_operator(d, rng)
-        B = linalg.random_operator(d, rng)
-        s = float(rng.choice([0.25, 0.5, 0.75]))
-        checks = []
-        checks.append(("sum", equalities.sum_equality(A, B, rho, tol)))
-        try:
-            checks.append(("product", equalities.product_equality(A, B, rho, tol)))
-            checks.append(
-                ("product_nontrivial", equalities.product_equality_nontrivial(A, B, rho, tol))
-            )
-        except SkewboundError:
-            pass
-        Xs = [linalg.random_hermitian(d, rng) for _ in range(3)]
-        checks.append(("three_sum", equalities.three_observable_sum_equality(*Xs, rho, tol)))
-        try:
-            checks.append(
-                ("three_product", equalities.three_observable_product_equality(*Xs, rho, tol))
-            )
-        except SkewboundError:
-            pass
-        try:
-            checks.append(("skew_product", equalities.skew_product_equality(A, B, rho, s, tol)))
-            checks.append(
-                ("skew_correction", equalities.skew_product_correction_identity(A, B, rho, s, tol))
-            )
-        except SkewboundError:
-            pass
-        for label, rep in checks:
-            if abs(rep.residual) > worst:
-                worst = abs(rep.residual)
-                worst_case = f"{label} seed={seed} d={d} s={_fmt(s)}"
-    return worst, worst_case
-
-
-def _random_mixed_qubit(rng) -> DensityOperator:
-    # strictly mixed, away from maximally mixed (triple equalities are 0/0 there)
-    lam = float(rng.uniform(0.05, 0.45))
-    U = linalg.haar_unitary(2, rng)
-    return linalg.density(U @ np.diag([lam, 1 - lam]) @ U.conj().T)
-
-
-def _random_triple(rng):
-    Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    return Q[:, 0], Q[:, 1], Q[:, 2]
-
-
-def _suite_qubit(seeds: int, tol: Tolerances):
-    worst = 0.0
-    worst_case = ""
-    orders_pool = [0.0, -1.0, -2.0, float("-inf")]
-    for seed in range(seeds):
-        rng = np.random.default_rng(20_000 + seed)
-        rho = _random_mixed_qubit(rng)
-        n1, n2, n3 = _random_triple(rng)
-        orders = [float(rng.choice(orders_pool)) for _ in range(3)]
-        reps = [
-            qubit.orthogonal_triple_skew_equality(n1, n2, n3, rho, orders, tol),
-            *qubit.mixed_triple_equalities(n1, n2, n3, rho, orders, tol),
-            qubit.direction_variance_fisher_identity(n1, rho, tol),
-            qubit.direction_variance_skew_identity(n2, rho, orders[1], tol),
-            qubit.triple_purity_identity(n1, n2, n3, rho),
-        ]
-        sigma = linalg.random_operator(2, rng)
-        closed = qubit.qubit_gen_skew_closed(sigma, rho, orders[0], tol)
-        general = moments.gen_skew(sigma, rho, orders[0], tol)
-        reps.append(
-            equalities.EqualityReport(closed, general, closed - general, 0.0, 0.0, +1)
-        )
-        for i, rep in enumerate(reps):
-            if abs(rep.residual) > worst:
-                worst = abs(rep.residual)
-                worst_case = f"check{i} seed={seed}"
-    return worst, worst_case
-
-
-def _suite_weakvalue(seeds: int, tol: Tolerances):
-    worst = 0.0
-    worst_case = ""
-    for seed in range(seeds):
-        rng = np.random.default_rng(30_000 + seed)
-        d = int(rng.integers(2, 5))
-        rho = linalg.random_density(d, d, rng)
-        A = linalg.random_hermitian(d, rng)
-        s = float(rng.choice([0.3, 0.5, 0.7]))
-        U = linalg.haar_unitary(d, rng)
-        rec = weakvalue.reconstruct_skew(A, rho, s, basis=list(U.T), tol=tol)
-        ref = moments.wyd_skew(A, rho, s, tol)
-        sub = weakvalue.subsystem_weak_values(A, rho, s, basis=list(U.T), tol=tol)
-        for label, v in (
-            ("reconstruction", abs(rec.value - ref)),
-            ("imag", rec.imag_residual),
-            ("factorization", sub.factorization_residual),
-            ("conjugation", sub.conjugation_residual),
-        ):
-            if v > worst:
-                worst = v
-                worst_case = f"{label} seed={seed} d={d} s={_fmt(s)}"
-    return worst, worst_case
-
-
 def cmd_verify(pf: ProblemFile, args) -> tuple:
     tol = pf.params.tolerances
-    suites = {
-        "equalities": _suite_equalities,
-        "qubit": _suite_qubit,
-        "weakvalue": _suite_weakvalue,
-    }
-    wanted = list(suites) if args.suite == "all" else [args.suite]
-    results = {}
-    worst_overall = 0.0
-    for name in wanted:
-        worst, case = suites[name](args.seeds, tol)
-        results[name] = {"max_residual": worst, "worst_case": case}
-        worst_overall = max(worst_overall, worst)
+    wanted = list(sweeps.SUITES) if args.suite == "all" else [args.suite]
+    results = {name: sweeps.worst_residual(name, args.seeds, tol) for name in wanted}
+    worst_overall = max(r["max_residual"] for r in results.values())
     code = EXIT_OK if worst_overall < tol.tol_residual else EXIT_VIOLATION
     return code, {
         "command": "verify",
@@ -583,6 +458,15 @@ def cmd_verify(pf: ProblemFile, args) -> tuple:
 # ---------------------------------------------------------------- main
 
 
+def _count(least: int):
+    """argparse type: an integer of at least ``least``; anything else exits 2."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="skewbound",
@@ -594,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="problem file (path or bundled name)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         if oracle:
-            p.add_argument("--oracle", type=int, default=0, metavar="N")
+            p.add_argument("--oracle", type=_count(0), default=0, metavar="N")
             p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("moments", help="standard deviation and skew informations")
@@ -607,14 +491,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, oracle=True)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--alpha-scan", action="store_true")
-    p.add_argument("--grid", type=int, default=0)
+    p.add_argument("--grid", type=_count(0), default=0)
 
     p = sub.add_parser("channel-bound", help="bound for pooled channel coherences")
     common(p, oracle=True)
 
     p = sub.add_parser("witness", help="variance-based entanglement witness")
     common(p)
-    p.add_argument("--grid", type=int, default=0)
+    p.add_argument("--grid", type=_count(0), default=0)
 
     p = sub.add_parser("weakvalue", help="weak-value reconstruction of skew information")
     common(p)
@@ -622,9 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run residual sweeps")
     common(p)
-    p.add_argument("--suite", choices=("equalities", "qubit", "weakvalue", "all"),
-                   default="all")
-    p.add_argument("--seeds", type=int, default=50)
+    p.add_argument("--suite", choices=(*sweeps.SUITES, "all"), default="all")
+    p.add_argument("--seeds", type=_count(1), default=50)
     return ap
 
 
@@ -650,13 +533,6 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         pf = load_problem(args.file, tol_override)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SkewboundError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         code, report = _DISPATCH[args.command](pf, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, ZeroDeviation, ZeroSkew
-from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power
-from .moments import require_hermitian, std_dev, variance, wyd_skew
+from .linalg import (
+    DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power, require_hermitian,
+)
+from .moments import std_dev, variance, wyd_skew
 
 __all__ = [
     "EqualityReport",

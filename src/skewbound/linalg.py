@@ -92,6 +92,18 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return V
 
 
+def require_hermitian(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """``M`` as a complex matrix; NotHermitian unless max|M - M^dag| is at
+    most tol_herm * max(1, max|M|).  The limit is relative above unit scale
+    because rounding leaves a defect proportional to the entries."""
+    A = as_operator(M)
+    defect = np.max(np.abs(A - A.conj().T))
+    limit = tol.tol_herm * max(1.0, float(np.max(np.abs(A))))
+    if defect > limit:
+        raise NotHermitian(f"max|M - M^dag| = {defect:.3e} > {limit:.3e}")
+    return A
+
+
 def hermitian_eigen(M, tol: Tolerances = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -100,10 +112,7 @@ def hermitian_eigen(M, tol: Tolerances = DEFAULT_TOL):
     basis inside a degenerate eigenspace is deterministic for a fixed input
     but otherwise arbitrary; callers must not rely on it.
     """
-    A = as_operator(M)
-    herm_defect = np.max(np.abs(A - A.conj().T))
-    if herm_defect > tol.tol_herm:
-        raise NotHermitian(f"max|M - M^dag| = {herm_defect:.3e} > {tol.tol_herm:.3e}")
+    A = require_hermitian(M, tol)
     A = (A + A.conj().T) / 2
     try:
         w, V = np.linalg.eigh(A)

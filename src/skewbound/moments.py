@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NegativeRadicand, NotHermitian
+from .errors import DimensionMismatch, DomainError, NegativeRadicand
 from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power
 
 __all__ = [
@@ -217,12 +217,3 @@ def gen_skew(A, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL) -> f
 def fisher_information(A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
     """Quantum Fisher information, 4x the order -1 generalized skew."""
     return 4.0 * gen_skew(A, rho, MeanOrder.finite(-1.0), tol)
-
-
-def require_hermitian(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Coerce and check Hermiticity; shared by the equality/bound modules."""
-    A = as_operator(A)
-    defect = np.max(np.abs(A - A.conj().T))
-    if defect > tol.tol_herm:
-        raise NotHermitian(f"max|A - A^dag| = {defect:.3e}")
-    return A

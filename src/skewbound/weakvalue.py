@@ -20,8 +20,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotOrthonormal, OrthogonalSelection
-from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power
-from .moments import require_hermitian
+from .linalg import (
+    DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power, require_hermitian,
+)
 
 __all__ = [
     "TOL_OVERLAP",

@@ -7,10 +7,13 @@ criterion.  Random sweeps use fixed seeds so the numbers are reproducible.
 import math
 import time
 import warnings
+from collections import Counter, defaultdict
+from itertools import chain
 
 import numpy as np
 
 import skewbound as sb
+from skewbound import sweeps
 from conftest import four_3x3_ops, four_qubit_ops, spin_ops
 
 RHO37 = sb.density(np.diag([0.3, 0.7]))
@@ -115,64 +118,17 @@ def test_criterion_4_qubit_order_family():
 # --------------------------------------------------------------- criterion 5
 
 
-def _draw_case(rng):
-    d = int(rng.integers(2, 6))
-    rho = sb.random_density(d, int(rng.integers(1, d + 1)), rng)
-    s = float(rng.choice([0.25, 0.5, 0.75]))
-    return d, rho, s
-
-
 def test_criterion_5_equality_suites():
+    # `verify`'s equalities and qubit cases; tests/test_sweeps.py sees every check occur
     need = 1000
-    counts = {k: 0 for k in (
-        "sum", "product", "product_nontrivial", "skew_product", "correction",
-        "three_sum", "three_product", "triple_skew", "triple_mixed",
-        "variance_fisher", "variance_skew",
-    )}
-    worst = {k: 0.0 for k in counts}
+    counts, worst = Counter(), defaultdict(float)
     rng = np.random.default_rng(500)
-    orders_pool = [0.0, -1.0, -2.0, float("-inf")]
-
-    def track(key, rep):
-        counts[key] += 1
-        worst[key] = max(worst[key], abs(rep.residual))
-
     rounds = 0
-    while min(counts.values()) < need and rounds < 20 * need:
+    while min(counts.values(), default=0) < need and rounds < 20 * need:
         rounds += 1
-        d, rho, s = _draw_case(rng)
-        A, B = sb.random_operator(d, rng), sb.random_operator(d, rng)
-        track("sum", sb.sum_equality(A, B, rho))
-        try:
-            track("product", sb.product_equality(A, B, rho))
-            track("product_nontrivial", sb.product_equality_nontrivial(A, B, rho))
-        except sb.SkewboundError:
-            pass
-        try:
-            track("skew_product", sb.skew_product_equality(A, B, rho, s))
-            track("correction", sb.skew_product_correction_identity(A, B, rho, s))
-        except sb.SkewboundError:
-            pass
-        Xs = [sb.random_hermitian(d, rng) for _ in range(3)]
-        track("three_sum", sb.three_observable_sum_equality(*Xs, rho))
-        try:
-            track("three_product", sb.three_observable_product_equality(*Xs, rho))
-        except sb.SkewboundError:
-            pass
-        # qubit family on strictly mixed states
-        lam = float(rng.uniform(0.05, 0.45))
-        U = sb.haar_unitary(2, rng)
-        qrho = sb.density(U @ np.diag([lam, 1 - lam]) @ U.conj().T)
-        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-        orders = [float(rng.choice(orders_pool)) for _ in range(3)]
-        track("triple_skew",
-              sb.orthogonal_triple_skew_equality(Q[:, 0], Q[:, 1], Q[:, 2], qrho, orders))
-        r1, r2 = sb.mixed_triple_equalities(Q[:, 0], Q[:, 1], Q[:, 2], qrho, orders)
-        track("triple_mixed", r1)
-        track("triple_mixed", r2)
-        track("variance_fisher", sb.direction_variance_fisher_identity(Q[:, 0], qrho))
-        track("variance_skew",
-              sb.direction_variance_skew_identity(Q[:, 1], qrho, orders[1]))
+        for check, residual in chain(sweeps.equalities_case(rng), sweeps.qubit_case(rng)):
+            counts[check] += 1
+            worst[check] = max(worst[check], abs(residual))
 
     ok = min(counts.values()) >= need and max(worst.values()) < 1e-8
     worst_key = max(worst, key=worst.get)
@@ -184,6 +140,13 @@ def test_criterion_5_equality_suites():
 
 
 # --------------------------------------------------------------- criterion 6
+
+
+def _draw_case(rng):
+    d = int(rng.integers(2, 6))
+    rho = sb.random_density(d, int(rng.integers(1, d + 1)), rng)
+    s = float(rng.choice([0.25, 0.5, 0.75]))
+    return d, rho, s
 
 
 def test_criterion_6_structure_suites():
@@ -320,32 +283,19 @@ def test_criterion_6_structure_suites():
 
 def test_criterion_7_weak_value_reconstruction():
     rng = np.random.default_rng(700)
-    worst_rec = worst_imag = worst_f = worst_c = 0.0
-    for k in range(200):
-        d = int(rng.integers(2, 5))
-        rho = sb.random_density(d, d, rng)
-        A = sb.random_hermitian(d, rng)
-        s = float(rng.choice([0.3, 0.5, 0.7]))
-        U = sb.haar_unitary(d, rng)
-        rec = sb.reconstruct_skew(A, rho, s, basis=list(U.T))
-        worst_rec = max(worst_rec, abs(rec.value - sb.wyd_skew(A, rho, s)))
-        worst_imag = max(worst_imag, rec.imag_residual)
-        rep = sb.subsystem_weak_values(A, rho, s, basis=list(U.T))
-        worst_f = max(worst_f, rep.factorization_residual)
-        worst_c = max(worst_c, rep.conjugation_residual)
-    ok = worst_rec < 1e-9 and worst_imag < 1e-9 and worst_f < 1e-9 and worst_c < 1e-9
-    announce(
-        7, ok,
-        f"reconstruction={worst_rec:.2e} imag={worst_imag:.2e} "
-        f"collapse={worst_f:.2e} conjugation={worst_c:.2e}",
-    )
+    worst = defaultdict(float)
+    for _ in range(200):
+        for check, residual in sweeps.weakvalue_case(rng):
+            worst[check] = max(worst[check], abs(residual))
+    ok = max(worst.values()) < 1e-9
+    announce(7, ok, " ".join(f"{check}={v:.2e}" for check, v in worst.items()))
 
 
 # --------------------------------------------------------------- criterion 8
 
 
 def test_criterion_8_entanglement_witness():
-    ops = spin_ops(0.5)
+    ops = sb.OperatorSet(spin_ops(0.5))  # one set: its threshold is computed once
     singlet = sb.pure_state(np.array([0, 1, -1, 0]) / math.sqrt(2))
     res = sb.separability_witness(ops, ops, singlet)
     singlet_ok = res.violated and res.threshold > 1e-6

@@ -126,7 +126,7 @@ class TestHTot:
 
     @pytest.mark.parametrize("pairing", ["transpose", "plain"])
     def test_exactly_hermitian_at_large_scale(self, rng, pairing):
-        # entries ~1e7: a last-bit asymmetry would exceed the absolute tol_herm
+        # entries ~1e7: H_tot is Hermitian to the last bit at any scale
         for make in (random_hermitian, random_operator):
             ops = [1e3 * make(6, rng) for _ in range(3)]
             H = h_tot(ops, pairing)
@@ -415,6 +415,16 @@ class TestAlphaScan:
                 total = sum(variance(A, psi) for A in ops.operators)
                 assert total >= floor - 1e-8
 
+    def test_floor_cached_per_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("skewbound.bounds.h_tot",
+                            lambda *a, **k: calls.append(1) or h_tot(*a, **k))
+        ops = OperatorSet(spin_ops(1))
+        assert pure_variance_bound(ops, 21) == pure_variance_bound(ops, 21)
+        # one scan per grid; each matches a fresh set's
+        assert pure_variance_bound(ops, 31) == pure_variance_bound(spin_ops(1), 31)
+        assert len(calls) == 3
+
     def test_grid_domain(self):
         with pytest.raises(DomainError):
             tighten_alpha_scan(spin_ops(0.5), grid_points=1)
@@ -518,7 +528,7 @@ class TestWitness:
         assert not res.violated
 
     def test_separable_mixtures_never_flagged(self, rng):
-        ops = spin_ops(0.5)
+        ops = OperatorSet(spin_ops(0.5))  # one set: its threshold is computed once
         for _ in range(120):
             k = int(rng.integers(1, 4))
             ws = rng.dirichlet(np.ones(k))

@@ -12,6 +12,7 @@ from skewbound.cli import (
     load_problem,
     main,
 )
+from test_sweeps import residuals
 
 
 def run(capsys, *argv):
@@ -92,6 +93,20 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "example1_spinhalf",
                            "--suite", "qubit", "--seeds", "3")
         assert code == EXIT_VIOLATION
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "example1_spinhalf", "--seeds", "0"),
+        ("verify", "example1_spinhalf", "--seeds", "-4"),
+        ("bound", "example2", "--oracle", "-3"),
+        ("channel-bound", "example3", "--oracle", "-1"),
+        ("bound", "example2", "--alpha-scan", "--grid", "-5"),
+        ("witness", "singlet_witness", "--grid", "-5"),
+    ], ids=" ".join)
+    def test_bad_count_flag_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_PARSE
+        assert "must be at least" in capsys.readouterr().err
 
     def test_bad_env_tolerance_is_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWBOUND_TOL", "not-a-float")
@@ -268,6 +283,8 @@ class TestVerifyCommand:
         assert rep["pass"] is True
         assert set(rep["suites"]) == {"equalities", "qubit", "weakvalue"}
         assert rep["max_residual"] < 1e-8
+        for suite, row in rep["suites"].items():
+            assert row["max_residual"] == max(abs(r) for _, r in residuals(suite, 5))
 
 
 class TestCommandPreconditions:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from skewbound import (
+    DEFAULT_TOL,
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     NotHermitian,
     StateValidationError,
     density,
+    haar_unitary,
     hermitian_eigen,
     matrix_power,
     maximally_mixed,
@@ -17,6 +19,7 @@ from skewbound import (
     random_hermitian,
     SkewboundError,
 )
+from skewbound.linalg import require_hermitian
 from conftest import SX
 
 
@@ -46,6 +49,19 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("check", [hermitian_eigen, require_hermitian])
+    @pytest.mark.parametrize("scale", [1e6, 1e7])
+    def test_hermiticity_limit_is_relative(self, check, scale):
+        # U diag(lam) U^dag with |lam| ~ scale is Hermitian up to rounding only
+        rng = np.random.default_rng(0)
+        U = haar_unitary(8, rng)
+        M = U @ np.diag(scale * rng.normal(size=8)) @ U.conj().T
+        assert np.max(np.abs(M - M.conj().T)) > DEFAULT_TOL.tol_herm
+        check(M)
+        M[0, 1] += 1e-6 * np.max(np.abs(M))
+        with pytest.raises(NotHermitian):
+            check(M)
 
     def test_convergence_failure_is_exported(self):
         assert issubclass(ConvergenceFailure, SkewboundError)
