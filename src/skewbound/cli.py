@@ -79,7 +79,6 @@ _KNOWN_PARAMS = {
     "s",
     "nu",
     "grid_points",
-    "samples",
     "seed",
     "tolerances",
     "dims",
@@ -94,7 +93,6 @@ class Params:
     s: float = 0.5
     nu: list = field(default_factory=list)
     grid_points: int = 201
-    samples: int = 5000
     seed: int = 0
     dims: Optional[list] = None
     ops_a: Optional[list] = None
@@ -147,7 +145,7 @@ def _parse_params(obj) -> Params:
         if not isinstance(obj["nu"], list):
             raise ParseError("params.nu must be an array")
         p.nu = [_parse_nu_value(x) for x in obj["nu"]]
-    for key in ("grid_points", "samples", "seed"):
+    for key in ("grid_points", "seed"):
         if key in obj:
             setattr(p, key, _number(obj[key], f"params.{key}", int))
     if "dims" in obj:

@@ -6,12 +6,21 @@ identity on the given inputs.  The sign branch is always chosen so the
 commutator term is nonnegative (ties resolved to +1).  The sign applies to
 the *total* of the two commutator averages; mixed-sign components are not
 split.
+
+Each identity is computed once.  The product forms are the sum forms at
+rescaled operators: ``product_equality_nontrivial`` is half the sum equality
+at sqrt(<dB>/<dA>) A and sqrt(<dA>/<dB>) B, ``product_equality`` is the sum
+equality at A/<dA> and B/<dB> rearranged into a quotient, and
+``three_observable_product_equality`` is a third of the three-observable sum
+at X_i sqrt(<dX1><dX2><dX3>)/<dX_i>.  Their signs are picked from the
+unscaled operators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +60,6 @@ class EqualityReport:
         return abs(self.residual) <= DEFAULT_TOL.tol_residual
 
 
-def _expect(X: np.ndarray, rho: np.ndarray) -> complex:
-    return np.trace(X @ rho)
-
-
 def _commutator_average(A: np.ndarray, B: np.ndarray, rho: np.ndarray) -> float:
     """<i([A^dag, B] + [A, B^dag])>_rho; real for any inputs."""
     C = (A.conj().T @ B - B @ A.conj().T) + (A @ B.conj().T - B.conj().T @ A)
@@ -68,19 +73,49 @@ def _pick_sign(raw: float, tol: Tolerances) -> int:
 
 
 def _centered(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return X - _expect(X, rho) * np.eye(X.shape[0])
+    return X - np.trace(X @ rho) * np.eye(X.shape[0])
 
 
-def _report(lhs, commutator_term, correction_term, sign) -> EqualityReport:
-    rhs = commutator_term + correction_term
-    return EqualityReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=lhs - rhs,
-        commutator_term=commutator_term,
-        correction_term=correction_term,
-        sign_choice=sign,
-    )
+def _report(lhs, commutator_term, correction_term, sign, rhs=None) -> EqualityReport:
+    """rhs defaults to commutator_term + correction_term."""
+    if rhs is None:
+        rhs = commutator_term + correction_term
+    return EqualityReport(lhs, rhs, lhs - rhs, commutator_term, correction_term, sign)
+
+
+def _quotient_report(lhs, num, den, sign, tol: Tolerances) -> EqualityReport:
+    if abs(den) < tol.tol_residual:
+        raise DegenerateDenominator(f"denominator {den:.3e} within tolerance of 0")
+    return _report(lhs, num, den, sign, rhs=num / den)
+
+
+class _SumParts(NamedTuple):
+    commutator: float
+    correction: float
+    M: np.ndarray
+    N: np.ndarray
+
+
+def _sum_parts(A: np.ndarray, B: np.ndarray, r: np.ndarray, sign: int) -> _SumParts:
+    """Commutator term and quadratic remainder of <dA>^2 + <dB>^2 on the
+    caller's sign branch, with the centered factors M = A - sign*i*B and
+    N = A + sign*i*B.  The sign is the caller's so that rescaled operators
+    keep the branch of the unscaled ones."""
+    M = _centered(A - sign * 1j * B, r)
+    N = _centered(A + sign * 1j * B, r)
+    corr = 0.5 * (np.trace(M.conj().T @ M @ r) + np.trace(N @ N.conj().T @ r)).real
+    return _SumParts(sign * 0.5 * _commutator_average(A, B, r), corr, M, N)
+
+
+def _operator_pair(A, B, rho: DensityOperator):
+    return as_operator(A, dim=rho.dim), as_operator(B, dim=rho.dim)
+
+
+def _deviations(Xs, rho: DensityOperator, tol: Tolerances) -> list:
+    sd = [std_dev(X, rho, tol) for X in Xs]
+    if min(sd) <= tol.tol_residual:
+        raise ZeroDeviation("product equalities need nonzero deviations")
+    return sd
 
 
 def sum_equality(A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> EqualityReport:
@@ -89,48 +124,30 @@ def sum_equality(A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> E
     Holds for arbitrary operators and arbitrary mixed states.  Dropping the
     (nonnegative) correction term yields the derived inequality.
     """
-    A, B = as_operator(A), as_operator(B, dim=np.asarray(A).shape[0])
+    A, B = _operator_pair(A, B, rho)
     r = rho.matrix
     lhs = variance(A, rho, tol) + variance(B, rho, tol)
-    raw = _commutator_average(A, B, r)
-    sign = _pick_sign(raw, tol)
-    cterm = sign * 0.5 * raw
-    M = _centered(A - sign * 1j * B, r)
-    N = _centered(A + sign * 1j * B, r)
-    corr = 0.5 * (np.trace(M.conj().T @ M @ r) + np.trace(N @ N.conj().T @ r)).real
-    return _report(lhs, cterm, corr, sign)
+    sign = _pick_sign(_commutator_average(A, B, r), tol)
+    q = _sum_parts(A, B, r, sign)
+    return _report(lhs, q.commutator, q.correction, sign)
 
 
 def product_equality(A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> EqualityReport:
     """<dA><dB> as a commutator quotient over normalized operators.
 
-    Requires both deviations nonzero; raises DegenerateDenominator when the
-    quadratic form eats the whole denominator (e.g. maximally mixed states),
-    where the relation carries no content.
+    The sum equality at (A/<dA>, B/<dB>), whose left side is 2: its
+    commutator term times <dA><dB>/2 over 1 - correction/2.  Requires both
+    deviations nonzero; raises DegenerateDenominator when the quadratic form
+    eats the whole denominator (e.g. maximally mixed states), where the
+    relation carries no content.
     """
-    A, B = as_operator(A), as_operator(B, dim=np.asarray(A).shape[0])
+    A, B = _operator_pair(A, B, rho)
     r = rho.matrix
-    sA, sB = std_dev(A, rho, tol), std_dev(B, rho, tol)
-    if sA <= tol.tol_residual or sB <= tol.tol_residual:
-        raise ZeroDeviation("product equality needs nonzero deviations")
-    raw = _commutator_average(A, B, r)
-    sign = _pick_sign(raw, tol)
-    num = sign * 0.25 * raw
-    R = _centered(A / sA - sign * 1j * B / sB, r)
-    S = _centered(A / sA + sign * 1j * B / sB, r)
-    den = 1 - 0.25 * (np.trace(R.conj().T @ R @ r) + np.trace(S @ S.conj().T @ r)).real
-    if abs(den) < tol.tol_residual:
-        raise DegenerateDenominator(f"denominator {den:.3e} within tolerance of 0")
-    lhs = sA * sB
-    rhs = num / den
-    return EqualityReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=lhs - rhs,
-        commutator_term=num,
-        correction_term=den,
-        sign_choice=sign,
-    )
+    sA, sB = _deviations((A, B), rho, tol)
+    sign = _pick_sign(_commutator_average(A, B, r), tol)
+    q = _sum_parts(A / sA, B / sB, r, sign)
+    return _quotient_report(
+        sA * sB, q.commutator * sA * sB / 2, 1 - q.correction / 2, sign, tol)
 
 
 def product_equality_nontrivial(
@@ -138,36 +155,40 @@ def product_equality_nontrivial(
 ) -> EqualityReport:
     """Additive form of the product equality; stays useful at zero commutator.
 
-    Obtained by rescaling A and B with each other's deviation, which turns the
-    quotient into commutator term + quadratic remainder.
+    Half the sum equality at sqrt(<dB>/<dA>) A and sqrt(<dA>/<dB>) B, whose
+    left side is 2<dA><dB>: commutator term + quadratic remainder.
     """
-    A, B = as_operator(A), as_operator(B, dim=np.asarray(A).shape[0])
+    A, B = _operator_pair(A, B, rho)
     r = rho.matrix
-    sA, sB = std_dev(A, rho, tol), std_dev(B, rho, tol)
-    if sA <= tol.tol_residual or sB <= tol.tol_residual:
-        raise ZeroDeviation("product equality needs nonzero deviations")
-    raw = _commutator_average(A, B, r)
-    sign = _pick_sign(raw, tol)
-    cterm = sign * 0.25 * raw
-    Am = A * math.sqrt(sB / sA)
-    Bm = B * math.sqrt(sA / sB)
-    M = _centered(Am - sign * 1j * Bm, r)
-    N = _centered(Am + sign * 1j * Bm, r)
-    corr = 0.25 * (np.trace(M.conj().T @ M @ r) + np.trace(N @ N.conj().T @ r)).real
-    return _report(sA * sB, cterm, corr, sign)
+    sA, sB = _deviations((A, B), rho, tol)
+    sign = _pick_sign(_commutator_average(A, B, r), tol)
+    q = _sum_parts(A * math.sqrt(sB / sA), B * math.sqrt(sA / sB), r, sign)
+    return _report(sA * sB, q.commutator / 2, q.correction / 2, sign)
 
 
-_PAIRS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 
-def _pair_data(Xs, rho, tol):
-    """Per-pair commutator averages Y_ij and their chosen signs r_ij."""
-    r = rho.matrix
-    out = []
-    for (i, j, k) in _PAIRS:
-        Y = 0.5 * (1j * np.trace((Xs[i] @ Xs[j] - Xs[j] @ Xs[i]) @ r)).real
-        out.append((i, j, k, Y, _pick_sign(Y, tol)))
-    return out
+def _pair_commutator(X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> float:
+    """Y_ij = (1/2)<i[X_i, X_j]>_rho of two Hermitian observables."""
+    return 0.5 * (1j * np.trace((X @ Y - Y @ X) @ r)).real
+
+
+def _pair_signs(Xs, r, tol) -> list:
+    """r_ij = sign(Y_ij) per cyclic pair, ties resolved to +1."""
+    return [_pick_sign(_pair_commutator(Xs[i], Xs[j], r), tol) for i, j in _PAIRS]
+
+
+def _three_parts(Xs, r, signs):
+    """Pairwise commutator bracket and quadratic remainder of the
+    three-variance sum on the caller's sign branches."""
+    bracket = 0.0
+    corr = 0.0
+    for (i, j), rij in zip(_PAIRS, signs):
+        bracket += rij * _pair_commutator(Xs[i], Xs[j], r)
+        M = _centered(Xs[i], r) - 1j * rij * _centered(Xs[j], r)
+        corr += 0.5 * np.trace(M.conj().T @ M @ r).real
+    return bracket, corr
 
 
 def three_observable_sum_equality(
@@ -181,41 +202,30 @@ def three_observable_sum_equality(
     """
     Xs = [require_hermitian(X, tol) for X in (X1, X2, X3)]
     r = rho.matrix
-    d = Xs[0].shape[0]
     lhs = sum(variance(X, rho, tol) for X in Xs)
-    bracket = 0.0
-    corr = 0.0
-    for (i, j, _k, Y, rij) in _pair_data(Xs, rho, tol):
-        bracket += rij * Y
-        M = _centered(Xs[i], r) - 1j * rij * _centered(Xs[j], r)
-        corr += 0.5 * np.trace(M.conj().T @ M @ r).real
+    bracket, corr = _three_parts(Xs, r, _pair_signs(Xs, r, tol))
     return _report(lhs, bracket, corr, +1)
 
 
 def three_observable_product_equality(
     X1, X2, X3, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
-    """Product of three standard deviations; same pairing as the sum form."""
+    """Product of three standard deviations: a third of the sum form at
+    X_i sqrt(<dX1><dX2><dX3>)/<dX_i>, whose variances all equal that product
+    squared.  The signs are those of the unscaled observables."""
     Xs = [require_hermitian(X, tol) for X in (X1, X2, X3)]
     r = rho.matrix
-    sd = [std_dev(X, rho, tol) for X in Xs]
-    if min(sd) <= tol.tol_residual:
-        raise ZeroDeviation("three-observable product needs nonzero deviations")
+    sd = _deviations(Xs, rho, tol)
     lhs = sd[0] * sd[1] * sd[2]
-    bracket = 0.0
-    corr = 0.0
-    for (i, j, k, Y, rij) in _pair_data(Xs, rho, tol):
-        bracket += rij * Y * sd[k]
-        M = math.sqrt(sd[j] * sd[k] / sd[i]) * _centered(Xs[i], r) - 1j * rij * math.sqrt(
-            sd[k] * sd[i] / sd[j]
-        ) * _centered(Xs[j], r)
-        corr += np.trace(M.conj().T @ M @ r).real / 6
-    return _report(lhs, bracket / 3, corr, +1)
+    root = math.sqrt(lhs)
+    scaled = [X * (root / s) for X, s in zip(Xs, sd)]
+    bracket, corr = _three_parts(scaled, r, _pair_signs(Xs, r, tol))
+    return _report(lhs, bracket / 3, corr / 3, +1)
 
 
 def _skew_parts(A, B, rho, s, tol):
     """Shared pieces of the skew-information product equality."""
-    A, B = as_operator(A), as_operator(B, dim=np.asarray(A).shape[0])
+    A, B = _operator_pair(A, B, rho)
     IA, IB = wyd_skew(A, rho, s, tol), wyd_skew(B, rho, s, tol)
     if IA <= tol.tol_residual or IB <= tol.tol_residual:
         raise ZeroSkew("skew product equality needs nonzero skew informations")
@@ -264,19 +274,7 @@ def skew_product_equality(
     short-circuited to exactly 0.
     """
     IA, IB, num, omega, quad, sign = _skew_parts(A, B, rho, s, tol)
-    den = 1 + omega - 0.25 * quad
-    if abs(den) < tol.tol_residual:
-        raise DegenerateDenominator(f"denominator {den:.3e} within tolerance of 0")
-    lhs = math.sqrt(IA * IB)
-    rhs = num / den
-    return EqualityReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=lhs - rhs,
-        commutator_term=num,
-        correction_term=den,
-        sign_choice=sign,
-    )
+    return _quotient_report(math.sqrt(IA * IB), num, 1 + omega - 0.25 * quad, sign, tol)
 
 
 def skew_product_correction_identity(
@@ -289,16 +287,8 @@ def skew_product_correction_identity(
     rearranged from.
     """
     IA, IB, num, omega, quad, sign = _skew_parts(A, B, rho, s, tol)
-    lhs = 0.5 * quad
     rhs = 2 + 2 * omega - 2 * num / math.sqrt(IA * IB)
-    return EqualityReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=lhs - rhs,
-        commutator_term=num,
-        correction_term=omega,
-        sign_choice=sign,
-    )
+    return _report(0.5 * quad, num, omega, sign, rhs=rhs)
 
 
 def deviation_skew_chain(A, B, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL):
@@ -328,14 +318,12 @@ def intelligent_state_check(
     Checks sqrt(rho) M^dag |phi_i> = 0 = sqrt(rho) N |phi_i> over the
     computational basis under the chosen sign branch.  Informational only.
     """
-    A, B = as_operator(A), as_operator(B, dim=np.asarray(A).shape[0])
+    A, B = _operator_pair(A, B, rho)
     r = rho.matrix
-    sign = _pick_sign(_commutator_average(A, B, r), tol)
-    M = _centered(A - sign * 1j * B, r)
-    N = _centered(A + sign * 1j * B, r)
+    q = _sum_parts(A, B, r, _pick_sign(_commutator_average(A, B, r), tol))
     sq = matrix_power(rho, 0.5)
     lim = math.sqrt(tol.tol_residual)
     return bool(
-        np.all(np.linalg.norm(sq @ M.conj().T, axis=0) < lim)
-        and np.all(np.linalg.norm(sq @ N, axis=0) < lim)
+        np.all(np.linalg.norm(sq @ q.M.conj().T, axis=0) < lim)
+        and np.all(np.linalg.norm(sq @ q.N, axis=0) < lim)
     )

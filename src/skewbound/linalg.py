@@ -8,8 +8,9 @@ caches its spectral decomposition.  Conventions used throughout the package:
   of d x d matrices, so ``np.kron(u, v)`` is vec(``outer(u, v)``),
   ``(A (x) I) vec X = vec(A X)`` and ``(I (x) B) vec X = vec(X B^T)``;
 * ``|psi*>`` means entrywise complex conjugation in the computational basis;
-* eigenvalues are always returned ascending, eigenvector phases are fixed by
-  making the largest-magnitude component real and positive.
+* eigenvalues are always returned ascending; eigenvector phases are LAPACK's
+  and no result depends on them: consumers use projectors, ``V diag(w) V^H``
+  or moduli of matrix elements in the eigenbasis.
 """
 
 from __future__ import annotations
@@ -81,17 +82,6 @@ def as_operator(M, dim=None) -> np.ndarray:
     return A
 
 
-def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    V = V.copy()
-    idx = np.argmax(np.abs(V), axis=0)
-    for c, r in enumerate(idx):
-        z = V[r, c]
-        if abs(z) > 0:
-            V[:, c] *= np.conj(z) / abs(z)
-    return V
-
-
 def require_hermitian(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """``M`` as a complex matrix; NotHermitian unless max|M - M^dag| is at
     most tol_herm * max(1, max|M|).  The limit is relative above unit scale
@@ -108,9 +98,9 @@ def hermitian_eigen(M, tol: Tolerances = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    orthonormal eigenvector columns, phase-fixed for reproducibility.  The
-    basis inside a degenerate eigenspace is deterministic for a fixed input
-    but otherwise arbitrary; callers must not rely on it.
+    orthonormal eigenvector columns.  Column phases, and the basis inside a
+    degenerate eigenspace, are deterministic for a fixed input but otherwise
+    arbitrary; callers must not rely on them.
     """
     A = require_hermitian(M, tol)
     A = (A + A.conj().T) / 2
@@ -118,7 +108,7 @@ def hermitian_eigen(M, tol: Tolerances = DEFAULT_TOL):
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(str(exc)) from exc
-    return w, _fix_phases(V)
+    return w, V
 
 
 @dataclass(frozen=True)

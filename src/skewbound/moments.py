@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NegativeRadicand
-from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power
+from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator
 
 __all__ = [
     "MeanOrder",
@@ -143,26 +143,37 @@ def std_dev(A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
     return math.sqrt(variance(A, rho, tol))
 
 
+def _skew_kernel(A, rho: DensityOperator, W: np.ndarray, what: str, tol: Tolerances) -> float:
+    """quad - sum_ij W_ij |A~_ij|^2, with quad = Tr[rho (A^dag A + A A^dag)/2]
+    and A~ = A in the eigenbasis of rho.
+
+    :func:`wyd_skew` and :func:`gen_skew` differ only in the symmetric
+    eigenvalue weighting W; for symmetric W,
+    (1/2) sum_ij W_ij (|<i|A^dag|j>|^2 + |<i|A|j>|^2) = sum_ij W_ij |A~_ij|^2.
+    """
+    A = as_operator(A)
+    _check_dims(A, rho)
+    quad = 0.5 * np.trace((A.conj().T @ A + A @ A.conj().T) @ rho.matrix).real
+    V = rho.eigenvectors
+    At = V.conj().T @ A @ V
+    val = quad - float(np.sum(W * np.abs(At) ** 2))
+    if val < -tol.tol_residual:
+        raise NegativeRadicand(f"{what} {val:.3e} < -{tol.tol_residual:.3e}")
+    return max(val, 0.0)
+
+
 def wyd_skew(A, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Skew information (1/2) Tr([rho^s, A]^dag [rho^(1-s), A]) for 0 < s < 1.
 
-    s = 1/2 is the symmetric case (1/2)||[sqrt(rho), A]||_F^2.
+    s = 1/2 is the symmetric case (1/2)||[sqrt(rho), A]||_F^2.  Evaluated as
+    the eigenbasis kernel with W_ij = (l_i^s l_j^(1-s) + l_i^(1-s) l_j^s)/2,
+    which is 0 on pairs touching a zero eigenvalue (0**s = 0).
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
-    A = as_operator(A)
-    _check_dims(A, rho)
-    rs = matrix_power(rho, s)
-    r1s = matrix_power(rho, 1 - s)
-    r = rho.matrix
-    val = 0.5 * (
-        np.trace((A.conj().T @ A + A @ A.conj().T) @ r)
-        - np.trace(r1s @ A.conj().T @ rs @ A)
-        - np.trace(rs @ A.conj().T @ r1s @ A)
-    ).real
-    if val < -tol.tol_residual:
-        raise NegativeRadicand(f"skew information {val:.3e} < -{tol.tol_residual:.3e}")
-    return max(val, 0.0)
+    p, q = rho.eigenvalues**s, rho.eigenvalues ** (1 - s)
+    W = (np.outer(p, q) + np.outer(q, p)) / 2
+    return _skew_kernel(A, rho, W, "skew information", tol)
 
 
 def _mean_weights(eigs: np.ndarray, order: MeanOrder, tol_psd: float) -> np.ndarray:
@@ -196,22 +207,14 @@ def gen_skew(A, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL) -> f
     """Generalized skew information of an arbitrary operator.
 
     Interpolates the skew-information family through the power mean of
-    eigenvalue pairs: order 0 reproduces ``wyd_skew(A, rho, 1/2)`` on
-    Hermitian input and order -1 gives a quarter of the Fisher information.
+    eigenvalue pairs: the eigenbasis kernel of :func:`wyd_skew` with
+    W_ij = m_nu(l_i, l_j).  Order 0 gives the s = 1/2 weights, so it
+    reproduces ``wyd_skew(A, rho, 1/2)``, and order -1 gives a quarter of the
+    Fisher information.
     """
     order = as_mean_order(order)
-    A = as_operator(A)
-    _check_dims(A, rho)
-    quad = 0.5 * np.trace((A.conj().T @ A + A @ A.conj().T) @ rho.matrix).real
-    V = rho.eigenvectors
-    At = V.conj().T @ A @ V
     W = _mean_weights(rho.eigenvalues, order, tol.tol_psd)
-    # (1/2) sum_ij m_ij (|<i|A^dag|j>|^2 + |<i|A|j>|^2) = sum_ij m_ij |A_ij|^2
-    term = float(np.sum(W * np.abs(At) ** 2))
-    val = quad - term
-    if val < -tol.tol_residual:
-        raise NegativeRadicand(f"generalized skew {val:.3e} < -{tol.tol_residual:.3e}")
-    return max(val, 0.0)
+    return _skew_kernel(A, rho, W, "generalized skew", tol)
 
 
 def fisher_information(A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -85,6 +85,11 @@ def _check_basis(basis, d: int) -> np.ndarray:
     return U
 
 
+def _observable(A, rho: DensityOperator, tol: Tolerances) -> np.ndarray:
+    """A as a Hermitian matrix on the space of rho."""
+    return require_hermitian(as_operator(A, dim=rho.dim), tol)
+
+
 def reconstruct_skew(
     A,
     rho: DensityOperator,
@@ -102,7 +107,7 @@ def reconstruct_skew(
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
-    A = require_hermitian(A, tol)
+    A = _observable(A, rho, tol)
     U = _check_basis(basis, rho.dim)
     P, Q = matrix_power(rho, s), matrix_power(rho, 1 - s)
     Uh = U.conj().T
@@ -152,7 +157,7 @@ def subsystem_weak_values(
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
-    A = require_hermitian(A, tol)
+    A = _observable(A, rho, tol)
     d = rho.dim
     U = _check_basis(basis, d)
     P = matrix_power(rho, s)  # Phi~^s = vec(P)

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from skewbound.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     EXIT_VIOLATION,
+    _fmt,
     load_problem,
     main,
 )
@@ -117,7 +121,6 @@ class TestExitCodes:
         {"version": "x"},
         {"params": {"s": "half"}},
         {"params": {"grid_points": "many"}},
-        {"params": {"samples": None}},
         {"params": {"seed": [1]}},
         {"params": {"dims": ["a", 2]}},
         {"params": {"tolerances": {"tol_herm": "tiny"}}},
@@ -135,6 +138,51 @@ class TestExitCodes:
         code, _, err = run(capsys, "moments", path)
         assert code == EXIT_PARSE
         assert err.startswith("parse error: ")
+
+
+    def test_samples_param_is_unknown(self, capsys, tmp_path):
+        # the oracle sample count is the --oracle flag; a file cannot set it
+        path = write_json(tmp_path, "samples.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]],
+            "operators": {"Z": [[1, 0], [0, -1]]}, "params": {"samples": 5000},
+        })
+        code, _, err = run(capsys, "moments", path)
+        assert code == EXIT_PARSE
+        assert err.startswith("parse error: unknown params fields: ['samples']")
+
+    def test_weakvalue_operator_of_other_dimension_is_3(self, capsys, tmp_path):
+        path = write_json(tmp_path, "dims.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]],
+            "operators": {"A": [[1, 0, 0], [0, 0, 0], [0, 0, -1]]},
+        })
+        code, _, err = run(capsys, "weakvalue", path)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("validation error: ")
+
+
+def _readme_commands():
+    """(argv, expected) per ``skewbound ...`` line of the README's CLI block;
+    expected maps each ``key = value`` of the trailing comment, outside
+    parentheses, to its printed value."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    cases = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "skewbound", line
+        expected = dict(re.findall(r"(\w+) = ([^,\s]+)", re.sub(r"\(.*?\)", "", comment)))
+        cases.append(pytest.param(argv[1:], expected, id=" ".join(argv[1:3])))
+    return cases
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("argv, expected", _readme_commands())
+    def test_readme_command(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK, err
+        rep = json.loads(out)
+        assert {key: _fmt(rep[key]) for key in expected} == expected
 
 
 class TestGoldenReports:

@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewbound import (
     DegenerateDenominator,
+    DimensionMismatch,
+    SkewboundError,
+    std_dev,
     ZeroDeviation,
     deviation_skew_chain,
     density,
@@ -266,6 +273,10 @@ class TestIntelligentStates:
     def test_generic_state_is_not(self):
         assert not intelligent_state_check(SX, SY, RHO37)
 
+    def test_operator_of_other_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            intelligent_state_check(np.eye(3), np.eye(3), RHO37)
+
 
 class TestErrorPaths:
     def test_three_observable_requires_hermitian(self):
@@ -274,3 +285,150 @@ class TestErrorPaths:
         raising = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotHermitian):
             three_observable_sum_equality(raising, SX, SY, RHO37)
+
+
+# Reference copies of the direct quadratic-form evaluations that the product
+# equalities used before they became rescaled sum equalities.
+
+def _ref_centered(X, r):
+    return X - np.trace(X @ r) * np.eye(X.shape[0])
+
+
+def _ref_commutator(A, B, r):
+    C = (A.conj().T @ B - B @ A.conj().T) + (A @ B.conj().T - B.conj().T @ A)
+    return (1j * np.trace(C @ r)).real
+
+
+def _ref_sign(raw):
+    return +1 if abs(raw) < 1e-8 or raw > 0 else -1
+
+
+def _ref_deviations(Xs, rho):
+    sd = [std_dev(X, rho) for X in Xs]
+    if min(sd) <= 1e-8:
+        raise ZeroDeviation("reference")
+    return sd
+
+
+def _ref_product(A, B, rho):
+    r = rho.matrix
+    sA, sB = _ref_deviations((A, B), rho)
+    raw = _ref_commutator(A, B, r)
+    sign = _ref_sign(raw)
+    R = _ref_centered(A / sA - sign * 1j * B / sB, r)
+    S = _ref_centered(A / sA + sign * 1j * B / sB, r)
+    den = 1 - 0.25 * (np.trace(R.conj().T @ R @ r) + np.trace(S @ S.conj().T @ r)).real
+    if abs(den) < 1e-8:
+        raise DegenerateDenominator("reference")
+    num = sign * 0.25 * raw
+    return sA * sB, num / den, sA * sB - num / den, num, den, sign
+
+
+def _ref_product_nontrivial(A, B, rho):
+    r = rho.matrix
+    sA, sB = _ref_deviations((A, B), rho)
+    raw = _ref_commutator(A, B, r)
+    sign = _ref_sign(raw)
+    Am, Bm = A * math.sqrt(sB / sA), B * math.sqrt(sA / sB)
+    M = _ref_centered(Am - sign * 1j * Bm, r)
+    N = _ref_centered(Am + sign * 1j * Bm, r)
+    corr = 0.25 * (np.trace(M.conj().T @ M @ r) + np.trace(N @ N.conj().T @ r)).real
+    cterm = sign * 0.25 * raw
+    return sA * sB, cterm + corr, sA * sB - cterm - corr, cterm, corr, sign
+
+
+def _ref_three_product(X1, X2, X3, rho):
+    Xs, r = (X1, X2, X3), rho.matrix
+    sd = _ref_deviations(Xs, rho)
+    bracket = corr = 0.0
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        Y = 0.5 * (1j * np.trace((Xs[i] @ Xs[j] - Xs[j] @ Xs[i]) @ r)).real
+        rij = _ref_sign(Y)
+        bracket += rij * Y * sd[k]
+        M = math.sqrt(sd[j] * sd[k] / sd[i]) * _ref_centered(Xs[i], r) - 1j * rij * math.sqrt(
+            sd[k] * sd[i] / sd[j]) * _ref_centered(Xs[j], r)
+        corr += np.trace(M.conj().T @ M @ r).real / 6
+    lhs, rhs = sd[0] * sd[1] * sd[2], bracket / 3 + corr
+    return lhs, rhs, lhs - rhs, bracket / 3, corr, +1
+
+
+_FIELDS = ("lhs", "rhs", "residual", "commutator_term", "correction_term")
+
+
+def _outcome(f, *args):
+    """The report's fields as a tuple, or the SkewboundError subclass raised."""
+    try:
+        out = f(*args)
+    except SkewboundError as exc:
+        return type(exc)
+    if isinstance(out, tuple):
+        return out
+    return tuple(getattr(out, name) for name in _FIELDS) + (out.sign_choice,)
+
+
+def _assert_matches_reference(got, ref, quotient=False):
+    """Every field to 1e-12 max(1, |x|) and the same sign branch.  In the
+    quotient form rhs = num/den carries the rounding of num and den times
+    1/|den|, so rhs and the residual get that factor too."""
+    if isinstance(ref, type):
+        assert got is ref
+        return
+    assert not isinstance(got, type), got
+    assert got[5] == ref[5]
+    amplify = 1 / abs(ref[4]) if quotient else 1.0
+    for name, a, b in zip(_FIELDS, got, ref):
+        scale = amplify if name in ("rhs", "residual") else 1.0
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)) * scale, name
+
+
+@st.composite
+def _states_and_operators(draw, hermitian):
+    d = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = random_density(d, rank, rng)
+    make = random_hermitian if hermitian else random_operator
+    return rho, [make(d, rng) for _ in range(3)]
+
+
+_PAULIS = {"x": SX, "y": SY, "z": SZ}
+_PAULI_STATES = {"ket0": KET0, "mixed": maximally_mixed(2), "diag37": RHO37,
+                 "ket+i": pure_state([1, 1j])}
+# At scale 1e-5 a commutator average of order 1e-10 is a tie (+1) although
+# the normalized operators' average is not: the sign follows the unscaled ones.
+_PAULI_TIES = [
+    pytest.param(*(scale * _PAULIS[c] for c in names), rho, id=f"{names}-{label}-{scale:g}")
+    for label, rho in _PAULI_STATES.items()
+    for names in ("xyz", "yxz", "xzy", "zzx", "xxx")
+    for scale in (1.0, 1e-5)
+]
+
+
+class TestRescaledProductForms:
+    """The product forms, computed as rescaled sum forms, agree with the
+    direct quadratic-form evaluations field by field."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=_states_and_operators(hermitian=False))
+    def test_product_forms_ginibre(self, case):
+        rho, (A, B, _) = case
+        _assert_matches_reference(_outcome(product_equality, A, B, rho),
+                                  _outcome(_ref_product, A, B, rho), quotient=True)
+        _assert_matches_reference(_outcome(product_equality_nontrivial, A, B, rho),
+                                  _outcome(_ref_product_nontrivial, A, B, rho))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=_states_and_operators(hermitian=True))
+    def test_three_observable_product(self, case):
+        rho, Xs = case
+        _assert_matches_reference(_outcome(three_observable_product_equality, *Xs, rho),
+                                  _outcome(_ref_three_product, *Xs, rho))
+
+    @pytest.mark.parametrize("P, Q, R, rho", _PAULI_TIES)
+    def test_pauli_ties(self, P, Q, R, rho):
+        _assert_matches_reference(_outcome(product_equality, P, Q, rho),
+                                  _outcome(_ref_product, P, Q, rho), quotient=True)
+        _assert_matches_reference(_outcome(product_equality_nontrivial, P, Q, rho),
+                                  _outcome(_ref_product_nontrivial, P, Q, rho))
+        _assert_matches_reference(_outcome(three_observable_product_equality, P, Q, R, rho),
+                                  _outcome(_ref_three_product, P, Q, R, rho))

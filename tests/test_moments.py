@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewbound import (
+    DimensionMismatch,
     DomainError,
     MeanOrder,
     density,
@@ -78,6 +81,39 @@ class TestWydSkew:
                 - np.trace(rho.power(1 - s) @ A @ rho.power(s) @ A)
             ).real
             assert abs(wyd_skew(A, rho, s) - expect) < 1e-10
+
+
+def _ref_wyd_trace_form(A, rho, s):
+    """(1/2)(Tr[rho (A^dag A + A A^dag)] - Tr[rho^(1-s) A^dag rho^s A]
+    - Tr[rho^s A^dag rho^(1-s) A]) and the first trace halved."""
+    rs, r1s = rho.power(s), rho.power(1 - s)
+    quad = 0.5 * np.trace((A.conj().T @ A + A @ A.conj().T) @ rho.matrix).real
+    cross = 0.5 * (np.trace(r1s @ A.conj().T @ rs @ A) + np.trace(rs @ A.conj().T @ r1s @ A)).real
+    return quad - cross, quad
+
+
+class TestWydSkewKernel:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 7),
+        rank_frac=st.floats(0, 1),
+        s=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        hermitian=st.booleans(),
+    )
+    def test_matches_trace_form(self, seed, d, rank_frac, s, hermitian):
+        # the eigenbasis kernel against the trace form, to 1e-12 of the
+        # quadratic term whose cross terms cancel in both
+        rng = np.random.default_rng(seed)
+        rho = random_density(d, 1 + round(rank_frac * (d - 1)), rng)
+        A = (random_hermitian if hermitian else random_operator)(d, rng)
+        expect, quad = _ref_wyd_trace_form(A, rho, s)
+        assert abs(wyd_skew(A, rho, s) - max(expect, 0.0)) <= 1e-12 * quad
+
+    def test_operator_of_other_dimension_rejected(self):
+        for f in (lambda A: wyd_skew(A, RHO37, 0.3), lambda A: gen_skew(A, RHO37, -1.0)):
+            with pytest.raises(DimensionMismatch):
+                f(np.eye(3))
 
 
 class TestGeneralizedMean:

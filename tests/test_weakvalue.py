@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skewbound import (
+    DimensionMismatch,
     NotHermitian,
     OrthogonalSelection,
     density,
@@ -83,6 +84,10 @@ class TestReconstruction:
         with pytest.raises(NotHermitian):
             reconstruct_skew(np.array([[0, 1], [0, 0]]), RHO37, 0.5)
 
+    def test_rejects_operator_of_other_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            reconstruct_skew(np.eye(3), RHO37, 0.5)
+
     def test_random_sweep_full_rank(self, rng):
         for _ in range(60):
             d = int(rng.integers(2, 5))
@@ -155,6 +160,10 @@ class TestSubsystem:
         rep = subsystem_weak_values(SX, rho, 0.5)
         assert rep.factorization_residual < 1e-9
         assert rep.conjugation_residual < 1e-9
+
+    def test_rejects_operator_of_other_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            subsystem_weak_values(np.eye(3), RHO37, 0.5)
 
     def test_qubit_diagonal(self):
         rep = subsystem_weak_values(SX, RHO37, 0.5)
