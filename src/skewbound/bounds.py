@@ -7,6 +7,13 @@ The spectrum of ``H_tot`` -- its smallest eigenvalue eps1 above the kernel and
 the kernel projector -- depends only on the operators; each state's bound is
 then eps1 times the weight of its embedding outside the kernel.
 
+Every split component C is Hermitian, so ``H_tot`` maps Hermitian matrices to
+Hermitian matrices.  In the orthonormal Hermitian basis E_ii,
+(E_ij + E_ji)/sqrt(2), i(E_ji - E_ij)/sqrt(2) (i < j) it is a real symmetric
+d^2 x d^2 matrix with the same spectrum; the spectral data come from a real
+eigensolve of that matrix.  vec(I) is always in the kernel, so eigenvectors
+are computed only for reducible sets, whose kernel is larger.
+
 Doubled-space vectors are row-major vec(X) of d x d matrices X, so each
 generator is a map on matrices.  Two doubling conventions appear:
 
@@ -35,7 +42,6 @@ from .linalg import (
     DensityOperator,
     Tolerances,
     as_operator,
-    hermitian_eigen,
     matrix_power,
     random_density,
 )
@@ -72,13 +78,15 @@ _ZERO_CUTOFF = 1e-14
 class SpectralData:
     """State-independent half of the spectral bound of one operator set.
 
-    ``kernel`` holds orthonormal columns spanning every eigenvector of
-    ``H_tot`` with eigenvalue at most ``w_0 + 1e-8 max(1, epsilonK)``; it
-    always contains vec(I)/sqrt(d), and more for reducible sets.
+    ``kernel`` holds orthonormal columns, complex row-major vecs, spanning
+    every eigenvector of ``H_tot`` with eigenvalue at most
+    ``w_0 + 1e-8 max(1, epsilonK)``.  It always contains vec(I)/sqrt(d); when
+    that is all of it, it is exactly that column and no eigenvector was
+    computed.  For a reducible set the columns are the kernel eigenvectors of
+    the real form of ``H_tot``, mapped back to vecs of Hermitian matrices.
     ``epsilon1`` is the smallest eigenvalue above that kernel (0 if none).
     """
 
-    H: np.ndarray
     epsilon1: float
     epsilonK: float
     kernel: np.ndarray
@@ -95,7 +103,8 @@ class SpectralData:
 @dataclass(frozen=True)
 class OperatorSet:
     """A collection of same-dimension operators with cached Hermitian splits
-    and, once first asked for, cached ``H_tot`` spectra and alpha-scan floors."""
+    and, once first asked for, the cached real form of ``H_tot``, its spectra
+    and alpha-scan floors."""
 
     operators: tuple
 
@@ -115,6 +124,7 @@ class OperatorSet:
                     comps.append(C)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "_components", tuple(comps))
+        object.__setattr__(self, "_real_h", None)
         object.__setattr__(self, "_spectra", {})
         object.__setattr__(self, "_scans", {})
 
@@ -126,21 +136,93 @@ class OperatorSet:
         """Nonzero Hermitian split parts of every operator."""
         return self._components
 
+    def _real_h_tot(self) -> np.ndarray:
+        """``H_tot`` in the orthonormal Hermitian basis (see :func:`_real_form`),
+        built once per set; the complex matrix is dropped once it exists."""
+        if self._real_h is None:
+            object.__setattr__(self, "_real_h", _real_form(h_tot(self)))
+        return self._real_h
+
     def spectral(self, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
-        """Spectral data of ``H_tot``, built and diagonalized once per tolerances."""
+        """Spectral data of ``H_tot``, diagonalized once per tolerances.
+
+        A real ``eigvalsh`` of ``H_tot``'s real form gives the spectrum; only when
+        the kernel is larger than vec(I) does a real ``eigh`` add its vectors.
+        """
         if tol not in self._spectra:
-            H = h_tot(self)
-            w, V = hermitian_eigen(H, tol)
-            epsK = float(w[-1])
-            in_kernel = w <= w[0] + 1e-8 * max(1.0, epsK)
+            d = self.dim
+            R = self._real_h_tot()
+            w = np.linalg.eigvalsh(R)
+            in_kernel = _in_kernel(w)
+            if np.count_nonzero(in_kernel) == 1:
+                kernel = np.eye(d, dtype=complex).reshape(-1, 1) / math.sqrt(d)
+            else:
+                w, V = np.linalg.eigh(R)
+                in_kernel = _in_kernel(w)
+                kernel = _hermitian_vecs(V[:, in_kernel])
             above = w[~in_kernel]
             self._spectra[tol] = SpectralData(
-                H=H,
                 epsilon1=float(above[0]) if above.size else 0.0,
-                epsilonK=epsK,
-                kernel=V[:, in_kernel],
+                epsilonK=float(w[-1]),
+                kernel=kernel,
             )
         return self._spectra[tol]
+
+
+def _in_kernel(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues counted in the kernel: w <= w_0 + 1e-8 max(1, epsilonK)."""
+    return w <= w[0] + 1e-8 * max(1.0, float(w[-1]))
+
+
+def _hermitian_basis(d: int):
+    """Row-major vec indices of the Hermitian basis of d x d matrices: the
+    diagonal E_ii, then for i < j the entries (i, j) and (j, i) that
+    (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2) both occupy."""
+    iu, ju = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), iu * d + ju, ju * d + iu
+
+
+def _real_form(M: np.ndarray) -> np.ndarray:
+    """Real symmetric matrix of a Hermiticity-preserving map in the Hermitian basis.
+
+    ``M`` acts on row-major vecs of d x d matrices and maps Hermitian ones to
+    Hermitian ones, as H_tot and X -> C X C do for Hermitian C.  The basis is
+    orthonormal: the d diagonal E_ii, then (E_ij + E_ji)/sqrt(2), then
+    i(E_ji - E_ij)/sqrt(2), for i < j in ``triu_indices`` order.  The result
+    is therefore real symmetric with M's spectrum.  Its column for basis
+    element b holds the coordinates of Y = M(b); those of a Hermitian Y are
+    Y_ii, sqrt(2) Re Y_ij and -sqrt(2) Im Y_ij, so only M's rows at the
+    diagonal and upper triangle are read.  An O(d^4) index gather.
+    """
+    d = math.isqrt(M.shape[0])
+    dg, up, lo = _hermitian_basis(d)
+    k = d + up.size
+    rows = np.concatenate([dg, up])
+    r2 = math.sqrt(2.0)
+    scale = np.where(np.arange(k) < d, 1.0, r2)[:, None]
+    U, L = M[np.ix_(rows, up)], M[np.ix_(rows, lo)]
+    R = np.empty((d * d, d * d))
+    # columns of M times the basis: E_ii, (U + L)/sqrt(2), i(L - U)/sqrt(2)
+    R[:k, :d] = scale * M[np.ix_(rows, dg)].real
+    R[:k, d:k] = scale / r2 * (U.real + L.real)
+    R[:k, k:] = scale / r2 * (U.imag - L.imag)
+    R[k:, :d] = -r2 * M[np.ix_(up, dg)].imag
+    R[k:, d:k] = -(U.imag[d:] + L.imag[d:])
+    R[k:, k:] = U.real[d:] - L.real[d:]
+    return R
+
+
+def _hermitian_vecs(V: np.ndarray) -> np.ndarray:
+    """Row-major vecs of the Hermitian matrices whose basis coordinates (see
+    :func:`_real_form`) are the columns of the real ``V``."""
+    d = math.isqrt(V.shape[0])
+    dg, up, lo = _hermitian_basis(d)
+    k = d + up.size
+    out = np.empty(V.shape, dtype=complex)
+    out[dg] = V[:d]
+    out[up] = (V[d:k] - 1j * V[k:]) / math.sqrt(2.0)
+    out[lo] = out[up].conj()
+    return out
 
 
 def _as_set(ops) -> OperatorSet:
@@ -186,6 +268,23 @@ def embedding(rho: DensityOperator, s: float) -> EmbeddingVectors:
     )
 
 
+def _stacked(oset: OperatorSet):
+    """The split components as a (K, d, d) array, and S = sum_C C^2."""
+    d = oset.dim
+    Cs = np.asarray(oset.components(), dtype=complex).reshape(-1, d, d)
+    S = np.sum(Cs @ Cs, axis=0)
+    # matmul rounds S[i, j] and S[j, i] differently; symmetrize so that
+    # H_tot is Hermitian to the last bit
+    return Cs, (S + S.conj().T) / 2
+
+
+def _apply_h_tot(oset: OperatorSet, X: np.ndarray) -> np.ndarray:
+    """H_tot vec(X) = vec(sum_C [C, [C, X]]/2) = vec((S X + X S)/2 - sum_C C X C),
+    applied to the d x d matrix X in O(K d^3)."""
+    Cs, S = _stacked(oset)
+    return ((S @ X + X @ S) / 2 - np.sum(Cs @ X @ Cs, axis=0)).ravel()
+
+
 def h_tot(ops, pairing: str = "transpose") -> np.ndarray:
     """PSD total operator: sum of squared generators of all split parts.
 
@@ -193,19 +292,21 @@ def h_tot(ops, pairing: str = "transpose") -> np.ndarray:
     (S (x) I + I (x) S^p)/2 - sum_C C (x) C^p; on vec(X) the transpose form
     acts as X -> sum_C [C, [C, X]]/2.
     """
-    oset = _as_set(ops)
-    d = oset.dim
-    Cs = np.asarray(oset.components(), dtype=complex).reshape(-1, d, d)
+    Cs, S = _stacked(_as_set(ops))
+    K, d = Cs.shape[0], S.shape[0]
     Cp = Cs.transpose(0, 2, 1) if pairing == "transpose" else Cs
-    S = np.sum(Cs @ Cs, axis=0)
-    # matmul rounds S[i, j] and S[j, i] differently; symmetrize so that
-    # H_tot is Hermitian to the last bit
-    S = (S + S.conj().T) / 2
     Sp = S.T if pairing == "transpose" else S
-    I = np.eye(d)
-    H = (np.kron(S, I) + np.kron(I, Sp)) / 2
-    H -= np.einsum("kij,kab->iajb", Cs, Cp).reshape(d * d, d * d)
-    return H
+    # sum_C C (x) C^p is one rank-K product of the vecs, indexed [(i,j),(a,b)]
+    # and regrouped to [(i,a),(j,b)]; the S terms go on its block diagonals
+    G = Cs.reshape(K, d * d).T @ Cp.reshape(K, d * d)
+    H = np.empty((d, d, d, d), dtype=complex)
+    np.negative(G.reshape(d, d, d, d).transpose(0, 2, 1, 3), out=H)
+    del G
+    S, Sp = S / 2, Sp / 2
+    for a in range(d):
+        H[:, a, :, a] += S
+        H[a, :, a, :] += Sp
+    return H.reshape(d * d, d * d)
 
 
 def _spectral(ops, rho: DensityOperator, tol: Tolerances) -> SpectralData:
@@ -285,20 +386,23 @@ def bound_wyd(
     reference states chi.  The default candidates each collapse one overlap
     to 1; callers may supply more, each a nonzero vector of d^2 entries
     (DimensionMismatch or DomainError otherwise).  If every candidate is
-    infeasible the bound degrades to 0 with a warning.
+    infeasible the bound degrades to 0 with a warning.  H_tot vec(rho^s) and
+    H_tot vec(rho^(1-s)) are applied as maps on d x d matrices, so only the
+    set's spectral data are needed on the doubled space.
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     if abs(s - 0.5) < 1e-12:
         raise DomainError("s = 1/2 has an exact spectral bound; use bound_wy")
-    spec = _spectral(ops, rho, tol)
+    oset = _as_set(ops)
+    spec = _spectral(oset, rho, tol)
     d = rho.dim
     emb = embedding(rho, s)
     theta = math.sqrt(emb.norms[0] * emb.norms[1])
     phis = _unit(emb.phi_s, emb.norms[0])
     phi1s = _unit(emb.phi_1ms, emb.norms[1])
-    Hp1s = spec.H @ emb.phi_1ms
-    Hps = spec.H @ emb.phi_s
+    Hp1s = _apply_h_tot(oset, emb.phi_1ms.reshape(d, d))
+    Hps = _apply_h_tot(oset, emb.phi_s.reshape(d, d))
     n1 = np.linalg.norm(Hp1s)
     n2 = np.linalg.norm(Hps)
     phiH1s = Hp1s / n1 if n1 > 1e-12 else None
@@ -360,10 +464,12 @@ def tighten_alpha_scan(
     bounds the pure-state variance sum on the slice <C> = alpha.  Minimizing
     over the grid and maximizing over components tightens the plain ground
     eigenvalue.  The grid is a documented approximation of the continuum
-    minimum.  The transpose pairing reuses the set's cached ``H_tot`` and
-    starts from 0, the ground eigenvalue it always has (vec(I) is in its
-    kernel); the plain pairing builds its own ``H_tot`` and starts from its
-    ground eigenvalue.  The floor is cached on the operator set per
+    minimum.  The transpose pairing works in the real Hermitian basis: it
+    reuses the set's cached real form of ``H_tot``, adds the real form of
+    X -> (C - alpha) X (C - alpha), and starts from 0, the ground eigenvalue
+    ``H_tot`` always has (vec(I) is in its kernel).  The plain pairing does
+    not preserve Hermiticity; it builds its own complex ``H_tot`` and starts
+    from its ground eigenvalue.  The floor is cached on the operator set per
     (pairing, grid_points, tol).
     """
     if grid_points < 2:
@@ -376,7 +482,7 @@ def tighten_alpha_scan(
         return oset._scans[key]
     d = oset.dim
     if pairing == "transpose":
-        H = oset.spectral(tol).H
+        H = oset._real_h_tot()
         best = 0.0
     else:
         H = h_tot(oset, pairing=pairing)
@@ -390,8 +496,11 @@ def tighten_alpha_scan(
         worst = None
         for alpha in np.linspace(lo, hi, grid_points):
             Ca = C - alpha * I
-            pair = Ca.T if pairing == "transpose" else Ca
-            g = float(np.linalg.eigvalsh(H + np.kron(Ca, pair))[0])
+            if pairing == "transpose":
+                shift = _real_form(np.kron(Ca, Ca.T))
+            else:
+                shift = np.kron(Ca, Ca)
+            g = float(np.linalg.eigvalsh(H + shift)[0])
             worst = g if worst is None else min(worst, g)
         if worst is not None:
             best = max(best, worst)

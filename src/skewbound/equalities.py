@@ -13,7 +13,9 @@ at sqrt(<dB>/<dA>) A and sqrt(<dA>/<dB>) B, ``product_equality`` is the sum
 equality at A/<dA> and B/<dB> rearranged into a quotient, and
 ``three_observable_product_equality`` is a third of the three-observable sum
 at X_i sqrt(<dX1><dX2><dX3>)/<dX_i>.  Their signs are picked from the
-unscaled operators.
+unscaled operators.  The quotient forms (``product_equality``,
+``skew_product_equality``) report rhs = num/den but take the residual on the
+undivided identity, lhs*den - num.
 """
 
 from __future__ import annotations
@@ -84,9 +86,13 @@ def _report(lhs, commutator_term, correction_term, sign, rhs=None) -> EqualityRe
 
 
 def _quotient_report(lhs, num, den, sign, tol: Tolerances) -> EqualityReport:
+    """lhs = num/den, reported with rhs = num/den and the residual of the
+    undivided identity, lhs*den - num: num/den carries the rounding of num
+    and den times 1/|den|, which near a small denominator exceeds
+    tol_residual although the identity holds."""
     if abs(den) < tol.tol_residual:
         raise DegenerateDenominator(f"denominator {den:.3e} within tolerance of 0")
-    return _report(lhs, num, den, sign, rhs=num / den)
+    return EqualityReport(lhs, num / den, lhs * den - num, num, den, sign)
 
 
 class _SumParts(NamedTuple):

@@ -30,10 +30,12 @@ from skewbound import (
     separability_witness,
     sqrt_trace,
     tighten_alpha_scan,
+    Tolerances,
     variance,
     wyd_skew,
 )
 from conftest import SX, SZ, four_3x3_ops, four_qubit_ops, spin_ops
+from skewbound import bounds
 from skewbound.bounds import _feasible_f
 
 RHO37 = density(np.diag([0.3, 0.7]))
@@ -197,7 +199,7 @@ class TestBoundWY:
             d = len(ops[0])
             assert spec.kernel_dim == 1
             mes = np.eye(d).ravel() / math.sqrt(d)
-            assert np.linalg.norm(spec.H @ mes) < 1e-12
+            assert np.linalg.norm(h_tot(ops) @ mes) < 1e-12
             assert spec.kernel_weight(mes) == pytest.approx(1.0, abs=1e-12)
             k = spec.kernel[:, 0]
             red = partial_trace_second(np.outer(k, k.conj()), (d, d))
@@ -214,7 +216,7 @@ class TestBoundWY:
             in_kernel = np.diag(np.linspace(1.0, 2.0, d))
             K = sum(np.vdot(v.reshape(d, d), in_kernel) * v.reshape(d, d)
                     for v in spec.kernel.T)
-            w, V = hermitian_eigen(spec.H)
+            w, V = hermitian_eigen(h_tot(oset))
             M = V[:, int(np.argmin(np.abs(w - spec.epsilon1)))].reshape(d, d)
             E = M + M.conj().T
             if np.linalg.norm(E) < 1e-6:
@@ -309,8 +311,9 @@ class TestReducibleSets:
             assert sum(wyd_skew(A, rho, s) for A in ops) == pytest.approx(0.0, abs=1e-12)
 
     def test_reducible_kernel_is_commutant(self):
-        spec = OperatorSet((np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ))).spectral()
-        assert np.linalg.norm(spec.H @ np.eye(4).ravel()) < 1e-12
+        ops = (np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ))
+        spec = OperatorSet(ops).spectral()
+        assert np.linalg.norm(h_tot(ops) @ np.eye(4).ravel()) < 1e-12
         # the commutant M_2 (x) I: every A (x) I lies in the kernel
         for A in (SX, SZ, np.array([[0, 1], [0, 0]])):
             v = np.kron(A, np.eye(2)).ravel()
@@ -332,6 +335,89 @@ class TestReducibleSets:
                 total = sum(wyd_skew(A, rho, s) for A in oset.operators)
                 assert sb.kernel_dim >= len(sizes)
                 assert sb.bound <= total + 1e-8 * max(1.0, total)
+
+
+@st.composite
+def _operator_sets(draw):
+    """Hermitian, Ginibre or block-diagonal (reducible) sets, d 2-8, 1-4 operators."""
+    d = draw(st.integers(2, 8))
+    n_ops = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["hermitian", "ginibre", "reducible"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "reducible":
+        h = draw(st.integers(1, d - 1))
+        return _reducible_case(seed, (h, d - h), n_ops, "full_rank")[0]
+    rng = np.random.default_rng(seed)
+    make = random_hermitian if kind == "hermitian" else random_operator
+    return OperatorSet(tuple(make(d, rng) for _ in range(n_ops)))
+
+
+class TestRealSpectrum:
+    """The spectral data from the real form of H_tot match a complex eigh of
+    H_tot itself, and the doubled space sees one real eigvalsh, plus one real
+    eigh only for a reducible set."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(oset=_operator_sets())
+    def test_matches_complex_eigh(self, oset):
+        w, V = np.linalg.eigh(h_tot(oset))
+        in_kernel = w <= w[0] + 1e-8 * max(1.0, w[-1])
+        atol = 1e-12 * max(1.0, w[-1])
+        np.testing.assert_allclose(np.linalg.eigvalsh(oset._real_h_tot()), w, rtol=0, atol=atol)
+        spec = oset.spectral()
+        above = w[~in_kernel]
+        assert spec.epsilonK == pytest.approx(w[-1], rel=0, abs=atol)
+        assert spec.epsilon1 == pytest.approx(above[0] if above.size else 0.0, rel=0, abs=atol)
+        assert spec.kernel_dim == np.count_nonzero(in_kernel)
+        # a projector moves by about rounding/gap (Davis-Kahan), so the 1e-10
+        # budget holds while eps1 >= 1e-4 eps_K and widens with eps_K/eps1 below
+        widen = 1e-4 * w[-1] / above[0] if above.size else 1.0
+        Vk = V[:, in_kernel]
+        np.testing.assert_allclose(spec.kernel @ spec.kernel.conj().T, Vk @ Vk.conj().T,
+                                   rtol=0, atol=1e-10 * max(1.0, widen))
+
+    @staticmethod
+    def _count_eigensolves(monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)[-1], np.iscomplexobj(a)))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("ops, solves", [
+        (spin_ops(1), [("eigvalsh", 9, False)]),
+        (four_3x3_ops(), [("eigvalsh", 9, False)]),
+        ((np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)),
+         [("eigvalsh", 16, False), ("eigh", 16, False)]),
+    ])
+    def test_eigensolves_on_doubled_space(self, monkeypatch, ops, solves):
+        calls = self._count_eigensolves(monkeypatch)
+        spec = OperatorSet(ops).spectral()
+        assert calls == solves
+        n = len(ops[0]) ** 2
+        assert spec.kernel.shape == (n, spec.kernel_dim)
+
+    def test_second_tolerance_reuses_real_form(self, monkeypatch):
+        builds = []
+        real = bounds.h_tot
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "h_tot", counted)
+        oset = OperatorSet(spin_ops(1))
+        oset.spectral()
+        calls = self._count_eigensolves(monkeypatch)
+        oset.spectral(Tolerances(tol_herm=1e-9))
+        assert builds == [1]
+        assert calls == [("eigvalsh", 9, False)]
+        # of the doubled space the set keeps only the real form and kernel columns
+        assert not np.iscomplexobj(oset._real_h_tot())
+        assert [spec.kernel.shape for spec in oset._spectra.values()] == [(9, 1), (9, 1)]
 
 
 class TestBoundWYD:

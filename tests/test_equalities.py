@@ -321,7 +321,7 @@ def _ref_product(A, B, rho):
     if abs(den) < 1e-8:
         raise DegenerateDenominator("reference")
     num = sign * 0.25 * raw
-    return sA * sB, num / den, sA * sB - num / den, num, den, sign
+    return sA * sB, num / den, sA * sB * den - num, num, den, sign
 
 
 def _ref_product_nontrivial(A, B, rho):
@@ -369,7 +369,8 @@ def _outcome(f, *args):
 def _assert_matches_reference(got, ref, quotient=False):
     """Every field to 1e-12 max(1, |x|) and the same sign branch.  In the
     quotient form rhs = num/den carries the rounding of num and den times
-    1/|den|, so rhs and the residual get that factor too."""
+    1/|den|, so rhs gets that factor too; the residual is that of the
+    undivided identity lhs*den - num."""
     if isinstance(ref, type):
         assert got is ref
         return
@@ -377,7 +378,7 @@ def _assert_matches_reference(got, ref, quotient=False):
     assert got[5] == ref[5]
     amplify = 1 / abs(ref[4]) if quotient else 1.0
     for name, a, b in zip(_FIELDS, got, ref):
-        scale = amplify if name in ("rhs", "residual") else 1.0
+        scale = amplify if name == "rhs" else 1.0
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b)) * scale, name
 
 
@@ -432,3 +433,32 @@ class TestRescaledProductForms:
                                   _outcome(_ref_product_nontrivial, P, Q, rho))
         _assert_matches_reference(_outcome(three_observable_product_equality, P, Q, R, rho),
                                   _outcome(_ref_three_product, P, Q, R, rho))
+
+
+@st.composite
+def _near_mixed_cases(draw):
+    """rho = (1 - eps) I/d + eps rho0 with eps log-uniform in [1e-9, 1e-3],
+    where the quotient equalities' denominators approach 0, and random
+    Hermitian A and B."""
+    d = draw(st.integers(2, 4))
+    eps = 10.0 ** draw(st.floats(-9.0, -3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho0 = random_density(d, int(rng.integers(1, d + 1)), rng)
+    rho = density((1 - eps) * np.eye(d) / d + eps * rho0.matrix)
+    return rho, random_hermitian(d, rng), random_hermitian(d, rng)
+
+
+class TestQuotientResidual:
+    """The quotient forms report verified on every input they accept."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_near_mixed_cases(), s=st.sampled_from([0.3, 0.5, 0.7]))
+    def test_accepted_near_mixed_inputs_verify(self, case, s):
+        rho, A, B = case
+        for f, args in ((product_equality, (A, B, rho)),
+                        (skew_product_equality, (A, B, rho, s))):
+            try:
+                rep = f(*args)
+            except SkewboundError:
+                continue
+            assert rep.verified, (f.__name__, rep)
