@@ -26,8 +26,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     DensityOperator,
+    DensityStack,
     Tolerances,
     density,
+    density_stack,
     haar_unitary,
     hermitian_eigen,
     matrix_power,
@@ -76,6 +78,7 @@ from .bounds import (
     empirical_minimum,
     h_tot,
     pure_variance_bound,
+    sample_stacks,
     sample_states,
     separability_witness,
     tighten_alpha_scan,

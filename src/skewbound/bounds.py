@@ -41,9 +41,10 @@ from .linalg import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
+    _ginibre_state,
     as_operator,
+    density_stack,
     matrix_power,
-    random_density,
 )
 from .moments import (
     MeanOrder,
@@ -66,12 +67,17 @@ __all__ = [
     "tighten_alpha_scan",
     "pure_variance_bound",
     "sample_states",
+    "sample_stacks",
     "empirical_minimum",
     "separability_witness",
     "WitnessResult",
 ]
 
 _ZERO_CUTOFF = 1e-14
+
+# Most bytes of matrices handed to one stacked LAPACK call: the alpha scans'
+# shifted operators and the sampling oracle's states go in chunks this size.
+_STACK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -95,16 +101,19 @@ class SpectralData:
     def kernel_dim(self) -> int:
         return self.kernel.shape[1]
 
-    def kernel_weight(self, phi: np.ndarray) -> float:
-        """||P_ker phi||^2 of a unit vector, capped at 1."""
-        return min(float(np.sum(np.abs(self.kernel.conj().T @ phi) ** 2)), 1.0)
+    def kernel_weight(self, phi: np.ndarray):
+        """||P_ker phi||^2 of a unit vector, or of each row of a stack of
+        them, capped at 1."""
+        overlaps = (self.kernel.conj().T @ phi[..., None])[..., 0]
+        return np.minimum(np.sum(np.abs(overlaps) ** 2, axis=-1), 1.0)
 
 
 @dataclass(frozen=True)
 class OperatorSet:
     """A collection of same-dimension operators with cached Hermitian splits
-    and, once first asked for, the cached real form of ``H_tot``, its spectra
-    and alpha-scan floors."""
+    and, once first asked for, the cached real form of ``H_tot``, its spectral
+    data and alpha-scan floors.  No tolerance enters any of them, so each is
+    computed once per set."""
 
     operators: tuple
 
@@ -125,7 +134,7 @@ class OperatorSet:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "_components", tuple(comps))
         object.__setattr__(self, "_real_h", None)
-        object.__setattr__(self, "_spectra", {})
+        object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_scans", {})
 
     @property
@@ -143,13 +152,13 @@ class OperatorSet:
             object.__setattr__(self, "_real_h", _real_form(h_tot(self)))
         return self._real_h
 
-    def spectral(self, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
-        """Spectral data of ``H_tot``, diagonalized once per tolerances.
+    def spectral(self) -> SpectralData:
+        """Spectral data of ``H_tot``, diagonalized once per set.
 
         A real ``eigvalsh`` of ``H_tot``'s real form gives the spectrum; only when
         the kernel is larger than vec(I) does a real ``eigh`` add its vectors.
         """
-        if tol not in self._spectra:
+        if self._spectrum is None:
             d = self.dim
             R = self._real_h_tot()
             w = np.linalg.eigvalsh(R)
@@ -161,12 +170,12 @@ class OperatorSet:
                 in_kernel = _in_kernel(w)
                 kernel = _hermitian_vecs(V[:, in_kernel])
             above = w[~in_kernel]
-            self._spectra[tol] = SpectralData(
+            object.__setattr__(self, "_spectrum", SpectralData(
                 epsilon1=float(above[0]) if above.size else 0.0,
                 epsilonK=float(w[-1]),
                 kernel=kernel,
-            )
-        return self._spectra[tol]
+            ))
+        return self._spectrum
 
 
 def _in_kernel(w: np.ndarray) -> np.ndarray:
@@ -245,7 +254,8 @@ class SpectralBound:
     """Result of a spectral lower bound on a sum of skew informations.
 
     ``interval`` is [0, epsilonK (1 - ||P_ker phi||^2)] at phi = vec(sqrt(rho)),
-    which encloses the symmetric skew sum at this state.
+    which encloses the symmetric skew sum at this state.  For a DensityStack
+    ``bound`` and the upper end of ``interval`` hold one entry per state.
     """
 
     epsilon1: float
@@ -256,14 +266,16 @@ class SpectralBound:
 
 
 def embedding(rho: DensityOperator, s: float) -> EmbeddingVectors:
-    """Row-major vec(rho^s) = sum_i lambda_i^s |i>|i*>, and vec(rho^(1-s))."""
+    """Row-major vec(rho^s) = sum_i lambda_i^s |i>|i*>, and vec(rho^(1-s)); a
+    DensityStack gives one row and one pair of norms per state."""
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     w = rho.eigenvalues
-    norms = (float(np.sum(w ** (2 * s))), float(np.sum(w ** (2 * (1 - s)))))
+    norms = (np.sum(w ** (2 * s), axis=-1), np.sum(w ** (2 * (1 - s)), axis=-1))
+    vecs = w.shape[:-1] + (-1,)
     return EmbeddingVectors(
-        phi_s=matrix_power(rho, s).ravel(),
-        phi_1ms=matrix_power(rho, 1 - s).ravel(),
+        phi_s=matrix_power(rho, s).reshape(vecs),
+        phi_1ms=matrix_power(rho, 1 - s).reshape(vecs),
         norms=norms,
     )
 
@@ -309,15 +321,16 @@ def h_tot(ops, pairing: str = "transpose") -> np.ndarray:
     return H.reshape(d * d, d * d)
 
 
-def _spectral(ops, rho: DensityOperator, tol: Tolerances) -> SpectralData:
+def _spectral(ops, rho: DensityOperator) -> SpectralData:
     oset = _as_set(ops)
     if oset.dim != rho.dim:
         raise DimensionMismatch("operator and state dimensions differ")
-    return oset.spectral(tol)
+    return oset.spectral()
 
 
-def _unit(v: np.ndarray, norm2: float) -> np.ndarray:
-    return v / math.sqrt(max(norm2, 1e-300))
+def _unit(v: np.ndarray, norm2) -> np.ndarray:
+    """v / sqrt(norm2) for a vector, or row by row for a stack."""
+    return v / np.sqrt(np.maximum(norm2, 1e-300))[..., None]
 
 
 def _half_weight(spec: SpectralData, rho: DensityOperator) -> float:
@@ -326,13 +339,13 @@ def _half_weight(spec: SpectralData, rho: DensityOperator) -> float:
     return spec.kernel_weight(_unit(emb.phi_s, emb.norms[0]))
 
 
-def _result(spec: SpectralData, bound: float, ov2: float) -> SpectralBound:
+def _result(spec: SpectralData, bound, ov2) -> SpectralBound:
     return SpectralBound(
         epsilon1=spec.epsilon1,
         epsilonK=spec.epsilonK,
-        bound=max(bound, 0.0),
+        bound=np.maximum(bound, 0.0),
         kernel_dim=spec.kernel_dim,
-        interval=(0.0, max(spec.epsilonK * (1.0 - ov2), 0.0)),
+        interval=(0.0, np.maximum(spec.epsilonK * (1.0 - ov2), 0.0)),
     )
 
 
@@ -344,8 +357,11 @@ def bound_wy(ops, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> Spectr
     therefore holds for every operator set, reducible ones included.  It
     also bounds every sum of generalized skews, whatever the mean orders,
     because each generalized skew dominates the symmetric skew information.
+    A DensityStack gets all its bounds from one stacked evaluation, each
+    equal to the state's own.  No tolerance enters the bound; ``tol`` is
+    accepted for a uniform signature.
     """
-    spec = _spectral(ops, rho, tol)
+    spec = _spectral(ops, rho)
     ov2 = _half_weight(spec, rho)
     return _result(spec, spec.epsilon1 * (1.0 - ov2), ov2)
 
@@ -388,14 +404,16 @@ def bound_wyd(
     (DimensionMismatch or DomainError otherwise).  If every candidate is
     infeasible the bound degrades to 0 with a warning.  H_tot vec(rho^s) and
     H_tot vec(rho^(1-s)) are applied as maps on d x d matrices, so only the
-    set's spectral data are needed on the doubled space.
+    set's spectral data are needed on the doubled space.  It takes one state
+    (a DensityOperator): the search over reference states stays a loop, so a
+    sampling oracle at s != 1/2 calls it once per sample.
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     if abs(s - 0.5) < 1e-12:
         raise DomainError("s = 1/2 has an exact spectral bound; use bound_wy")
     oset = _as_set(ops)
-    spec = _spectral(oset, rho, tol)
+    spec = _spectral(oset, rho)
     d = rho.dim
     emb = embedding(rho, s)
     theta = math.sqrt(emb.norms[0] * emb.norms[1])
@@ -464,48 +482,62 @@ def tighten_alpha_scan(
     bounds the pure-state variance sum on the slice <C> = alpha.  Minimizing
     over the grid and maximizing over components tightens the plain ground
     eigenvalue.  The grid is a documented approximation of the continuum
-    minimum.  The transpose pairing works in the real Hermitian basis: it
-    reuses the set's cached real form of ``H_tot``, adds the real form of
-    X -> (C - alpha) X (C - alpha), and starts from 0, the ground eigenvalue
-    ``H_tot`` always has (vec(I) is in its kernel).  The plain pairing does
-    not preserve Hermiticity; it builds its own complex ``H_tot`` and starts
-    from its ground eigenvalue.  The floor is cached on the operator set per
-    (pairing, grid_points, tol).
+    minimum.
+
+    The shifted operator is A - alpha B + alpha^2 I with A = H_tot + C (x) C^p
+    and B = C (x) I + I (x) C^p, so A and B are built once per component and
+    the whole grid goes to stacked ``eigvalsh`` calls, each on at most
+    ``_STACK_BYTES`` (16 MB) of shifted matrices.  The transpose pairing works
+    in the real Hermitian basis: A is the set's cached real form of ``H_tot``
+    plus the real form of X -> C X C, B the real form of X -> C X + X C, and
+    the floor starts from 0, the ground eigenvalue ``H_tot`` always has
+    (vec(I) is in its kernel).  The plain pairing does not preserve
+    Hermiticity; it builds its own complex ``H_tot`` and starts from its
+    ground eigenvalue.  No tolerance enters the floor (``tol`` is accepted
+    for a uniform signature); it is cached on the operator set per
+    (pairing, grid_points).
     """
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
     if pairing not in ("transpose", "plain"):
         raise DomainError(f"unknown pairing {pairing!r}")
     oset = _as_set(ops)
-    key = (pairing, grid_points, tol)
+    key = (pairing, grid_points)
     if key in oset._scans:
         return oset._scans[key]
-    d = oset.dim
+    I = np.eye(oset.dim)
     if pairing == "transpose":
-        H = oset._real_h_tot()
+        H, form = oset._real_h_tot(), _real_form
         best = 0.0
     else:
-        H = h_tot(oset, pairing=pairing)
+        H, form = h_tot(oset, pairing=pairing), np.asarray
         best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
-    I = np.eye(d)
     for C in oset.components():
         evs = np.linalg.eigvalsh(C)
         lo, hi = float(evs[0]), float(evs[-1])
         if hi - lo < 1e-14:
             continue  # multiple of identity: zero variance always
-        worst = None
-        for alpha in np.linspace(lo, hi, grid_points):
-            Ca = C - alpha * I
-            if pairing == "transpose":
-                shift = _real_form(np.kron(Ca, Ca.T))
-            else:
-                shift = np.kron(Ca, Ca)
-            g = float(np.linalg.eigvalsh(H + shift)[0])
-            worst = g if worst is None else min(worst, g)
-        if worst is not None:
-            best = max(best, worst)
+        Cp = C.T if pairing == "transpose" else C
+        A = H + form(np.kron(C, Cp))
+        B = form(np.kron(C, I) + np.kron(I, Cp))
+        best = max(best, _scan_floor(A, B, np.linspace(lo, hi, grid_points)))
     oset._scans[key] = best
     return best
+
+
+def _scan_floor(A: np.ndarray, B: np.ndarray, alphas: np.ndarray) -> float:
+    """min over alphas of the ground eigenvalue of A - alpha B + alpha^2 I."""
+    n = A.shape[0]
+    diag = np.arange(n)
+    per = max(1, _STACK_BYTES // A.nbytes)
+    floor = math.inf
+    for start in range(0, alphas.size, per):
+        a = alphas[start:start + per, None, None]
+        M = a * B
+        np.subtract(A, M, out=M)
+        M[:, diag, diag] += a[:, :, 0] ** 2
+        floor = min(floor, float(np.linalg.eigvalsh(M)[:, 0].min()))
+    return floor
 
 
 def pure_variance_bound(ops, grid_points: int = 201, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -533,12 +565,16 @@ def _sum_value(ops, rho, s_or_order, tol):
     return sum(gen_skew(A, rho, as_mean_order(s), tol) for A in oset.operators)
 
 
-def sample_states(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):
-    """Iterator over ``samples`` Hilbert-Schmidt states drawn from one stream.
+def sample_stacks(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):
+    """Iterator over DensityStacks holding ``samples`` Hilbert-Schmidt states
+    drawn from one stream.
 
-    Each state's rank is drawn uniformly from ``ranks`` (default: 1..dim) and
-    everything comes from ``np.random.default_rng(seed)`` in order, so a fixed
-    seed gives the same states to every caller.
+    Each state's rank is drawn uniformly from ``ranks`` (default: 1..dim),
+    then its Ginibre matrix; everything comes from
+    ``np.random.default_rng(seed)`` in that per-state order, so a fixed seed
+    gives the same states to every caller.  The states are validated in
+    stacks of at most ``_STACK_BYTES`` (16 MB) of matrices, one stacked
+    ``eigh`` per stack, and each gets the decomposition it would get alone.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -547,10 +583,25 @@ def sample_states(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] =
         if not 1 <= r <= dim:
             raise DomainError(f"rank {r} outside [1, {dim}]")
     rng = np.random.default_rng(seed)
-    return (
-        random_density(dim, int(rank_pool[rng.integers(len(rank_pool))]), rng)
-        for _ in range(samples)
-    )
+    per = max(1, _STACK_BYTES // (16 * dim * dim))
+
+    def draw(n: int):
+        return density_stack([
+            _ginibre_state(dim, int(rank_pool[rng.integers(len(rank_pool))]), rng)
+            for _ in range(n)
+        ])
+
+    return (draw(min(per, samples - start)) for start in range(0, samples, per))
+
+
+def sample_states(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):
+    """Iterator over ``samples`` Hilbert-Schmidt states drawn from one stream:
+    the states of :func:`sample_stacks`, one by one.  They are drawn in the
+    same per-state order and validated with one stacked ``eigh`` per stack
+    of at most ``_STACK_BYTES`` (16 MB), so a fixed seed gives the same
+    states, bit for bit, to every caller and to the stacked oracle."""
+    stacks = sample_stacks(dim, samples, seed, ranks)
+    return (rho for stack in stacks for rho in stack)
 
 
 def empirical_minimum(
@@ -565,13 +616,14 @@ def empirical_minimum(
 
     ``s_or_order``: a float in (0, 1) selects the s-family, a nonpositive
     float or MeanOrder the generalized family, a list one order per operator.
-    States come from :func:`sample_states`, so the result is deterministic
-    for a fixed seed.
+    States come from :func:`sample_stacks`, so the result is deterministic
+    for a fixed seed; each stack's skew sums come from one stacked kernel
+    evaluation per operator, equal to the per-state values.
     """
     oset = _as_set(ops)
     return min(
-        _sum_value(oset, rho, s_or_order, tol)
-        for rho in sample_states(oset.dim, samples, seed, ranks)
+        float(np.min(_sum_value(oset, rhos, s_or_order, tol)))
+        for rhos in sample_stacks(oset.dim, samples, seed, ranks)
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -53,7 +54,33 @@ def _entry_to_complex(x, name, row, col) -> complex:
     )
 
 
+def _regular_matrix(obj) -> Optional[np.ndarray]:
+    """The complex matrix of a square array whose entries are all numbers or
+    all [re, im] pairs, read in one numpy call; None for anything else."""
+    if not (type(obj) is list and obj and all(type(row) is list for row in obj)):
+        return None
+    entries = list(itertools.chain.from_iterable(obj))
+    kinds = set(map(type, entries))
+    if kinds == {list}:
+        kinds = set(map(type, itertools.chain.from_iterable(entries)))
+    if not kinds or not kinds <= {int, float}:  # bool is a type of its own
+        return None
+    try:
+        M = np.array(obj, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # ragged rows or pairs, huge ints
+        return None
+    n = len(obj)
+    if M.shape == (n, n):
+        return M.astype(complex)
+    if M.shape == (n, n, 2):
+        return M.view(complex)[..., 0]
+    return None
+
+
 def _parse_matrix(obj, name) -> np.ndarray:
+    M = _regular_matrix(obj)
+    if M is not None:
+        return M
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"matrix {name!r}: expected a nonempty array of rows")
     ncols = None
@@ -312,15 +339,16 @@ def _bound_report(sb: bounds.SpectralBound) -> dict:
 def _run_oracle(report: dict, dim: int, samples: int, seed, tol: Tolerances,
                 total, bound) -> int:
     """Sample states from one stream and record, over the same samples, the
-    smallest skew sum ``total(rho)`` and the smallest margin over the
-    state-dependent ``bound(rho)``; a negative margin is a build bug."""
+    smallest skew sum ``total(rhos)`` and the smallest margin over the
+    state-dependent ``bound(rhos)``; a negative margin is a build bug.  Both
+    callables take a DensityStack of samples and give one value per state."""
     lowest = margin = math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for rho in bounds.sample_states(dim, samples, seed):
-            t = total(rho)
-            lowest = min(lowest, t)
-            margin = min(margin, t - bound(rho))
+        for rhos in bounds.sample_stacks(dim, samples, seed):
+            t = total(rhos)
+            lowest = min(lowest, float(np.min(t)))
+            margin = min(margin, float(np.min(t - bound(rhos))))
     report["oracle_min"] = lowest
     report["oracle_samples"] = samples
     report["oracle_margin_min"] = margin
@@ -337,10 +365,17 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
     ops = bounds.OperatorSet(tuple(pf.operators.values()))
     s = args.s if args.s is not None else pf.params.s
 
+    half = abs(s - 0.5) < 1e-12
+
     def bound_at(rho):
-        if abs(s - 0.5) < 1e-12:
+        if half:
             return bounds.bound_wy(ops, rho, tol)
         return bounds.bound_wyd(ops, rho, s, tol=tol)
+
+    def bounds_at(rhos):
+        if half:
+            return bound_at(rhos).bound  # one stacked evaluation
+        return np.array([bound_at(rho).bound for rho in rhos])
 
     report = {
         "command": "bound",
@@ -357,8 +392,8 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
         seed = args.seed if args.seed is not None else pf.params.seed
         code = _run_oracle(
             report, ops.dim, args.oracle, seed, tol,
-            total=lambda rho: sum(moments.wyd_skew(A, rho, s, tol) for A in ops.operators),
-            bound=lambda rho: bound_at(rho).bound,
+            total=lambda rhos: sum(moments.wyd_skew(A, rhos, s, tol) for A in ops.operators),
+            bound=bounds_at,
         )
     return code, report
 
@@ -383,8 +418,8 @@ def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
         seed = args.seed if args.seed is not None else pf.params.seed
         code = _run_oracle(
             report, kset.dim, args.oracle, seed, tol,
-            total=lambda rho: sum(channels.channel_skew(ch, rho, tol) for ch in chs),
-            bound=lambda rho: bounds.bound_wy(kset, rho, tol).bound,
+            total=lambda rhos: sum(channels.channel_skew(ch, rhos, tol) for ch in chs),
+            bound=lambda rhos: bounds.bound_wy(kset, rhos, tol).bound,
         )
     return code, report
 
@@ -395,10 +430,12 @@ def cmd_witness(pf: ProblemFile, args) -> tuple:
     _need(p.ops_a and p.ops_b, "witness needs params.ops_a and params.ops_b")
     for name in (p.ops_a + p.ops_b):
         _need(name in pf.operators, f"witness references unknown operator {name!r}")
-    opsA = [pf.operators[n] for n in p.ops_a]
-    opsB = [pf.operators[n] for n in p.ops_b]
+    setA = bounds.OperatorSet(tuple(pf.operators[n] for n in p.ops_a))
+    # one set for two sides that name the same operators, so its floor is scanned once
+    setB = setA if p.ops_b == p.ops_a else bounds.OperatorSet(
+        tuple(pf.operators[n] for n in p.ops_b))
     grid = args.grid or p.grid_points
-    res = bounds.separability_witness(opsA, opsB, pf.rho, grid, p.tolerances)
+    res = bounds.separability_witness(setA, setB, pf.rho, grid, p.tolerances)
     return EXIT_OK, {
         "command": "witness",
         "report_version": REPORT_VERSION,

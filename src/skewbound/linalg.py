@@ -10,7 +10,11 @@ caches its spectral decomposition.  Conventions used throughout the package:
 * ``|psi*>`` means entrywise complex conjugation in the computational basis;
 * eigenvalues are always returned ascending; eigenvector phases are LAPACK's
   and no result depends on them: consumers use projectors, ``V diag(w) V^H``
-  or moduli of matrix elements in the eigenbasis.
+  or moduli of matrix elements in the eigenbasis;
+* many states of one dimension may be validated together as a
+  :class:`DensityStack`, whose arrays carry a leading axis of states; the
+  state functions written on ``(..., d, d)`` arrays then give one value per
+  state, computed slice by slice exactly as for a single state.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "DensityOperator",
+    "DensityStack",
     "as_operator",
     "hermitian_eigen",
     "density",
+    "density_stack",
     "pure_state",
     "maximally_mixed",
     "matrix_power",
@@ -82,16 +88,33 @@ def as_operator(M, dim=None) -> np.ndarray:
     return A
 
 
+def _check_hermitian(A: np.ndarray, tol: Tolerances) -> None:
+    """NotHermitian unless every matrix M of the ``(..., d, d)`` stack ``A`` has
+    max|M - M^dag| at most tol_herm * max(1, max|M|); the first failing matrix
+    is reported.  The limit is relative above unit scale because rounding
+    leaves a defect proportional to the entries."""
+    defect = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    limit = tol.tol_herm * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    bad = np.flatnonzero(defect > limit)
+    if bad.size:
+        i = bad[0]
+        raise NotHermitian(f"max|M - M^dag| = {defect.flat[i]:.3e} > {limit.flat[i]:.3e}")
+
+
 def require_hermitian(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """``M`` as a complex matrix; NotHermitian unless max|M - M^dag| is at
-    most tol_herm * max(1, max|M|).  The limit is relative above unit scale
-    because rounding leaves a defect proportional to the entries."""
+    most tol_herm * max(1, max|M|)."""
     A = as_operator(M)
-    defect = np.max(np.abs(A - A.conj().T))
-    limit = tol.tol_herm * max(1.0, float(np.max(np.abs(A))))
-    if defect > limit:
-        raise NotHermitian(f"max|M - M^dag| = {defect:.3e} > {limit:.3e}")
+    _check_hermitian(A, tol)
     return A
+
+
+def _eigh(A: np.ndarray):
+    """Stacked ``eigh`` of the Hermitian parts of a ``(..., d, d)`` stack."""
+    try:
+        return np.linalg.eigh((A + A.conj().swapaxes(-1, -2)) / 2)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def hermitian_eigen(M, tol: Tolerances = DEFAULT_TOL):
@@ -102,13 +125,7 @@ def hermitian_eigen(M, tol: Tolerances = DEFAULT_TOL):
     degenerate eigenspace, are deterministic for a fixed input but otherwise
     arbitrary; callers must not rely on them.
     """
-    A = require_hermitian(M, tol)
-    A = (A + A.conj().T) / 2
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceFailure(str(exc)) from exc
-    return w, V
+    return _eigh(require_hermitian(M, tol))
 
 
 @dataclass(frozen=True)
@@ -126,7 +143,7 @@ class DensityOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def power(self, s: float) -> np.ndarray:
         """See :func:`matrix_power`."""
@@ -136,26 +153,78 @@ class DensityOperator:
         return float(np.sum(self.eigenvalues**2))
 
 
+@dataclass(frozen=True)
+class DensityStack:
+    """N validated states of one dimension, from :func:`density_stack`.
+
+    The fields are those of :class:`DensityOperator` with a leading axis of
+    length N.  :func:`matrix_power`, ``moments.wyd_skew``,
+    ``moments.gen_skew`` and ``bounds.bound_wy`` accept a stack and return one
+    result per state; iterating yields the single states.
+    """
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __iter__(self):
+        for M, w, V in zip(self.matrix, self.eigenvalues, self.eigenvectors):
+            yield DensityOperator(matrix=M, eigenvalues=w, eigenvectors=V)
+
+
+def _validated(A: np.ndarray, tol: Tolerances):
+    """Eigenvalues and eigenvectors of a ``(N, d, d)`` stack of density matrices.
+
+    Checks unit trace, Hermiticity, positivity (within ``tol_psd``) and that
+    the decomposition reconstructs each input, with one stacked ``eigh``; a
+    failed check reports the worst state's value.
+    """
+    err = np.max(np.abs(np.trace(A, axis1=-2, axis2=-1) - 1))
+    if err > tol.tol_trace:
+        raise StateValidationError(f"|Tr rho - 1| = {err:.3e} > {tol.tol_trace:.3e}")
+    _check_hermitian(A, tol)
+    w, V = _eigh(A)
+    low = np.min(w[:, 0])
+    if low < -tol.tol_psd:
+        raise StateValidationError(f"negative eigenvalue {low:.3e} below -{tol.tol_psd:.3e}")
+    w = np.clip(w, 0.0, 1.0)
+    w[w <= tol.tol_psd] = 0.0
+    defect = np.max(np.abs(A - (V * w[:, None, :]) @ V.conj().swapaxes(-1, -2)))
+    if defect > tol.tol_recon:
+        raise StateValidationError(f"reconstruction defect {defect:.3e} > {tol.tol_recon:.3e}")
+    return w, V
+
+
 def density(matrix, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     """Validate a matrix as a density operator.
 
     Checks Hermiticity, unit trace, positivity (within ``tol_psd``) and that
-    the cached spectral decomposition reconstructs the input.
+    the cached spectral decomposition reconstructs the input: the one-state
+    case of :func:`density_stack`.
     """
     A = as_operator(matrix)
-    tr = np.trace(A)
-    if abs(tr - 1) > tol.tol_trace:
-        raise StateValidationError(f"|Tr rho - 1| = {abs(tr - 1):.3e} > {tol.tol_trace:.3e}")
-    w, V = hermitian_eigen(A, tol)
-    if w[0] < -tol.tol_psd:
-        raise StateValidationError(f"negative eigenvalue {w[0]:.3e} below -{tol.tol_psd:.3e}")
-    w = np.clip(w, 0.0, 1.0)
-    w[w <= tol.tol_psd] = 0.0
-    recon = (V * w) @ V.conj().T
-    defect = np.max(np.abs(A - recon))
-    if defect > tol.tol_recon:
-        raise StateValidationError(f"reconstruction defect {defect:.3e} > {tol.tol_recon:.3e}")
-    return DensityOperator(matrix=A, eigenvalues=w, eigenvectors=V)
+    w, V = _validated(A[None], tol)
+    return DensityOperator(matrix=A, eigenvalues=w[0], eigenvectors=V[0])
+
+
+def density_stack(matrices, tol: Tolerances = DEFAULT_TOL) -> DensityStack:
+    """Validate N same-size matrices as density operators with one stacked
+    ``eigh``; each state passes the checks of :func:`density` and gets the
+    decomposition it would get alone."""
+    A = np.asarray(matrices, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise StateValidationError("matrix contains non-finite entries")
+    w, V = _validated(A, tol)
+    return DensityStack(matrix=A, eigenvalues=w, eigenvectors=V)
 
 
 def pure_state(vec, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
@@ -176,13 +245,14 @@ def matrix_power(rho: DensityOperator, s: float) -> np.ndarray:
     """Fractional power ``rho**s`` for 0 < s <= 1, with 0**s = 0.
 
     Returned as ``sum_i lambda_i**s |i><i|`` over the cached eigenbasis;
-    Hermitian and PSD by construction.
+    Hermitian and PSD by construction.  A :class:`DensityStack` gives the
+    stack of powers.
     """
     if not 0 < s <= 1:
         raise DomainError(f"s must lie in (0, 1], got {s}")
     w = np.where(rho.eigenvalues > 0, rho.eigenvalues, 0.0) ** s
     V = rho.eigenvectors
-    return (V * w) @ V.conj().T
+    return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def sqrt_trace(rho: DensityOperator) -> float:
@@ -205,6 +275,14 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _ginibre_state(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Unvalidated matrix of a Hilbert-Schmidt state of given rank: G G^dag / Tr,
+    with G a dim x rank Ginibre matrix drawn real part first."""
+    G = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    M = G @ G.conj().T
+    return M / np.trace(M).real
+
+
 def random_density(dim: int, rank: int, seed) -> DensityOperator:
     """Hilbert-Schmidt-distributed state of given rank (Ginibre construction).
 
@@ -212,10 +290,7 @@ def random_density(dim: int, rank: int, seed) -> DensityOperator:
     """
     if not 1 <= rank <= dim:
         raise DomainError(f"rank must lie in [1, {dim}], got {rank}")
-    rng = _rng(seed)
-    G = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    M = G @ G.conj().T
-    return density(M / np.trace(M).real)
+    return density(_ginibre_state(dim, rank, _rng(seed)))
 
 
 def random_operator(dim: int, seed) -> np.ndarray:

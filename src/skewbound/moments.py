@@ -143,23 +143,29 @@ def std_dev(A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
     return math.sqrt(variance(A, rho, tol))
 
 
-def _skew_kernel(A, rho: DensityOperator, W: np.ndarray, what: str, tol: Tolerances) -> float:
+def _skew_kernel(A, rho: DensityOperator, W: np.ndarray, what: str, tol: Tolerances):
     """quad - sum_ij W_ij |A~_ij|^2, with quad = Tr[rho (A^dag A + A A^dag)/2]
     and A~ = A in the eigenbasis of rho.
 
     :func:`wyd_skew` and :func:`gen_skew` differ only in the symmetric
     eigenvalue weighting W; for symmetric W,
     (1/2) sum_ij W_ij (|<i|A^dag|j>|^2 + |<i|A|j>|^2) = sum_ij W_ij |A~_ij|^2.
+    For a DensityStack and a (N, d, d) stack of weights it is one stacked
+    evaluation with one value per state; a single state is the case N = 1
+    without the leading axis, and each state's value is the one it gets alone.
     """
     A = as_operator(A)
     _check_dims(A, rho)
-    quad = 0.5 * np.trace((A.conj().T @ A + A @ A.conj().T) @ rho.matrix).real
+    AA = A.conj().T @ A + A @ A.conj().T
+    quad = 0.5 * np.trace(AA @ rho.matrix, axis1=-2, axis2=-1).real
     V = rho.eigenvectors
-    At = V.conj().T @ A @ V
-    val = quad - float(np.sum(W * np.abs(At) ** 2))
-    if val < -tol.tol_residual:
-        raise NegativeRadicand(f"{what} {val:.3e} < -{tol.tol_residual:.3e}")
-    return max(val, 0.0)
+    At = V.conj().swapaxes(-1, -2) @ A @ V
+    weighted = W * np.abs(At) ** 2
+    val = quad - np.sum(weighted.reshape(weighted.shape[:-2] + (-1,)), axis=-1)
+    worst = np.min(val)
+    if worst < -tol.tol_residual:
+        raise NegativeRadicand(f"{what} {worst:.3e} < -{tol.tol_residual:.3e}")
+    return np.maximum(val, 0.0)
 
 
 def wyd_skew(A, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -167,13 +173,19 @@ def wyd_skew(A, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL) -
 
     s = 1/2 is the symmetric case (1/2)||[sqrt(rho), A]||_F^2.  Evaluated as
     the eigenbasis kernel with W_ij = (l_i^s l_j^(1-s) + l_i^(1-s) l_j^s)/2,
-    which is 0 on pairs touching a zero eigenvalue (0**s = 0).
+    which is 0 on pairs touching a zero eigenvalue (0**s = 0).  A
+    DensityStack gives an array of one skew information per state.
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     p, q = rho.eigenvalues**s, rho.eigenvalues ** (1 - s)
-    W = (np.outer(p, q) + np.outer(q, p)) / 2
+    W = (_outer(p, q) + _outer(q, p)) / 2
     return _skew_kernel(A, rho, W, "skew information", tol)
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i y_j over the last axis, for a vector or a stack of vectors."""
+    return x[..., :, None] * y[..., None, :]
 
 
 def _mean_weights(eigs: np.ndarray, order: MeanOrder, tol_psd: float) -> np.ndarray:
@@ -181,26 +193,24 @@ def _mean_weights(eigs: np.ndarray, order: MeanOrder, tol_psd: float) -> np.ndar
 
     The zero-eigenvalue rule is the continuous limit of the power mean with a
     vanishing argument and nonpositive exponent, consistent with 0**s = 0.
+    A stack of spectra gives a stack of matrices.
     """
-    d = len(eigs)
-    W = np.zeros((d, d))
     pos = eigs > tol_psd
-    x = eigs[pos]
+    x = np.where(pos, eigs, 1.0)  # placeholder 1 off the support, masked below
     if order.is_min:
-        M = np.minimum.outer(x, x)
+        M = np.minimum(x[..., :, None], x[..., None, :])
     else:
         # same log-domain formulas as generalized_mean, on all pairs at once
         a = np.log(x)
-        mid = (a[:, None] + a[None, :]) / 2
-        diff = a[:, None] - a[None, :]
+        mid = (a[..., :, None] + a[..., None, :]) / 2
+        diff = a[..., :, None] - a[..., None, :]
         if order.is_zero or abs(order.nu) < _NU_SERIES_CUTOFF:
             M = np.exp(mid + order.nu * diff**2 / 8)
         else:
             z = np.abs(order.nu * diff / 2)
             logcosh = z + np.log1p(np.exp(-2 * z)) - math.log(2)
             M = np.exp(mid + logcosh / order.nu)
-    W[np.ix_(pos, pos)] = M
-    return W
+    return np.where(_outer(pos, pos), M, 0.0)
 
 
 def gen_skew(A, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -210,7 +220,7 @@ def gen_skew(A, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL) -> f
     eigenvalue pairs: the eigenbasis kernel of :func:`wyd_skew` with
     W_ij = m_nu(l_i, l_j).  Order 0 gives the s = 1/2 weights, so it
     reproduces ``wyd_skew(A, rho, 1/2)``, and order -1 gives a quarter of the
-    Fisher information.
+    Fisher information.  A DensityStack gives one value per state.
     """
     order = as_mean_order(order)
     W = _mean_weights(rho.eigenvalues, order, tol.tol_psd)

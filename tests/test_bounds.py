@@ -410,14 +410,20 @@ class TestRealSpectrum:
 
         monkeypatch.setattr(bounds, "h_tot", counted)
         oset = OperatorSet(spin_ops(1))
-        oset.spectral()
+        rho = maximally_mixed(3)
+        first = bound_wy(oset, rho)
+        floor = tighten_alpha_scan(oset, 21)
         calls = self._count_eigensolves(monkeypatch)
-        oset.spectral(Tolerances(tol_herm=1e-9))
+        other = Tolerances(tol_herm=1e-9, tol_residual=1e-6)
+        # no tolerance enters H_tot's spectrum or the floor: nothing is solved again
+        assert bound_wy(oset, rho, other) == first
+        assert tighten_alpha_scan(oset, 21, tol=other) == floor
+        assert calls == []
         assert builds == [1]
-        assert calls == [("eigvalsh", 9, False)]
         # of the doubled space the set keeps only the real form and kernel columns
         assert not np.iscomplexobj(oset._real_h_tot())
-        assert [spec.kernel.shape for spec in oset._spectra.values()] == [(9, 1), (9, 1)]
+        assert oset.spectral() is oset.spectral()
+        assert oset.spectral().kernel.shape == (9, 1)
 
 
 class TestBoundWYD:
@@ -476,7 +482,49 @@ class TestBoundWYD:
             assert _feasible_f(chi, chi, ref2) == pytest.approx(want, rel=1e-12)
 
 
+def _scan_loop(oset, grid_points, pairing):
+    """The alpha scan one grid point at a time: the ground eigenvalue of
+    H_tot + (C - alpha) (x) (C - alpha)^p from its own complex eigvalsh."""
+    H = h_tot(oset, pairing=pairing)
+    best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
+    I = np.eye(oset.dim)
+    for C in oset.components():
+        evs = np.linalg.eigvalsh(C)
+        if evs[-1] - evs[0] < 1e-14:
+            continue
+        worst = math.inf
+        for alpha in np.linspace(evs[0], evs[-1], grid_points):
+            Ca = C - alpha * I
+            shift = np.kron(Ca, Ca.T if pairing == "transpose" else Ca)
+            worst = min(worst, float(np.linalg.eigvalsh(H + shift)[0]))
+        best = max(best, worst)
+    return best
+
+
 class TestAlphaScan:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(2, 5),
+        n_ops=st.integers(1, 3),
+        kind=st.sampled_from(["hermitian", "ginibre"]),
+        seed=st.integers(0, 2**32 - 1),
+        pairing=st.sampled_from(["transpose", "plain"]),
+        grid_points=st.integers(2, 40),
+        per_stack=st.integers(1, 7),
+    )
+    def test_stacked_scan_matches_loop(self, d, n_ops, kind, seed, pairing, grid_points,
+                                       per_stack):
+        rng = np.random.default_rng(seed)
+        make = random_hermitian if kind == "hermitian" else random_operator
+        ops = [make(d, rng) for _ in range(n_ops)]
+        want = _scan_loop(OperatorSet(tuple(ops)), grid_points, pairing)
+        # stacks of per_stack real (or half as many complex) d^2 x d^2 matrices,
+        # so the grid crosses stack boundaries
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_STACK_BYTES", per_stack * d**4 * 8)
+            got = tighten_alpha_scan(OperatorSet(tuple(ops)), grid_points, pairing)
+        assert got == pytest.approx(want, rel=0, abs=1e-12 * max(1.0, abs(want)))
+
     def test_spin_half_transpose(self):
         assert tighten_alpha_scan(spin_ops(0.5)) == pytest.approx(0.25, abs=1e-10)
 
@@ -581,6 +629,33 @@ class TestEmpiricalMinimum:
         by_hand = min(sum(wyd_skew(A, rho, 0.5) for A in ops)
                       for rho in sample_states(2, 600, 11))
         assert a == b == by_hand
+
+    @pytest.mark.parametrize("stack_bytes", [16 * 2 * 2 * 3, 16 * 2**20])
+    def test_stacks_draw_states_one_by_one(self, monkeypatch, stack_bytes):
+        # same stream and per-state order as drawing rank, then state, one at a
+        # time; each state gets the decomposition density() gives it alone
+        monkeypatch.setattr(bounds, "_STACK_BYTES", stack_bytes)
+        stacks = list(bounds.sample_stacks(2, 10, 13, ranks=[1, 2]))
+        assert [len(stack) for stack in stacks] == ([3, 3, 3, 1] if stack_bytes < 2**20 else [10])
+        rng = np.random.default_rng(13)
+        for rho in (rho for stack in stacks for rho in stack):
+            alone = random_density(2, [1, 2][rng.integers(2)], rng)
+            for field in ("matrix", "eigenvalues", "eigenvectors"):
+                assert getattr(rho, field).tobytes() == getattr(alone, field).tobytes()
+
+    def test_stacked_values_match_single_states(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_STACK_BYTES", 16 * 3 * 3 * 7)
+        ops = OperatorSet(four_3x3_ops())
+        rhos = list(bounds.sample_stacks(3, 20, 2))
+        singles = [rho for stack in rhos for rho in stack]
+        for order in (0.3, -1.0, [0.0, -2.0, float("-inf"), -0.5]):
+            stacked = np.concatenate([bounds._sum_value(ops, stack, order, Tolerances())
+                                      for stack in rhos])
+            alone = [bounds._sum_value(ops, rho, order, Tolerances()) for rho in singles]
+            assert stacked.tolist() == alone
+            assert empirical_minimum(ops, order, 20, 2) == min(alone)
+        stacked = np.concatenate([bound_wy(ops, stack).bound for stack in rhos])
+        assert stacked.tolist() == [bound_wy(ops, rho).bound for rho in singles]
 
     def test_order_families(self):
         ops = four_qubit_ops()

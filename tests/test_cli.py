@@ -64,6 +64,40 @@ class TestLoadProblem:
         with pytest.raises(ParseError, match="row 1 has 1 columns"):
             load_problem(path)
 
+    @pytest.mark.parametrize("obj", [
+        [[1, 2.5], [-3, 0.0]],
+        [[[1, 2], [0.5, -1]], [[-0.0, 3], [2**60, 0.25]]],
+        [[1, [0, 1]], [[0, -1], 2]],  # mixed entries take the entrywise path
+        [[7]],
+    ])
+    def test_matrix_parse_matches_entrywise(self, obj):
+        from skewbound.cli import _entry_to_complex, _parse_matrix
+
+        want = np.array([[_entry_to_complex(x, "A", r, c) for c, x in enumerate(row)]
+                         for r, row in enumerate(obj)], dtype=complex)
+        got = _parse_matrix(obj, "A")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("obj, message", [
+        ([[True, 0], [0, 1]], r"row 0, col 0 must be a number or \[re, im\], got True"),
+        ([[1, 0], [0, False]], r"row 1, col 1 .* got False"),
+        ([[[1, True], [0, 0]], [[0, 0], [1, 0]]], r"row 0, col 0 .* got \[1, True\]"),
+        ([[[1, 2, 3], [1, 2, 3]], [[1, 2, 3], [1, 2, 3]]], r"row 0, col 0 .* got \[1, 2, 3\]"),
+        ([[[1, 2], [1]], [[1, 2], [1, 2]]], r"row 0, col 1 .* got \[1\]"),
+        ([["1", 0], [0, 1]], r"row 0, col 0 .* got '1'"),
+        ([[None, 0], [0, 1]], r"row 0, col 0 .* got None"),
+        ([[1, 2], [3]], "row 1 has 1 columns, expected 2"),
+        ([[1, 2]], r"shape \(1, 2\) is not square"),
+        ([[[1, 0], [0, 0]]], r"shape \(1, 2\) is not square"),
+        ([[]], "row 0 is not a nonempty array"),
+        ([], "expected a nonempty array of rows"),
+    ])
+    def test_matrix_parse_errors_unchanged(self, obj, message):
+        from skewbound.cli import ParseError, _parse_matrix
+
+        with pytest.raises(ParseError, match=message):
+            _parse_matrix(obj, "A")
+
     def test_bloch_form(self, tmp_path):
         path = write_json(tmp_path, "b.json", {"version": 1, "rho": {"bloch": [0, 0, 0.5]}})
         pf = load_problem(path)
@@ -221,6 +255,20 @@ class TestGoldenReports:
         assert rep["violated"] is True
         assert rep["threshold"] == pytest.approx(1.0, abs=1e-8)
         assert rep["lhs"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_witness_scans_a_shared_set_once(self, capsys, monkeypatch):
+        # singlet_witness names Sx, Sy, Sz on both sides: one set, one plain scan
+        pairings = []
+        real = bounds.h_tot
+
+        def counted(*args, **kwargs):
+            pairings.append(kwargs.get("pairing", "transpose"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "h_tot", counted)
+        code, _, _ = run(capsys, "witness", "singlet_witness")
+        assert code == EXIT_OK
+        assert pairings == ["plain"]
 
     def test_weakvalue_roundtrip(self, capsys):
         rep = self._json_report(capsys, "weakvalue", "example1_spinhalf", "--s", "0.3")
