@@ -25,13 +25,20 @@ generator is a map on matrices.  Two doubling conventions appear:
   ``|psi>|psi>`` = vec(psi psi^T) and is valid for pure-state variance sums
   only.  It is the classical eigenvalue-minimization machinery and often
   gives different (sometimes better) pure-state floors.
+
+The spectral data and the alpha-scan floors depend on the operators alone,
+so they are cached per operator content, process-wide, for the last 32
+sets: every :class:`OperatorSet` whose operators have the same bytes shares
+one record, however and wherever it was built.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,8 +86,12 @@ _ZERO_CUTOFF = 1e-14
 # shifted operators and the sampling oracle's states go in chunks this size.
 _STACK_BYTES = 16 * 2**20
 
+# Most operator sets whose records (spectral data and alpha-scan floors) the
+# process keeps; the least recently built set's record is dropped first.
+_CACHED_SETS = 32
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """State-independent half of the spectral bound of one operator set.
 
@@ -108,17 +119,65 @@ class SpectralData:
         return np.minimum(np.sum(np.abs(overlaps) ** 2, axis=-1), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
+class _SetRecord:
+    """State-independent results shared by every OperatorSet of one content:
+    the spectral data and the alpha-scan floors by (pairing, grid_points)."""
+
+    spectrum: Optional[SpectralData] = None
+    scans: dict = field(default_factory=dict)
+
+
+_records: "OrderedDict[bytes, _SetRecord]" = OrderedDict()
+
+
+def _content_key(ops: tuple) -> bytes:
+    """32-byte blake2b digest of (number of operators, d) and each operator's
+    complex128 bytes; ``ops`` are C-contiguous complex matrices."""
+    shape = np.array([len(ops), ops[0].shape[0]], dtype=np.int64)
+    h = hashlib.blake2b(shape.tobytes(), digest_size=32)
+    for A in ops:
+        h.update(A)
+    return h.digest()
+
+
+def _shared_record(key: bytes) -> _SetRecord:
+    """The record of ``key``, made if absent, as the most recently used one;
+    past ``_CACHED_SETS`` records the least recently used are dropped."""
+    record = _records.pop(key, None)
+    if record is None:
+        record = _SetRecord()
+    _records[key] = record
+    while len(_records) > _CACHED_SETS:
+        _records.popitem(last=False)
+    return record
+
+
+def _read_only(A: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``A`` that cannot be written to."""
+    A = np.array(A, order="C")
+    A.flags.writeable = False
+    return A
+
+
+@dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """A collection of same-dimension operators with cached Hermitian splits
-    and, once first asked for, the cached real form of ``H_tot``, its spectral
-    data and alpha-scan floors.  No tolerance enters any of them, so each is
-    computed once per set."""
+    """A collection of same-dimension operators with cached Hermitian splits.
+
+    The set holds read-only copies of the operators, so a caller who later
+    writes to an array passed in changes nothing here.  Its spectral data and
+    alpha-scan floors are cached per operator content, process-wide, for the
+    last 32 sets: the set is keyed by a blake2b digest of its operators, and
+    every set of equal content, however and wherever built, shares one
+    record.  No tolerance enters either result, so the key holds none.  Two
+    sets are equal, and hash alike, when their keys are.  The real form of
+    ``H_tot``, built once first asked for, stays with this set alone.
+    """
 
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(as_operator(A) for A in self.operators)
+        ops = tuple(_read_only(as_operator(A)) for A in self.operators)
         if not ops:
             raise DomainError("operator set is empty")
         d = ops[0].shape[0]
@@ -130,12 +189,21 @@ class OperatorSet:
             sp = hermitian_split(A)
             for C in (sp.a1, sp.a2):
                 if np.max(np.abs(C)) > _ZERO_CUTOFF:
-                    comps.append(C)
+                    comps.append(_read_only(C))
+        key = _content_key(ops)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "_components", tuple(comps))
         object.__setattr__(self, "_real_h", None)
-        object.__setattr__(self, "_spectrum", None)
-        object.__setattr__(self, "_scans", {})
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_record", _shared_record(key))
+
+    def __eq__(self, other):
+        if not isinstance(other, OperatorSet):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @property
     def dim(self) -> int:
@@ -147,18 +215,22 @@ class OperatorSet:
 
     def _real_h_tot(self) -> np.ndarray:
         """``H_tot`` in the orthonormal Hermitian basis (see :func:`_real_form`),
-        built once per set; the complex matrix is dropped once it exists."""
+        built once per instance; the complex matrix is dropped once it exists."""
         if self._real_h is None:
             object.__setattr__(self, "_real_h", _real_form(h_tot(self)))
         return self._real_h
 
     def spectral(self) -> SpectralData:
-        """Spectral data of ``H_tot``, diagonalized once per set.
+        """Spectral data of ``H_tot``, cached per operator content,
+        process-wide, for the last 32 sets.
 
         A real ``eigvalsh`` of ``H_tot``'s real form gives the spectrum; only when
         the kernel is larger than vec(I) does a real ``eigh`` add its vectors.
+        The kernel columns are read-only, as every set of this content shares
+        them.
         """
-        if self._spectrum is None:
+        record = self._record
+        if record.spectrum is None:
             d = self.dim
             R = self._real_h_tot()
             w = np.linalg.eigvalsh(R)
@@ -169,13 +241,14 @@ class OperatorSet:
                 w, V = np.linalg.eigh(R)
                 in_kernel = _in_kernel(w)
                 kernel = _hermitian_vecs(V[:, in_kernel])
+            kernel.flags.writeable = False
             above = w[~in_kernel]
-            object.__setattr__(self, "_spectrum", SpectralData(
+            record.spectrum = SpectralData(
                 epsilon1=float(above[0]) if above.size else 0.0,
                 epsilonK=float(w[-1]),
                 kernel=kernel,
-            ))
-        return self._spectrum
+            )
+        return record.spectrum
 
 
 def _in_kernel(w: np.ndarray) -> np.ndarray:
@@ -349,7 +422,7 @@ def _result(spec: SpectralData, bound, ov2) -> SpectralBound:
     )
 
 
-def bound_wy(ops, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> SpectralBound:
+def bound_wy(ops, rho: DensityOperator) -> SpectralBound:
     """Lower bound eps1 (1 - ||P_ker phi||^2) on sum_k I_rho(A_k) at s = 1/2.
 
     phi = vec(sqrt(rho)) is a unit vector with <phi|H_tot|phi> equal to the
@@ -358,8 +431,7 @@ def bound_wy(ops, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> Spectr
     also bounds every sum of generalized skews, whatever the mean orders,
     because each generalized skew dominates the symmetric skew information.
     A DensityStack gets all its bounds from one stacked evaluation, each
-    equal to the state's own.  No tolerance enters the bound; ``tol`` is
-    accepted for a uniform signature.
+    equal to the state's own.
     """
     spec = _spectral(ops, rho)
     ov2 = _half_weight(spec, rho)
@@ -393,7 +465,6 @@ def bound_wyd(
     rho: DensityOperator,
     s: float,
     chi_candidates: Optional[Sequence[np.ndarray]] = None,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> SpectralBound:
     """Lower bound on sum_k I^s_rho(A_k) for s != 1/2.
 
@@ -472,7 +543,6 @@ def tighten_alpha_scan(
     ops,
     grid_points: int = 201,
     pairing: str = "transpose",
-    tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Pure-state variance floor from shifted-operator ground eigenvalues.
 
@@ -493,18 +563,18 @@ def tighten_alpha_scan(
     the floor starts from 0, the ground eigenvalue ``H_tot`` always has
     (vec(I) is in its kernel).  The plain pairing does not preserve
     Hermiticity; it builds its own complex ``H_tot`` and starts from its
-    ground eigenvalue.  No tolerance enters the floor (``tol`` is accepted
-    for a uniform signature); it is cached on the operator set per
-    (pairing, grid_points).
+    ground eigenvalue.  The floor is cached per operator content,
+    process-wide, for the last 32 sets, and per (pairing, grid_points).
     """
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
     if pairing not in ("transpose", "plain"):
         raise DomainError(f"unknown pairing {pairing!r}")
     oset = _as_set(ops)
+    scans = oset._record.scans
     key = (pairing, grid_points)
-    if key in oset._scans:
-        return oset._scans[key]
+    if key in scans:
+        return scans[key]
     I = np.eye(oset.dim)
     if pairing == "transpose":
         H, form = oset._real_h_tot(), _real_form
@@ -521,7 +591,7 @@ def tighten_alpha_scan(
         A = H + form(np.kron(C, Cp))
         B = form(np.kron(C, I) + np.kron(I, Cp))
         best = max(best, _scan_floor(A, B, np.linspace(lo, hi, grid_points)))
-    oset._scans[key] = best
+    scans[key] = best
     return best
 
 
@@ -540,14 +610,14 @@ def _scan_floor(A: np.ndarray, B: np.ndarray, alphas: np.ndarray) -> float:
     return floor
 
 
-def pure_variance_bound(ops, grid_points: int = 201, tol: Tolerances = DEFAULT_TOL) -> float:
+def pure_variance_bound(ops, grid_points: int = 201) -> float:
     """State-independent floor of sum_k <dA_k>^2 over pure states.
 
     Uses the plain-pairing machinery (valid for the unconjugated doubling
     |psi>|psi>), whose scan is frequently tighter than the transpose form for
     pure-state variance sums.
     """
-    return tighten_alpha_scan(ops, grid_points=grid_points, pairing="plain", tol=tol)
+    return tighten_alpha_scan(ops, grid_points=grid_points, pairing="plain")
 
 
 def _sum_value(ops, rho, s_or_order, tol):
@@ -644,8 +714,9 @@ def separability_witness(
     """Variance-sum entanglement witness on a bipartite state.
 
     Separable states obey lhs >= threshold where the threshold adds the
-    pure-state variance floors of the two local operator sets, cached on
-    each OperatorSet passed in; a violation certifies entanglement.
+    pure-state variance floors of the two local operator sets, cached per
+    operator content; a violation certifies entanglement.  ``tol`` enters
+    the variances and the violation margin.
     """
     setA, setB = _as_set(opsA), _as_set(opsB)
     if len(setA.operators) != len(setB.operators):
@@ -658,9 +729,7 @@ def separability_witness(
     for A, B in zip(setA.operators, setB.operators):
         joint = np.kron(A, IB) + np.kron(IA, B)
         lhs += variance(joint, rho_AB, tol)
-    threshold = pure_variance_bound(setA, grid_points, tol) + pure_variance_bound(
-        setB, grid_points, tol
-    )
+    threshold = pure_variance_bound(setA, grid_points) + pure_variance_bound(setB, grid_points)
     return WitnessResult(
         lhs=float(lhs),
         threshold=float(threshold),

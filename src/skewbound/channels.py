@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators."""
 
@@ -95,11 +95,11 @@ def pooled_set(channels) -> OperatorSet:
     return OperatorSet(tuple(K for ch in channels for K in ch.kraus))
 
 
-def channel_bound(channels, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> SpectralBound:
+def channel_bound(channels, rho: DensityOperator) -> SpectralBound:
     """State-independent lower bound on the summed channel coherences.
 
-    Runs the plain operator bound on the pooled Kraus operators; build the
-    :func:`pooled_set` once and call ``bound_wy`` on it to bound many states
-    from one spectral decomposition.
+    Runs the plain operator bound on the pooled Kraus operators; their
+    spectral data are cached per operator content, so bounding many states
+    decomposes the pool once.
     """
-    return bound_wy(pooled_set(channels), rho, tol)
+    return bound_wy(pooled_set(channels), rho)

@@ -369,8 +369,8 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
 
     def bound_at(rho):
         if half:
-            return bounds.bound_wy(ops, rho, tol)
-        return bounds.bound_wyd(ops, rho, s, tol=tol)
+            return bounds.bound_wy(ops, rho)
+        return bounds.bound_wyd(ops, rho, s)
 
     def bounds_at(rhos):
         if half:
@@ -386,8 +386,8 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
     code = EXIT_OK
     if args.alpha_scan:
         grid = args.grid or pf.params.grid_points
-        report["alpha_scan"] = bounds.tighten_alpha_scan(ops, grid, tol=tol)
-        report["alpha_scan_plain"] = bounds.pure_variance_bound(ops, grid, tol)
+        report["alpha_scan"] = bounds.tighten_alpha_scan(ops, grid)
+        report["alpha_scan_plain"] = bounds.pure_variance_bound(ops, grid)
     if args.oracle:
         seed = args.seed if args.seed is not None else pf.params.seed
         code = _run_oracle(
@@ -407,7 +407,7 @@ def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
     report = {
         "command": "channel-bound",
         "report_version": REPORT_VERSION,
-        **_bound_report(bounds.bound_wy(kset, pf.rho, tol)),
+        **_bound_report(bounds.bound_wy(kset, pf.rho)),
     }
     skews = {ch.label or f"channel{i}": channels.channel_skew(ch, pf.rho, tol)
              for i, ch in enumerate(chs)}
@@ -419,7 +419,7 @@ def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
         code = _run_oracle(
             report, kset.dim, args.oracle, seed, tol,
             total=lambda rhos: sum(channels.channel_skew(ch, rhos, tol) for ch in chs),
-            bound=lambda rhos: bounds.bound_wy(kset, rhos, tol).bound,
+            bound=lambda rhos: bounds.bound_wy(kset, rhos).bound,
         )
     return code, report
 
@@ -431,9 +431,7 @@ def cmd_witness(pf: ProblemFile, args) -> tuple:
     for name in (p.ops_a + p.ops_b):
         _need(name in pf.operators, f"witness references unknown operator {name!r}")
     setA = bounds.OperatorSet(tuple(pf.operators[n] for n in p.ops_a))
-    # one set for two sides that name the same operators, so its floor is scanned once
-    setB = setA if p.ops_b == p.ops_a else bounds.OperatorSet(
-        tuple(pf.operators[n] for n in p.ops_b))
+    setB = bounds.OperatorSet(tuple(pf.operators[n] for n in p.ops_b))
     grid = args.grid or p.grid_points
     res = bounds.separability_witness(setA, setB, pf.rho, grid, p.tolerances)
     return EXIT_OK, {

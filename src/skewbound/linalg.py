@@ -128,7 +128,7 @@ def hermitian_eigen(M, tol: Tolerances = DEFAULT_TOL):
     return _eigh(require_hermitian(M, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Validated quantum state with cached spectral decomposition.
 
@@ -153,7 +153,7 @@ class DensityOperator:
         return float(np.sum(self.eigenvalues**2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityStack:
     """N validated states of one dimension, from :func:`density_stack`.
 

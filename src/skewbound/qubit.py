@@ -189,7 +189,7 @@ def skew_variance_mix_check(
         lhs += variance(om, rho, tol)
         combined.append(om)
     if lower_bound is None:
-        lower_bound = pure_variance_bound(OperatorSet(tuple(combined)), grid_points, tol)
+        lower_bound = pure_variance_bound(OperatorSet(tuple(combined)), grid_points)
     return lhs, lower_bound
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skewbound import OperatorSet
+from skewbound import OperatorSet, bounds
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -38,6 +38,13 @@ def four_qubit_ops():
     s3 = 0.5 * np.array([[1, -1 - 1j], [-1 + 1j, -1]])
     s4 = np.array([[-1, 0.5 + 0.5j], [0.5 - 0.5j, 1]])
     return s1, s2, s3, s4
+
+
+@pytest.fixture(autouse=True)
+def empty_set_cache():
+    """Each test starts with no cached spectral data or floors, so counts of
+    h_tot builds and eigensolves do not depend on the tests run before."""
+    bounds._records.clear()
 
 
 @pytest.fixture

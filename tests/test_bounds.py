@@ -400,30 +400,122 @@ class TestRealSpectrum:
         n = len(ops[0]) ** 2
         assert spec.kernel.shape == (n, spec.kernel_dim)
 
-    def test_second_tolerance_reuses_real_form(self, monkeypatch):
-        builds = []
-        real = bounds.h_tot
 
-        def counted(*args, **kwargs):
-            builds.append(1)
-            return real(*args, **kwargs)
+def _count_h_tot(monkeypatch):
+    builds = []
+    real = bounds.h_tot
 
-        monkeypatch.setattr(bounds, "h_tot", counted)
-        oset = OperatorSet(spin_ops(1))
-        rho = maximally_mixed(3)
-        first = bound_wy(oset, rho)
-        floor = tighten_alpha_scan(oset, 21)
-        calls = self._count_eigensolves(monkeypatch)
-        other = Tolerances(tol_herm=1e-9, tol_residual=1e-6)
-        # no tolerance enters H_tot's spectrum or the floor: nothing is solved again
-        assert bound_wy(oset, rho, other) == first
-        assert tighten_alpha_scan(oset, 21, tol=other) == floor
-        assert calls == []
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "h_tot", counted)
+    return builds
+
+
+class TestSetCache:
+    """Spectral data and alpha-scan floors belong to the operators' content:
+    every set of equal content shares one record, for the last 32 sets."""
+
+    def test_list_of_ops_builds_h_tot_once(self, monkeypatch, rng):
+        builds = _count_h_tot(monkeypatch)
+        ops = list(spin_ops(1))
+        for _ in range(10):
+            rho = random_density(3, 3, rng)
+            assert bound_wy(ops, rho).bound == bound_wy(OperatorSet(tuple(ops)), rho).bound
         assert builds == [1]
-        # of the doubled space the set keeps only the real form and kernel columns
+        # the real form stays with one instance: a new set's scan builds its
+        # own, and of the doubled space the set keeps only that real matrix
+        oset = OperatorSet(tuple(ops))
+        tighten_alpha_scan(oset, 21)
+        assert builds == [1, 1]
         assert not np.iscomplexobj(oset._real_h_tot())
-        assert oset.spectral() is oset.spectral()
         assert oset.spectral().kernel.shape == (9, 1)
+
+    def test_caller_writes_do_not_reach_the_cache(self, rng):
+        A, B = random_hermitian(3, rng), random_operator(3, rng)
+        original = (A.copy(), B.copy())
+        oset = OperatorSet((A, B))
+        A[0, 1] += 1.0  # before anything is computed
+        spec, floor = oset.spectral(), tighten_alpha_scan(oset, 21)
+        B[2, 2] -= 2.0  # after
+        again = OperatorSet(original)
+        assert again == oset
+        assert again.spectral() is spec
+        assert tighten_alpha_scan(again, 21) == floor
+        bounds._records.clear()
+        fresh = OperatorSet(original)
+        assert fresh.spectral() is not spec
+        assert fresh.spectral().epsilon1 == spec.epsilon1
+        np.testing.assert_array_equal(fresh.spectral().kernel, spec.kernel)
+        assert tighten_alpha_scan(fresh, 21) == floor
+        for M, want in zip(oset.operators, original):
+            np.testing.assert_array_equal(M, want)
+        with pytest.raises(ValueError):
+            oset.operators[0][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            oset.components()[0][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            spec.kernel[0, 0] = 0.0
+
+    def test_one_ulp_apart_shares_nothing(self, monkeypatch, rng):
+        A = random_hermitian(3, rng)
+        B = A.copy()
+        B[0, 1] = np.nextafter(B[0, 1].real, np.inf) + 1j * B[0, 1].imag
+        builds = _count_h_tot(monkeypatch)
+        first, second = OperatorSet((A,)), OperatorSet((B,))
+        assert first != second
+        assert first._record is not second._record
+        first.spectral()
+        second.spectral()
+        assert builds == [1, 1]
+
+    def test_least_recently_built_set_is_evicted(self):
+        cap = bounds._CACHED_SETS
+        sets = [OperatorSet((np.diag([1.0, float(k)]),)) for k in range(cap)]
+        assert len(bounds._records) == cap
+        OperatorSet(sets[0].operators)  # set 0 is now the most recent
+        OperatorSet((np.diag([1.0, float(cap)]),))  # one past the cap
+        assert len(bounds._records) == cap
+        assert sets[0]._key in bounds._records
+        assert sets[1]._key not in bounds._records
+        assert OperatorSet(sets[0].operators)._record is sets[0]._record
+        assert OperatorSet(sets[1].operators)._record is not sets[1]._record
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(oset=_operator_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_cached_values_are_bit_identical(self, oset, seed):
+        rho = random_density(oset.dim, oset.dim, seed)
+
+        def values():
+            ops = OperatorSet(oset.operators)
+            wy = bound_wy(ops, rho)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                wyd = bound_wyd(ops, rho, 0.3)
+            scans = (tighten_alpha_scan(ops, 11), tighten_alpha_scan(ops, 11, "plain"))
+            return [(b.epsilon1, b.epsilonK, b.kernel_dim, float(b.bound), float(b.interval[1]))
+                    for b in (wy, wyd)] + [scans]
+
+        bounds._records.clear()
+        computed = values()
+        cached = values()
+        bounds._records.clear()
+        assert cached == computed == values()
+
+    def test_operator_set_equality_is_by_content(self):
+        I2 = np.eye(2)
+        assert OperatorSet((I2, SZ)) == OperatorSet((I2, SZ))
+        assert hash(OperatorSet((I2, SZ))) == hash(OperatorSet((I2, SZ)))
+        assert len({OperatorSet((I2, SZ)), OperatorSet((I2, SZ)), OperatorSet((SZ, I2))}) == 2
+        assert OperatorSet((I2, SZ)) != OperatorSet((SZ, I2))
+        assert OperatorSet((I2, SZ)) != (I2, SZ)
+
+    def test_spectral_data_equality_is_identity(self):
+        spec = OperatorSet((SX, SZ)).spectral()
+        other = bounds.SpectralData(spec.epsilon1, spec.epsilonK, spec.kernel.copy())
+        assert spec == spec
+        assert spec != other
 
 
 class TestBoundWYD:
@@ -520,6 +612,8 @@ class TestAlphaScan:
         want = _scan_loop(OperatorSet(tuple(ops)), grid_points, pairing)
         # stacks of per_stack real (or half as many complex) d^2 x d^2 matrices,
         # so the grid crosses stack boundaries
+        # examples may repeat a set and grid with another per_stack: scan afresh
+        bounds._records.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "_STACK_BYTES", per_stack * d**4 * 8)
             got = tighten_alpha_scan(OperatorSet(tuple(ops)), grid_points, pairing)
@@ -555,8 +649,13 @@ class TestAlphaScan:
                             lambda *a, **k: calls.append(1) or h_tot(*a, **k))
         ops = OperatorSet(spin_ops(1))
         assert pure_variance_bound(ops, 21) == pure_variance_bound(ops, 21)
-        # one scan per grid; each matches a fresh set's
-        assert pure_variance_bound(ops, 31) == pure_variance_bound(spin_ops(1), 31)
+        # one scan per grid; a fresh set of equal content reuses it
+        floor = pure_variance_bound(ops, 31)
+        assert pure_variance_bound(spin_ops(1), 31) == floor
+        assert len(calls) == 2
+        # and it equals a scan made after the cache is cleared
+        bounds._records.clear()
+        assert pure_variance_bound(spin_ops(1), 31) == floor
         assert len(calls) == 3
 
     def test_grid_domain(self):

@@ -48,6 +48,11 @@ class TestKrausChannel:
         with pytest.raises(DimensionMismatch):
             KrausChannel(kraus=(np.eye(2), np.eye(3)))
 
+    def test_equality_is_identity(self):
+        ch = phase_damping(0.3)
+        assert ch == ch
+        assert phase_damping(0.3) != phase_damping(0.3)
+
 
 class TestChannelSkew:
     def test_identity_channel_zero(self, rng):

@@ -305,8 +305,8 @@ class TestGoldenReports:
         margins = []
         for rho in bounds.sample_states(3, 60, 4):
             total = sum(wyd_skew(A, rho, float(s), tol) for A in ops.operators)
-            sb = (bounds.bound_wy(ops, rho, tol) if s == "0.5"
-                  else bounds.bound_wyd(ops, rho, float(s), tol=tol))
+            sb = (bounds.bound_wy(ops, rho) if s == "0.5"
+                  else bounds.bound_wyd(ops, rho, float(s)))
             margins.append(total - sb.bound)
         assert rep["oracle_margin_min"] == min(margins)
 

@@ -9,6 +9,7 @@ from skewbound import (
     NotHermitian,
     StateValidationError,
     density,
+    density_stack,
     haar_unitary,
     hermitian_eigen,
     matrix_power,
@@ -94,6 +95,14 @@ class TestDensity:
         assert np.all(rho.eigenvalues >= 0) and np.all(rho.eigenvalues <= 1)
         recon = (rho.eigenvectors * rho.eigenvalues) @ rho.eigenvectors.conj().T
         np.testing.assert_allclose(recon, rho.matrix, atol=1e-9)
+
+    def test_equality_is_identity(self):
+        rho = maximally_mixed(2)
+        assert rho == rho
+        assert maximally_mixed(2) != maximally_mixed(2)
+        stack = density_stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+        assert stack == stack
+        assert stack != density_stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
 
 
 class TestMatrixPower:
