@@ -8,11 +8,12 @@ the kernel projector -- depends only on the operators; each state's bound is
 then eps1 times the weight of its embedding outside the kernel.
 
 Every split component C is Hermitian, so ``H_tot`` maps Hermitian matrices to
-Hermitian matrices.  In the orthonormal Hermitian basis E_ii,
-(E_ij + E_ji)/sqrt(2), i(E_ji - E_ij)/sqrt(2) (i < j) it is a real symmetric
-d^2 x d^2 matrix with the same spectrum; the spectral data come from a real
-eigensolve of that matrix.  vec(I) is always in the kernel, so eigenvectors
-are computed only for reducible sets, whose kernel is larger.
+Hermitian matrices: in the natural-layout orthonormal Hermitian basis (X_aa,
+and sqrt(2) Re X_ab at (a, b), sqrt(2) Im X_ab at (b, a) for a < b) it is a
+real symmetric d^2 x d^2 matrix with the same spectrum, built directly in real
+arithmetic, one block of rows at a time, with no complex d^2 x d^2 array.  A
+real eigensolve of it gives the spectral data; vec(I) is always in the
+kernel, so eigenvectors are computed only for reducible sets.
 
 Doubled-space vectors are row-major vec(X) of d x d matrices X, so each
 generator is a map on matrices.  Two doubling conventions appear:
@@ -171,7 +172,8 @@ class OperatorSet:
     every set of equal content, however and wherever built, shares one
     record.  No tolerance enters either result, so the key holds none.  Two
     sets are equal, and hash alike, when their keys are.  The real form of
-    ``H_tot``, built once first asked for, stays with this set alone.
+    ``H_tot`` in the natural-layout Hermitian basis, built in real arithmetic
+    once first asked for, stays with this set alone.
     """
 
     operators: tuple
@@ -214,18 +216,18 @@ class OperatorSet:
         return self._components
 
     def _real_h_tot(self) -> np.ndarray:
-        """``H_tot`` in the orthonormal Hermitian basis (see :func:`_real_form`),
-        built once per instance; the complex matrix is dropped once it exists."""
+        """``H_tot``'s real form (see :func:`_h_tot_form`), built once per instance."""
         if self._real_h is None:
-            object.__setattr__(self, "_real_h", _real_form(h_tot(self)))
+            object.__setattr__(self, "_real_h", _h_tot_form(self))
         return self._real_h
 
     def spectral(self) -> SpectralData:
         """Spectral data of ``H_tot``, cached per operator content,
         process-wide, for the last 32 sets.
 
-        A real ``eigvalsh`` of ``H_tot``'s real form gives the spectrum; only when
-        the kernel is larger than vec(I) does a real ``eigh`` add its vectors.
+        A real ``eigvalsh`` of ``H_tot``'s real form (built directly, with no
+        complex d^2 x d^2 array) gives the spectrum; only when the kernel is
+        larger than vec(I) does a real ``eigh`` add its vectors.
         The kernel columns are read-only, as every set of this content shares
         them.
         """
@@ -256,55 +258,64 @@ def _in_kernel(w: np.ndarray) -> np.ndarray:
     return w <= w[0] + 1e-8 * max(1.0, float(w[-1]))
 
 
-def _hermitian_basis(d: int):
-    """Row-major vec indices of the Hermitian basis of d x d matrices: the
-    diagonal E_ii, then for i < j the entries (i, j) and (j, i) that
-    (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2) both occupy."""
-    iu, ju = np.triu_indices(d, 1)
-    return np.arange(d) * (d + 1), iu * d + ju, ju * d + iu
+def _sandwich_form(Ds: np.ndarray, weights) -> np.ndarray:
+    """Real symmetric matrix of X -> sum_j w_j D_j X D_j, for Hermitian D_j.
 
-
-def _real_form(M: np.ndarray) -> np.ndarray:
-    """Real symmetric matrix of a Hermiticity-preserving map in the Hermitian basis.
-
-    ``M`` acts on row-major vecs of d x d matrices and maps Hermitian ones to
-    Hermitian ones, as H_tot and X -> C X C do for Hermitian C.  The basis is
-    orthonormal: the d diagonal E_ii, then (E_ij + E_ji)/sqrt(2), then
-    i(E_ji - E_ij)/sqrt(2), for i < j in ``triu_indices`` order.  The result
-    is therefore real symmetric with M's spectrum.  Its column for basis
-    element b holds the coordinates of Y = M(b); those of a Hermitian Y are
-    Y_ii, sqrt(2) Re Y_ij and -sqrt(2) Im Y_ij, so only M's rows at the
-    diagonal and upper triangle are read.  An O(d^4) index gather.
+    The basis is the natural-layout orthonormal Hermitian basis: X has the
+    row-major coordinates y_aa = X_aa and, for a < b, y_ab = sqrt(2) Re X_ab
+    and y_ba = sqrt(2) Im X_ab.  With the map's tensor
+    T[p, q, a, b] = sum_j w_j D_j[p, a] D_j[b, q], row (p, q) reads U = T
+    (p <= q) or iT (p > q), and column (a, b) reads Re(U + U^T) (a <= b) or
+    Im(U - U^T) (a > b), ^T over (a, b).  With D = P + iQ, the block of rows
+    p is one real rank-2J product, whose right factor carries the row's phase
+    and scale, two axis transposes and np.where masks: O(d^3) temporaries,
+    and no d^2 x d^2 array but the result.
     """
-    d = math.isqrt(M.shape[0])
-    dg, up, lo = _hermitian_basis(d)
-    k = d + up.size
-    rows = np.concatenate([dg, up])
-    r2 = math.sqrt(2.0)
-    scale = np.where(np.arange(k) < d, 1.0, r2)[:, None]
-    U, L = M[np.ix_(rows, up)], M[np.ix_(rows, lo)]
+    J, d = Ds.shape[:2]
+    w = np.asarray(weights, dtype=float)[:, None, None]
+    wP, wQ = w * Ds.real, w * Ds.imag
+    left = np.concatenate([Ds.real, Ds.imag]).reshape(2 * J, d * d).T  # [(p, a), 2J]
+    # right factors of Re T = sum w (PP - QQ) and Im T = sum w (PQ + QP)
+    re, im = np.concatenate([wP, -wQ]), np.concatenate([wQ, wP])
+    U, iU = np.stack([re, im], axis=1), np.stack([-im, re], axis=1)  # [2J, Re|Im, b, q]
+    q = np.arange(d)
+    upper, r2 = (q[:, None] <= q)[:, :, None], math.sqrt(2.0)  # a <= b
     R = np.empty((d * d, d * d))
-    # columns of M times the basis: E_ii, (U + L)/sqrt(2), i(L - U)/sqrt(2)
-    R[:k, :d] = scale * M[np.ix_(rows, dg)].real
-    R[:k, d:k] = scale / r2 * (U.real + L.real)
-    R[:k, k:] = scale / r2 * (U.imag - L.imag)
-    R[k:, :d] = -r2 * M[np.ix_(up, dg)].imag
-    R[k:, d:k] = -(U.imag[d:] + L.imag[d:])
-    R[k:, k:] = U.real[d:] - L.real[d:]
+    for p in range(d):
+        # sqrt(2) row scale times the 1/sqrt(2) column scale, 1/sqrt(2) at q = p
+        right = np.where(q >= p, U, iU) * np.where(q == p, 1 / r2, 1.0)
+        T = (left[p * d:(p + 1) * d] @ right.reshape(2 * J, -1)).reshape(d, 2, d, d)
+        u, v = T[:, 0], T[:, 1]  # Re U, Im U as [a, b, q]
+        W = np.where(upper, u + u.transpose(1, 0, 2), v - v.transpose(1, 0, 2))
+        W.reshape(d * d, d)[::d + 1] /= r2  # the (a, a) columns read T, not T + T^T
+        R[p * d:(p + 1) * d].reshape(d, d, d)[...] = W.transpose(2, 0, 1)
     return R
 
 
+def _anticommutator(S: np.ndarray, w: float):
+    """X -> w (S X + X S) as the sandwiches w/(2t) [(tI + S) X (tI + S) -
+    (tI - S) X (tI - S)], t = ||S||_F (1 if S = 0), so neither outgrows S."""
+    t = float(np.linalg.norm(S)) or 1.0
+    tI = t * np.eye(len(S))
+    return np.stack([tI + S, tI - S]), [w / (2 * t), -w / (2 * t)]
+
+
+def _h_tot_form(oset: OperatorSet) -> np.ndarray:
+    """Real form of H_tot: X -> (S X + X S)/2 - sum_C C X C."""
+    Cs, S = _stacked(oset)
+    Ds, w = _anticommutator(S, 0.5)
+    return _sandwich_form(np.concatenate([Cs, Ds]), [-1.0] * len(Cs) + w)
+
+
 def _hermitian_vecs(V: np.ndarray) -> np.ndarray:
-    """Row-major vecs of the Hermitian matrices whose basis coordinates (see
-    :func:`_real_form`) are the columns of the real ``V``."""
-    d = math.isqrt(V.shape[0])
-    dg, up, lo = _hermitian_basis(d)
-    k = d + up.size
-    out = np.empty(V.shape, dtype=complex)
-    out[dg] = V[:d]
-    out[up] = (V[d:k] - 1j * V[k:]) / math.sqrt(2.0)
-    out[lo] = out[up].conj()
-    return out
+    """Row-major vecs of the Hermitian matrices whose natural-layout
+    coordinates (see :func:`_sandwich_form`) are the columns of the real V."""
+    d, r2 = math.isqrt(V.shape[0]), math.sqrt(2.0)
+    Y = V.reshape(d, d, -1)
+    Yt, (p, q) = Y.transpose(1, 0, 2), np.indices((d, d, 1))[:2]
+    # X_ab = (y_ab + i y_ba)/sqrt(2) for a < b, and X_ba its conjugate
+    X = np.where(p < q, Y + 1j * Yt, np.where(p > q, Yt - 1j * Y, r2 * Y)) / r2
+    return X.reshape(d * d, -1)
 
 
 def _as_set(ops) -> OperatorSet:
@@ -313,7 +324,7 @@ def _as_set(ops) -> OperatorSet:
     return OperatorSet(tuple(ops))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVectors:
     """Unnormalized doubled-space vectors carrying the skew bilinear form."""
 
@@ -322,7 +333,7 @@ class EmbeddingVectors:
     norms: tuple  # (<phi_s|phi_s>, <phi_1ms|phi_1ms>) = (Tr rho^2s, Tr rho^(2-2s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBound:
     """Result of a spectral lower bound on a sum of skew informations.
 
@@ -490,18 +501,17 @@ def bound_wyd(
     theta = math.sqrt(emb.norms[0] * emb.norms[1])
     phis = _unit(emb.phi_s, emb.norms[0])
     phi1s = _unit(emb.phi_1ms, emb.norms[1])
-    Hp1s = _apply_h_tot(oset, emb.phi_1ms.reshape(d, d))
-    Hps = _apply_h_tot(oset, emb.phi_s.reshape(d, d))
-    n1 = np.linalg.norm(Hp1s)
-    n2 = np.linalg.norm(Hps)
-    phiH1s = Hp1s / n1 if n1 > 1e-12 else None
-    phiHs = Hps / n2 if n2 > 1e-12 else None
+    # (ref1, ref2, factor): ref2 is H_tot phi_(1-s) or H_tot phi_s normalized,
+    # factor ||(1 - P_ker) phi|| of the other unit embedding, since
+    # ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi
+    branches = []
+    for ref1, phi, v in ((phis, phi1s, emb.phi_1ms), (phi1s, phis, emb.phi_s)):
+        Hv = _apply_h_tot(oset, v.reshape(d, d))
+        n = np.linalg.norm(Hv)
+        if n > 1e-12:
+            branches.append((ref1, Hv / n, math.sqrt(1.0 - spec.kernel_weight(phi))))
     mes = np.eye(d).ravel() / math.sqrt(d)
-    candidates = [phis, phi1s, mes]
-    if phiH1s is not None:
-        candidates.append(phiH1s)
-    if phiHs is not None:
-        candidates.append(phiHs)
+    candidates = [phis, phi1s, mes] + [ref2 for _, ref2, _ in branches]
     if chi_candidates:
         for chi in chi_candidates:
             v = np.asarray(chi, dtype=complex).ravel()
@@ -511,17 +521,7 @@ def bound_wyd(
             if n == 0:
                 raise DomainError("chi candidate is the zero vector")
             candidates.append(v / n)
-
-    def excited_factor(phi: np.ndarray) -> float:
-        # ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi
-        return math.sqrt(1.0 - spec.kernel_weight(phi))
-
     best = None
-    branches = []
-    if phiH1s is not None:
-        branches.append((phis, phiH1s, excited_factor(phi1s)))
-    if phiHs is not None:
-        branches.append((phi1s, phiHs, excited_factor(phis)))
     for chi in candidates:
         for ref1, ref2, fac in branches:
             f = _feasible_f(chi, ref1, ref2)
@@ -555,15 +555,13 @@ def tighten_alpha_scan(
     minimum.
 
     The shifted operator is A - alpha B + alpha^2 I with A = H_tot + C (x) C^p
-    and B = C (x) I + I (x) C^p, so A and B are built once per component and
-    the whole grid goes to stacked ``eigvalsh`` calls, each on at most
-    ``_STACK_BYTES`` (16 MB) of shifted matrices.  The transpose pairing works
-    in the real Hermitian basis: A is the set's cached real form of ``H_tot``
-    plus the real form of X -> C X C, B the real form of X -> C X + X C, and
-    the floor starts from 0, the ground eigenvalue ``H_tot`` always has
-    (vec(I) is in its kernel).  The plain pairing does not preserve
-    Hermiticity; it builds its own complex ``H_tot`` and starts from its
-    ground eigenvalue.  The floor is cached per operator content,
+    and B = C (x) I + I (x) C^p, built once per component; the grid goes to
+    stacked ``eigvalsh`` calls of at most ``_STACK_BYTES`` (16 MB) each.  The
+    transpose pairing uses real forms, built as ``H_tot``'s is, of
+    X -> C X C and X -> C X + X C, and starts from 0, the ground eigenvalue
+    of ``H_tot`` (vec(I) is in its kernel).  The plain pairing does not
+    preserve Hermiticity; it builds its own complex ``H_tot`` and starts from
+    its ground eigenvalue.  Floors are cached per operator content,
     process-wide, for the last 32 sets, and per (pairing, grid_points).
     """
     if grid_points < 2:
@@ -575,21 +573,21 @@ def tighten_alpha_scan(
     key = (pairing, grid_points)
     if key in scans:
         return scans[key]
-    I = np.eye(oset.dim)
     if pairing == "transpose":
-        H, form = oset._real_h_tot(), _real_form
-        best = 0.0
+        H, best = oset._real_h_tot(), 0.0
     else:
-        H, form = h_tot(oset, pairing=pairing), np.asarray
+        H, I = h_tot(oset, pairing=pairing), np.eye(oset.dim)
         best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
     for C in oset.components():
         evs = np.linalg.eigvalsh(C)
         lo, hi = float(evs[0]), float(evs[-1])
         if hi - lo < 1e-14:
             continue  # multiple of identity: zero variance always
-        Cp = C.T if pairing == "transpose" else C
-        A = H + form(np.kron(C, Cp))
-        B = form(np.kron(C, I) + np.kron(I, Cp))
+        if pairing == "transpose":
+            A, B = _sandwich_form(C[None], [1.0]), _sandwich_form(*_anticommutator(C, 1.0))
+        else:
+            A, B = np.kron(C, C), np.kron(C, I) + np.kron(I, C)
+        A += H
         best = max(best, _scan_floor(A, B, np.linspace(lo, hi, grid_points)))
     scans[key] = best
     return best
@@ -665,11 +663,9 @@ def sample_stacks(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] =
 
 
 def sample_states(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):
-    """Iterator over ``samples`` Hilbert-Schmidt states drawn from one stream:
-    the states of :func:`sample_stacks`, one by one.  They are drawn in the
-    same per-state order and validated with one stacked ``eigh`` per stack
-    of at most ``_STACK_BYTES`` (16 MB), so a fixed seed gives the same
-    states, bit for bit, to every caller and to the stacked oracle."""
+    """Iterator over the states of :func:`sample_stacks`, one by one: one
+    stream, the same per-state order and stacked validation, so a fixed seed
+    gives the same states, bit for bit, to every caller and to the oracle."""
     stacks = sample_stacks(dim, samples, seed, ranks)
     return (rho for stack in stacks for rho in stack)
 

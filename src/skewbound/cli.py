@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -500,6 +501,7 @@ def _count(least: int):
     return integer
 
 
+@functools.cache  # built once per process, on the first main call
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="skewbound",

@@ -249,11 +249,7 @@ def _skew_parts(A, B, rho, s, tol):
             - np.trace(r1s @ A @ rs @ B.conj().T)
             - np.trace(r1s @ A.conj().T @ rs @ B)
         )
-    sigma = rs - rho.matrix
-    # sigma = rho^s - rho must be PSD for s in (0, 1)
-    smin = float(np.linalg.eigvalsh((sigma + sigma.conj().T) / 2)[0])
-    if smin < -tol.tol_psd:
-        raise DegenerateDenominator(f"rho^s - rho not PSD (min eig {smin:.3e})")
+    sigma = rs - rho.matrix  # PSD: its eigenvalues are lambda^s - lambda >= 0
     omega = (
         np.trace((A.conj().T @ A + A @ A.conj().T) @ sigma).real / (4 * IA)
         + np.trace((B.conj().T @ B + B @ B.conj().T) @ sigma).real / (4 * IB)

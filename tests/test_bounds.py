@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from skewbound import (
     bound_wy,
     bound_wyd,
     density,
+    density_stack,
     embedding,
     empirical_minimum,
     gen_skew,
@@ -401,15 +403,72 @@ class TestRealSpectrum:
         assert spec.kernel.shape == (n, spec.kernel_dim)
 
 
+def _coords(X):
+    """Natural-layout coordinates of a Hermitian X, row-major: X_aa, and for
+    a < b sqrt(2) Re X_ab at (a, b) and sqrt(2) Im X_ab at (b, a)."""
+    d = len(X)
+    p, q = np.indices((d, d))
+    r2 = math.sqrt(2.0)
+    return np.where(p < q, r2 * X.real, np.where(p > q, -r2 * X.imag, X.real)).ravel()
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRealForm:
+    """H_tot's real form and the transpose scan's shifted forms are built in
+    real arithmetic, straight from the components, in the natural layout."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(oset=_operator_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_acts_on_coordinates_as_the_map(self, oset, seed):
+        X = random_hermitian(oset.dim, np.random.default_rng(seed))
+        y = _coords(X)
+        np.testing.assert_allclose(bounds._hermitian_vecs(y[:, None])[:, 0], X.ravel(),
+                                   rtol=0, atol=1e-15 * np.abs(X).max())
+
+        def check(R, Y):
+            atol = 1e-12 * max(1.0, np.linalg.norm(Y))
+            np.testing.assert_allclose(R @ y, _coords(Y), rtol=0, atol=atol)
+            np.testing.assert_allclose(R, R.T, rtol=0, atol=1e-12 * max(1.0, np.abs(R).max()))
+
+        d = oset.dim
+        check(oset._real_h_tot(), bounds._apply_h_tot(oset, X).reshape(d, d))
+        # the alpha scan's A - H_tot and B, as tighten_alpha_scan builds them
+        for C in oset.components():
+            check(bounds._sandwich_form(C[None], [1.0]), C @ X @ C)
+            check(bounds._sandwich_form(*bounds._anticommutator(C, 1.0)), C @ X + X @ C)
+
+    def test_no_complex_doubled_space_array(self, rng):
+        d = 20
+        real_bytes = 8 * d**4
+        oset = OperatorSet((random_hermitian(d, rng), random_operator(d, rng)))
+        # the real form plus O(d^3) temporaries; a complex d^2 x d^2 array
+        # alone is twice the real form
+        assert _traced_peak(oset.spectral) < 2 * real_bytes
+        # the scan adds A, B and one shifted matrix per stack
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_STACK_BYTES", real_bytes)
+            assert _traced_peak(lambda: tighten_alpha_scan(oset, 5)) < 5 * real_bytes
+
+
 def _count_h_tot(monkeypatch):
+    """Count builds of H_tot's real form, the only H_tot a set's spectrum and
+    transpose scan use."""
     builds = []
-    real = bounds.h_tot
+    real = bounds._h_tot_form
 
     def counted(*args, **kwargs):
         builds.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "h_tot", counted)
+    monkeypatch.setattr(bounds, "_h_tot_form", counted)
     return builds
 
 
@@ -516,6 +575,15 @@ class TestSetCache:
         other = bounds.SpectralData(spec.epsilon1, spec.epsilonK, spec.kernel.copy())
         assert spec == spec
         assert spec != other
+
+    def test_results_for_a_stack_compare_by_identity(self, rng):
+        stack = density_stack([random_density(2, 2, rng).matrix for _ in range(3)])
+        a, b = bound_wy(spin_ops(0.5), stack), bound_wy(spin_ops(0.5), stack)
+        assert a == a
+        assert a != b
+        e = embedding(stack, 0.3)
+        assert e == e
+        assert e != embedding(stack, 0.3)
 
 
 class TestBoundWYD:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewbound import bounds, empirical_minimum, wyd_skew
+from skewbound import bounds, cli, empirical_minimum, wyd_skew
 from skewbound.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -145,6 +145,20 @@ class TestExitCodes:
             main(list(argv))
         assert exc.value.code == EXIT_PARSE
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        ("verify", "example1_spinhalf", "--seeds", "0"),
+        ("bound", "example2", "--oracle", "-1"),
+    ], ids=" ".join)
+    def test_parser_is_reused_across_calls(self, capsys, bad):
+        good = ("bound", "example2", "--format", "json", "--oracle", "20", "--seed", "3")
+        first = run(capsys, *good)
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == EXIT_PARSE
+        assert "must be at least" in capsys.readouterr().err
+        assert run(capsys, *good) == first
+        assert cli._build_parser() is cli._build_parser()
 
     def test_bad_env_tolerance_is_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWBOUND_TOL", "not-a-float")
@@ -327,17 +341,17 @@ class TestGoldenReports:
     ])
     def test_oracle_builds_h_tot_once(self, capsys, monkeypatch, argv):
         calls = []
-        real = bounds.h_tot
+        for name in ("h_tot", "_h_tot_form"):  # the complex matrix, the real form
+            def counted(*args, _name=name, _build=getattr(bounds, name), **kwargs):
+                calls.append(_name)
+                return _build(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(bounds, "h_tot", counted)
+            monkeypatch.setattr(bounds, name, counted)
         code, _, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        # the alpha scan reuses the set's H_tot and adds only the plain pairing
-        assert len(calls) == (2 if "--alpha-scan" in argv else 1)
+        # the alpha scan reuses the set's real form and adds only the plain
+        # pairing's complex H_tot
+        assert calls == ["_h_tot_form"] + (["h_tot"] if "--alpha-scan" in argv else [])
 
     def test_oracle_nonhalf_s(self, capsys):
         code, out, _ = run(capsys, "bound", "example1_spinhalf", "--format", "json",

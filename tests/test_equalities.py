@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewbound import (
+    DEFAULT_TOL,
     DegenerateDenominator,
     DimensionMismatch,
     SkewboundError,
@@ -14,6 +15,7 @@ from skewbound import (
     deviation_skew_chain,
     density,
     intelligent_state_check,
+    matrix_power,
     maximally_mixed,
     product_equality,
     product_equality_nontrivial,
@@ -224,6 +226,32 @@ class TestSkewProductEquality:
                 continue
             assert abs(rep.residual) < 1e-9
             done += 1
+
+
+class TestSkewDenominator:
+    """rho^s - rho, the weight of the skew product equality's Omega, is PSD
+    on every valid state: its eigenvalues are lambda^s - lambda >= 0."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(2, 6),
+        kind=st.sampled_from(["full", "rank_deficient", "near_pure"]),
+        s=st.floats(1e-3, 1 - 1e-3),
+        log_eps=st.floats(-12, -2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rho_s_minus_rho_is_psd(self, d, kind, s, log_eps, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "near_pure":
+            # (1 - eps) |psi><psi| + eps I/d, eps log-uniform in [1e-12, 1e-2]
+            eps = 10.0**log_eps
+            rho = density((1 - eps) * random_density(d, 1, rng).matrix + eps * np.eye(d) / d)
+        else:
+            rank = d if kind == "full" else int(rng.integers(1, d))
+            rho = random_density(d, rank, rng)
+        sigma = matrix_power(rho, s) - rho.matrix
+        smin = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2)[0]
+        assert smin >= -DEFAULT_TOL.tol_psd
 
 
 class TestDeviationSkewChain:
