@@ -145,6 +145,10 @@ class TestHTot:
             assert abs(evs[0]) < 1e-10
             assert abs(evs[evs > 1e-8][0] - 1) < 1e-10
 
+    def test_unknown_pairing_rejected(self):
+        with pytest.raises(DomainError, match="pairing"):
+            h_tot([SX], "transpos")
+
     def test_bilinear_form_is_skew_sum(self, rng):
         ops = OperatorSet(tuple(random_operator(3, rng) for _ in range(3)))
         H = h_tot(ops)
@@ -270,6 +274,16 @@ class TestBoundWY:
         assert sb.bound == pytest.approx(0.0, abs=1e-10)
 
 
+def _block_diag(*blocks):
+    d = sum(len(b) for b in blocks)
+    A = np.zeros((d, d), dtype=complex)
+    i = 0
+    for b in blocks:
+        A[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    return A
+
+
 def _reducible_case(seed: int, sizes, n_ops: int, kind: str):
     """Operators block-diagonal over ``sizes`` in a random basis, and a state.
 
@@ -279,14 +293,8 @@ def _reducible_case(seed: int, sizes, n_ops: int, kind: str):
     rng = np.random.default_rng(seed)
     d = sum(sizes)
     U = np.linalg.qr(random_operator(d, rng))[0]
-    ops = []
-    for _ in range(n_ops):
-        A = np.zeros((d, d), dtype=complex)
-        i = 0
-        for n in sizes:
-            A[i:i + n, i:i + n] = random_hermitian(n, rng)
-            i += n
-        ops.append(U @ A @ U.conj().T)
+    ops = [U @ _block_diag(*(random_hermitian(n, rng) for n in sizes)) @ U.conj().T
+           for _ in range(n_ops)]
     if kind == "commuting":
         p = rng.dirichlet(np.ones(len(sizes)))
         rho = density(U @ np.diag(np.repeat(p / sizes, sizes)) @ U.conj().T)
@@ -356,8 +364,10 @@ def _operator_sets(draw):
 
 class TestRealSpectrum:
     """The spectral data from the real form of H_tot match a complex eigh of
-    H_tot itself, and the doubled space sees one real eigvalsh, plus one real
-    eigh only for a reducible set."""
+    H_tot itself.  A set of one invariant block sees one d x d eigh (the block
+    finder) and one real eigvalsh of size d^2, plus one real eigh only when
+    its kernel is larger than vec(I); a set of several blocks solves each
+    block pair alone and nothing of size d^2."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(oset=_operator_sets())
@@ -390,10 +400,19 @@ class TestRealSpectrum:
         return calls
 
     @pytest.mark.parametrize("ops, solves", [
-        (spin_ops(1), [("eigvalsh", 9, False)]),
-        (four_3x3_ops(), [("eigvalsh", 9, False)]),
+        (spin_ops(1), [("eigh", 3, True), ("eigvalsh", 9, False)]),
+        (four_3x3_ops(), [("eigh", 3, True), ("eigvalsh", 9, False)]),
+        # I_2 (x) sigma: blocks (0, 0) and (1, 1) are spin-1/2 sets, whose
+        # kernel is their projector; the pair (0, 1) has the intertwiner in
+        # its kernel, so it alone gets an eigh
         ((np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)),
-         [("eigvalsh", 16, False), ("eigh", 16, False)]),
+         [("eigh", 4, True), ("eigvalsh", 4, False), ("eigvalsh", 4, True),
+          ("eigvalsh", 4, False), ("eigh", 4, True)]),
+        # a 3 + 2 block-diagonal set: blocks of 9 and 4 real dimensions and
+        # one 6-dimensional complex pair, no kernel beyond the projectors
+        ((_block_diag(spin_ops(1)[0], SX), _block_diag(spin_ops(1)[2], SZ)),
+         [("eigh", 5, True), ("eigvalsh", 4, False), ("eigvalsh", 6, True),
+          ("eigvalsh", 9, False)]),
     ])
     def test_eigensolves_on_doubled_space(self, monkeypatch, ops, solves):
         calls = self._count_eigensolves(monkeypatch)
@@ -401,6 +420,89 @@ class TestRealSpectrum:
         assert calls == solves
         n = len(ops[0]) ** 2
         assert spec.kernel.shape == (n, spec.kernel_dim)
+
+
+@st.composite
+def _block_sets(draw):
+    """Sets whose H_tot splits into block pairs, and near misses, d <= 16:
+    2-4 blocks of sizes 1-4 (Hermitian or Ginibre) in a random basis, equal
+    copies I_m (x) A, one Hermitian operator with repeated eigenvalues, the
+    block sets plus a coupling log-uniform in [1e-16, 1e-6], and zero and
+    scalar operators."""
+    kind = draw(st.sampled_from(["blocks", "copies", "single", "near", "trivial"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ops = draw(st.integers(1, 3))
+    if kind == "copies":
+        m, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        ops = [np.kron(np.eye(m), random_operator(n, rng)) for _ in range(n_ops)]
+    elif kind == "single":
+        evs = rng.choice([-1.0, 0.5, 2.0], size=draw(st.integers(2, 8)))
+        U = np.linalg.qr(random_operator(len(evs), rng))[0]
+        ops = [U @ np.diag(evs) @ U.conj().T]
+    elif kind == "trivial":
+        d = draw(st.integers(1, 4))
+        ops = [c * np.eye(d) for c in rng.choice([0.0, 0.0, 1.5, -2j], size=n_ops)]
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        make = draw(st.sampled_from([random_hermitian, random_operator]))
+        d = sum(sizes)
+        U = np.linalg.qr(random_operator(d, rng))[0]
+        ops = [U @ _block_diag(*(make(n, rng) for n in sizes)) @ U.conj().T
+               for _ in range(n_ops)]
+        if kind == "near":
+            ops[0] = ops[0] + 10 ** draw(st.floats(-16, -6)) * random_operator(d, rng)
+    return OperatorSet(tuple(ops)), rng
+
+
+class TestBlockSpectrum:
+    """Spectral data solved per block pair match a complex eigh of H_tot."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=_block_sets())
+    def test_matches_complex_eigh(self, case):
+        oset, rng = case
+        w, V = np.linalg.eigh(h_tot(oset))
+        in_kernel = w <= w[0] + 1e-8 * max(1.0, w[-1])
+        atol = 1e-12 * max(1.0, w[-1])
+        np.testing.assert_allclose(bounds._block_spectrum(oset)[0], w, rtol=0, atol=atol)
+        spec = oset.spectral()
+        above = w[~in_kernel]
+        assert spec.epsilonK == pytest.approx(w[-1], rel=0, abs=atol)
+        assert spec.epsilon1 == pytest.approx(above[0] if above.size else 0.0, rel=0, abs=atol)
+        assert spec.kernel_dim == np.count_nonzero(in_kernel)
+        assert spec.epsilon1_multiplicity == (
+            np.count_nonzero(above <= above[0] + 1e-8 * max(1.0, w[-1])) if above.size else 0)
+        widen = 1e-4 * w[-1] / above[0] if above.size else 1.0  # as in TestRealSpectrum
+        Vk = V[:, in_kernel]
+        np.testing.assert_allclose(spec.kernel @ spec.kernel.conj().T, Vk @ Vk.conj().T,
+                                   rtol=0, atol=1e-10 * max(1.0, widen))
+        d = oset.dim
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for s in (0.3, 0.5):
+                sb = bound_wy(oset, rho) if s == 0.5 else bound_wyd(oset, rho, s)
+                total = sum(wyd_skew(A, rho, s) for A in oset.operators)
+                assert sb.bound <= total + 1e-8 * max(1.0, total)
+
+    @pytest.mark.parametrize("j", [1, 2, 3.5])
+    def test_spin_multiplicity(self, j):
+        # H_tot of a spin-j set is half the Casimir on rank-L tensors:
+        # 0, 1 (x3), 3 (x5), ...
+        spec = OperatorSet(spin_ops(j)).spectral()
+        assert spec.epsilon1 == pytest.approx(1.0, abs=1e-12)
+        assert spec.epsilon1_multiplicity == 3
+
+    def test_split_set_multiplicity_matches_full_spectrum(self):
+        ops = tuple(_block_diag(A, B) for A, B in zip(spin_ops(1), spin_ops(0.5)))
+        Cs = bounds._stacked(OperatorSet(ops))
+        assert len(bounds._invariant_blocks(Cs)[2]) == 2
+        spec = OperatorSet(ops).spectral()
+        w = np.linalg.eigvalsh(h_tot(ops))
+        above = w[w > w[0] + 1e-8 * max(1.0, w[-1])]
+        assert spec.epsilon1 == pytest.approx(above[0], abs=1e-12)
+        assert spec.epsilon1_multiplicity == np.count_nonzero(above <= above[0] + 1e-8 * w[-1])
+        assert spec.kernel_dim == 2
 
 
 def _coords(X):
@@ -526,8 +628,13 @@ class TestSetCache:
         assert first != second
         assert first._record is not second._record
         first.spectral()
+        per_set = len(builds)
         second.spectral()
-        assert builds == [1, 1]
+        # one Hermitian operator splits into one invariant block per
+        # eigenvector, each with a real form of its own; the second set
+        # builds all of its own
+        assert per_set == 3
+        assert len(builds) == 2 * per_set
 
     def test_least_recently_built_set_is_evicted(self):
         cap = bounds._CACHED_SETS
