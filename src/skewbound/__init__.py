@@ -7,7 +7,6 @@ lower bounds from eigenvalue minimization on a doubled space.
 """
 
 from .errors import (
-    BoundViolation,
     ConvergenceFailure,
     DegenerateDenominator,
     DimensionMismatch,

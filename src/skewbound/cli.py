@@ -337,17 +337,18 @@ def _bound_report(sb: bounds.SpectralBound) -> dict:
     }
 
 
-def _run_oracle(report: dict, dim: int, samples: int, seed, tol: Tolerances,
-                total, bound) -> int:
+def _run_oracle(report: dict, ops: bounds.OperatorSet, s: float, samples: int, seed,
+                tol: Tolerances, bound) -> int:
     """Sample states from one stream and record, over the same samples, the
-    smallest skew sum ``total(rhos)`` and the smallest margin over the
-    state-dependent ``bound(rhos)``; a negative margin is a build bug.  Both
-    callables take a DensityStack of samples and give one value per state."""
+    smallest skew sum of ``ops`` at ``s`` (the sum ``empirical_minimum``
+    takes) and the smallest margin over the state-dependent ``bound(rhos)``;
+    a negative margin is a build bug.  ``bound`` takes a DensityStack of
+    samples and gives one value per state."""
     lowest = margin = math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for rhos in bounds.sample_stacks(dim, samples, seed):
-            t = total(rhos)
+        for rhos in bounds.sample_stacks(ops.dim, samples, seed):
+            t = sum(moments.wyd_skew(A, rhos, s, tol) for A in ops.operators)
             lowest = min(lowest, float(np.min(t)))
             margin = min(margin, float(np.min(t - bound(rhos))))
     report["oracle_min"] = lowest
@@ -391,11 +392,7 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
         report["alpha_scan_plain"] = bounds.pure_variance_bound(ops, grid)
     if args.oracle:
         seed = args.seed if args.seed is not None else pf.params.seed
-        code = _run_oracle(
-            report, ops.dim, args.oracle, seed, tol,
-            total=lambda rhos: sum(moments.wyd_skew(A, rhos, s, tol) for A in ops.operators),
-            bound=bounds_at,
-        )
+        code = _run_oracle(report, ops, s, args.oracle, seed, tol, bounds_at)
     return code, report
 
 
@@ -417,11 +414,8 @@ def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
     code = EXIT_OK
     if args.oracle:
         seed = args.seed if args.seed is not None else pf.params.seed
-        code = _run_oracle(
-            report, kset.dim, args.oracle, seed, tol,
-            total=lambda rhos: sum(channels.channel_skew(ch, rhos, tol) for ch in chs),
-            bound=lambda rhos: bounds.bound_wy(kset, rhos).bound,
-        )
+        code = _run_oracle(report, kset, 0.5, args.oracle, seed, tol,
+                           lambda rhos: bounds.bound_wy(kset, rhos).bound)
     return code, report
 
 

@@ -15,7 +15,9 @@ equality at A/<dA> and B/<dB> rearranged into a quotient, and
 at X_i sqrt(<dX1><dX2><dX3>)/<dX_i>.  Their signs are picked from the
 unscaled operators.  The quotient forms (``product_equality``,
 ``skew_product_equality``) report rhs = num/den but take the residual on the
-undivided identity, lhs*den - num.
+undivided identity, lhs*den - num.  The skew product equality is a set of
+sums over rho's eigenbasis weighted by lambda^s and lambda^(1-s), the form
+``moments`` evaluates the skew informations in.
 """
 
 from __future__ import annotations
@@ -230,41 +232,35 @@ def three_observable_product_equality(
 
 
 def _skew_parts(A, B, rho, s, tol):
-    """Shared pieces of the skew-information product equality."""
+    """Shared pieces of the skew product equality as sums over rho's
+    eigenbasis, with A~ = V^H A V, B~ = V^H B V, p = lambda^s, q = lambda^(1-s).
+
+    The commutator less the cross-exchange traces is
+    2 sum_ij (p_j - p_i + p_i q_j - q_i p_j) Im(conj(B~_ij) A~_ij), whose cross
+    weight is exactly 0 at s = 1/2, where p and q are equal.  Omega's rho^s
+    part is sum_ij (p_i + p_j)|A~_ij|^2/4I(A) plus the same for B, and the
+    quadratic term is sum_ij |X_ij|^2 p_i (1 - q_j) + |Y_ij|^2 (1 - q_i) p_j
+    with X, Y = A~/sqrt(I(A)) +- sign i B~/sqrt(I(B)).
+    """
     A, B = _operator_pair(A, B, rho)
     IA, IB = wyd_skew(A, rho, s, tol), wyd_skew(B, rho, s, tol)
     if IA <= tol.tol_residual or IB <= tol.tol_residual:
         raise ZeroSkew("skew product equality needs nonzero skew informations")
-    rs = matrix_power(rho, s)
-    r1s = matrix_power(rho, 1 - s)
-    T = np.trace(
-        ((A.conj().T @ B - B @ A.conj().T) + (A @ B.conj().T - B.conj().T @ A)) @ rs
-    )
-    if abs(s - 0.5) < 1e-14:
-        E = 0.0 + 0.0j
-    else:
-        E = (
-            np.trace(r1s @ B.conj().T @ rs @ A)
-            + np.trace(r1s @ B @ rs @ A.conj().T)
-            - np.trace(r1s @ A @ rs @ B.conj().T)
-            - np.trace(r1s @ A.conj().T @ rs @ B)
-        )
-    sigma = rs - rho.matrix  # PSD: its eigenvalues are lambda^s - lambda >= 0
-    omega = (
-        np.trace((A.conj().T @ A + A @ A.conj().T) @ sigma).real / (4 * IA)
-        + np.trace((B.conj().T @ B + B @ B.conj().T) @ sigma).real / (4 * IB)
-    )
-    # The commutator/cross total enters as T - E; the cross terms of the
-    # quadratic forms carry the opposite sign from the plain-trace ones.
-    def cross(sign):
-        return (sign * 0.25j * (T - E)).real
-
-    sign = _pick_sign(cross(+1) * 4, tol)
-    a, b = A / math.sqrt(IA), B / math.sqrt(IB)
-    xi = (a + sign * 1j * b).conj().T @ rs @ (a + sign * 1j * b)
-    eta = (a - sign * 1j * b) @ rs @ (a - sign * 1j * b).conj().T
-    quad = np.trace((xi + eta) @ (np.eye(rho.dim) - r1s)).real
-    return IA, IB, cross(sign), omega, quad, sign
+    lam, V = rho.eigenvalues, rho.eigenvectors
+    p, q = lam**s, lam ** (1 - s)
+    pi, pj, qi, qj = p[:, None], p[None, :], q[:, None], q[None, :]
+    At, Bt = V.conj().T @ A @ V, V.conj().T @ B @ V
+    raw = 2 * np.sum((pj - pi + pi * qj - qi * pj) * (Bt.conj() * At).imag)
+    sign = _pick_sign(raw, tol)
+    # the rho part of Omega is the trace wyd_skew takes, so that its rounding
+    # cancels against I(A) and I(B) in the identity's residual
+    omega = sum((np.sum((pi + pj) * np.abs(Xt) ** 2)
+                 - np.trace((X.conj().T @ X + X @ X.conj().T) @ rho.matrix).real) / (4 * I)
+                for X, Xt, I in ((A, At, IA), (B, Bt, IB)))
+    a, b = At / math.sqrt(IA), Bt / math.sqrt(IB)
+    quad = np.sum(np.abs(a + sign * 1j * b) ** 2 * pi * (1 - qj)
+                  + np.abs(a - sign * 1j * b) ** 2 * (1 - qi) * pj)
+    return IA, IB, sign * raw / 4, omega, quad, sign
 
 
 def skew_product_equality(
@@ -272,8 +268,8 @@ def skew_product_equality(
 ) -> EqualityReport:
     """sqrt(I^s(A) I^s(B)) as a commutator quotient on the rho^s geometry.
 
-    At s = 1/2 the cross-exchange term vanishes identically and is
-    short-circuited to exactly 0.
+    At s = 1/2 the cross-exchange term vanishes identically: its weight is
+    exactly 0.
     """
     IA, IB, num, omega, quad, sign = _skew_parts(A, B, rho, s, tol)
     return _quotient_report(math.sqrt(IA * IB), num, 1 + omega - 0.25 * quad, sign, tol)
@@ -296,9 +292,10 @@ def skew_product_correction_identity(
 def deviation_skew_chain(A, B, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL):
     """Ordered chain: <dA><dB> >= sqrt(I(A)I(B)) >= commutator bound.
 
-    Hermitian operators only; the bound is the Hermitian specialization of
-    the skew product equality at the given s, so the second inequality is an
-    equality up to round-off.
+    Hermitian operators only; I is the s = 1/2 skew information and the bound
+    is the right side of the skew product equality at the given s, which
+    equals sqrt(I^s(A) I^s(B)) up to round-off.  The second inequality is
+    I^s <= I^(1/2), so it is an equality only at s = 1/2.
     """
     A = require_hermitian(A, tol)
     B = require_hermitian(B, tol)

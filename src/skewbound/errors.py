@@ -55,7 +55,3 @@ class IncompleteChannel(SkewboundError):
 
 class NoFeasibleChiWarning(UserWarning):
     """No reference state satisfied tau1*tau2 < 1; bound reported as 0."""
-
-
-class BoundViolation(SkewboundError):
-    """Sampling oracle found a state below a reported bound (build bug)."""

@@ -12,6 +12,7 @@ from skewbound import (
     SkewboundError,
     std_dev,
     ZeroDeviation,
+    ZeroSkew,
     deviation_skew_chain,
     density,
     intelligent_state_check,
@@ -28,6 +29,7 @@ from skewbound import (
     sum_equality,
     three_observable_product_equality,
     three_observable_sum_equality,
+    wyd_skew,
 )
 from conftest import SX, SY, SZ
 
@@ -292,6 +294,24 @@ class TestDeviationSkewChain:
             assert ss >= bound - 1e-9
             done += 1
 
+    def test_bound_is_the_s_skew_product(self, rng):
+        # bound is sqrt(I^s(A) I^s(B)); it meets ss = sqrt(I(A) I(B)) at s = 1/2
+        done = 0
+        while done < 40:
+            d = int(rng.integers(2, 5))
+            rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+            A, B = random_hermitian(d, rng), random_hermitian(d, rng)
+            for s in (0.3, 0.5, 0.7):
+                try:
+                    _, ss, bound = deviation_skew_chain(A, B, rho, s)
+                except (ZeroSkew, DegenerateDenominator):
+                    continue
+                want = math.sqrt(wyd_skew(A, rho, s) * wyd_skew(B, rho, s))
+                assert bound == pytest.approx(want, abs=1e-9)
+                if s == 0.5:
+                    assert ss == pytest.approx(bound, abs=1e-9)
+                done += 1
+
 
 class TestIntelligentStates:
     def test_spin_coherent_state_is_intelligent(self):
@@ -394,9 +414,9 @@ def _outcome(f, *args):
     return tuple(getattr(out, name) for name in _FIELDS) + (out.sign_choice,)
 
 
-def _assert_matches_reference(got, ref, quotient=False):
-    """Every field to 1e-12 max(1, |x|) and the same sign branch.  In the
-    quotient form rhs = num/den carries the rounding of num and den times
+def _assert_matches_reference(got, ref, quotient=False, cond=1.0):
+    """Every field to 1e-12 max(1, |x|) cond and the same sign branch.  In
+    the quotient form rhs = num/den carries the rounding of num and den times
     1/|den|, so rhs gets that factor too; the residual is that of the
     undivided identity lhs*den - num."""
     if isinstance(ref, type):
@@ -407,7 +427,7 @@ def _assert_matches_reference(got, ref, quotient=False):
     amplify = 1 / abs(ref[4]) if quotient else 1.0
     for name, a, b in zip(_FIELDS, got, ref):
         scale = amplify if name == "rhs" else 1.0
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)) * scale, name
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)) * scale * cond, name
 
 
 @st.composite
@@ -490,3 +510,81 @@ class TestQuotientResidual:
             except SkewboundError:
                 continue
             assert rep.verified, (f.__name__, rep)
+
+
+# Reference copy of the trace forms the skew product equality used before it
+# became eigenbasis sums.
+
+def _ref_skew_parts(A, B, rho, s):
+    IA, IB = wyd_skew(A, rho, s), wyd_skew(B, rho, s)
+    if IA <= 1e-8 or IB <= 1e-8:
+        raise ZeroSkew("reference")
+    rs, r1s = matrix_power(rho, s), matrix_power(rho, 1 - s)
+    T = np.trace(
+        ((A.conj().T @ B - B @ A.conj().T) + (A @ B.conj().T - B.conj().T @ A)) @ rs)
+    E = 0.0 + 0.0j
+    if abs(s - 0.5) >= 1e-14:
+        E = (np.trace(r1s @ B.conj().T @ rs @ A) + np.trace(r1s @ B @ rs @ A.conj().T)
+             - np.trace(r1s @ A @ rs @ B.conj().T) - np.trace(r1s @ A.conj().T @ rs @ B))
+    sigma = rs - rho.matrix
+    omega = (np.trace((A.conj().T @ A + A @ A.conj().T) @ sigma).real / (4 * IA)
+             + np.trace((B.conj().T @ B + B @ B.conj().T) @ sigma).real / (4 * IB))
+    sign = _ref_sign((1j * (T - E)).real)
+    a, b = A / math.sqrt(IA), B / math.sqrt(IB)
+    xi = (a + sign * 1j * b).conj().T @ rs @ (a + sign * 1j * b)
+    eta = (a - sign * 1j * b) @ rs @ (a - sign * 1j * b).conj().T
+    quad = np.trace((xi + eta) @ (np.eye(rho.dim) - r1s)).real
+    return IA, IB, (sign * 0.25j * (T - E)).real, omega, quad, sign
+
+
+def _ref_skew_product(A, B, rho, s):
+    IA, IB, num, omega, quad, sign = _ref_skew_parts(A, B, rho, s)
+    den = 1 + omega - 0.25 * quad
+    if abs(den) < 1e-8:
+        raise DegenerateDenominator("reference")
+    lhs = math.sqrt(IA * IB)
+    return lhs, num / den, lhs * den - num, num, den, sign
+
+
+def _ref_skew_correction(A, B, rho, s):
+    IA, IB, num, omega, quad, sign = _ref_skew_parts(A, B, rho, s)
+    rhs = 2 + 2 * omega - 2 * num / math.sqrt(IA * IB)
+    return 0.5 * quad, rhs, 0.5 * quad - rhs, num, omega, sign
+
+
+_SKEW_S = [0.25, 0.3, 0.5, 0.7, 0.75]
+
+
+class TestSkewEigenbasisSums:
+    """The skew product equality, computed as eigenbasis sums, agrees with
+    the trace forms field by field."""
+
+    @staticmethod
+    def _check(A, B, rho, s):
+        # Both forms divide A and B by sqrt(I^s), so their rounding grows with
+        # |A|^2/I^s(A) and |B|^2/I^s(B) alike: at I^s(B) = 5e-5 the two
+        # denominators differ by 1e-11, each 5e-12 from the exact value.
+        cond = max(1.0, *(np.linalg.norm(X) ** 2 / max(wyd_skew(X, rho, s), 1e-300)
+                          for X in (A, B)))
+        _assert_matches_reference(_outcome(skew_product_equality, A, B, rho, s),
+                                  _outcome(_ref_skew_product, A, B, rho, s),
+                                  quotient=True, cond=cond)
+        _assert_matches_reference(_outcome(skew_product_correction_identity, A, B, rho, s),
+                                  _outcome(_ref_skew_correction, A, B, rho, s), cond=cond)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=_states_and_operators(hermitian=False), s=st.sampled_from(_SKEW_S))
+    def test_ginibre(self, case, s):
+        rho, (A, B, _) = case
+        self._check(A, B, rho, s)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=_states_and_operators(hermitian=True), s=st.sampled_from(_SKEW_S))
+    def test_hermitian(self, case, s):
+        rho, (A, B, _) = case
+        self._check(A, B, rho, s)
+
+    @pytest.mark.parametrize("s", _SKEW_S)
+    @pytest.mark.parametrize("P, Q, R, rho", _PAULI_TIES)
+    def test_pauli_ties(self, P, Q, R, rho, s):
+        self._check(P, Q, rho, s)

@@ -23,3 +23,10 @@ def residuals(suite, seeds):
 def test_every_check_runs(suite):
     # a check that raised on every case would drop out of the sweep unseen
     assert sorted({check for check, _ in residuals(suite, 20)}) == sorted(CHECKS[suite])
+
+
+@pytest.mark.parametrize("suite", CHECKS)
+def test_residuals_stay_at_rounding_level(suite):
+    # far below tol_residual (1e-8): a rewrite that loses digits of an
+    # identity shows here while verify still passes
+    assert sweeps.worst_residual(suite, 100)["max_residual"] < 1e-11

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewbound import (
     DimensionMismatch,
@@ -10,6 +12,7 @@ from skewbound import (
     density,
     embedding,
     haar_unitary,
+    matrix_power,
     pure_state,
     random_density,
     random_hermitian,
@@ -180,3 +183,62 @@ class TestSubsystem:
             rep = subsystem_weak_values(A, rho, s, basis=list(U.T))
             assert rep.factorization_residual < 1e-9
             assert rep.conjugation_residual < 1e-9
+
+
+def _subsystem_loop(A, rho, s, U, tol_overlap=1e-12):
+    """Reference: one scalar weak_value per entry, skipping vanishing
+    overlaps and collapsed preselections."""
+    d = rho.dim
+    P = matrix_power(rho, s)
+    Uh = U.conj().T
+    ov = Uh @ P @ U
+    num_f, num_c = Uh @ (A @ P) @ U, Uh @ (P @ A) @ U
+    res_f = res_c = 0.0
+    checked = 0
+    for i in range(d):
+        for j in range(d):
+            if abs(ov[i, j]) <= tol_overlap:
+                continue
+            phi_j = P @ U[:, j]
+            nj = np.linalg.norm(phi_j)
+            if nj <= tol_overlap:
+                continue
+            rhs_f = weak_value(A, phi_j / nj, U[:, i], tol_overlap)
+            res_f = max(res_f, abs(num_f[i, j] / ov[i, j] - rhs_f))
+            phi_i = P @ U[:, i]
+            ni = np.linalg.norm(phi_i)
+            if ni <= tol_overlap:
+                continue
+            rhs_c = np.conj(weak_value(A, phi_i / ni, U[:, j], tol_overlap))
+            res_c = max(res_c, abs(num_c[i, j] / ov[i, j] - rhs_c))
+            checked += 1
+    return res_f, res_c, checked
+
+
+class TestSubsystemArrays:
+    """The array form of subsystem_weak_values agrees with the per-entry loop."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(2, 5),
+        kind=st.sampled_from(["full", "rank_deficient", "diagonal"]),
+        haar=st.booleans(),
+        s=st.sampled_from([0.3, 0.5, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop(self, d, kind, haar, s, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "diagonal":
+            # zero eigenvalues on basis vectors: vanishing overlaps and collapses
+            p = rng.random(d) * (rng.random(d) < 0.6)
+            p[rng.integers(d)] += 1.0
+            rho = density(np.diag(p / p.sum()))
+        else:
+            rho = random_density(d, d if kind == "full" else int(rng.integers(1, d)), rng)
+        A = random_hermitian(d, rng)
+        U = haar_unitary(d, rng) if haar else np.eye(d)
+        rep = subsystem_weak_values(A, rho, s, basis=list(U.T))
+        res_f, res_c, checked = _subsystem_loop(A, rho, s, U)
+        assert rep.entries_checked == checked
+        assert abs(rep.factorization_residual - res_f) <= 1e-10
+        assert abs(rep.conjugation_residual - res_c) <= 1e-10
