@@ -487,10 +487,11 @@ def _square_sum(Cs: np.ndarray) -> np.ndarray:
 
 def _apply_h_tot(oset: OperatorSet, X: np.ndarray) -> np.ndarray:
     """H_tot vec(X) = vec(sum_C [C, [C, X]]/2) = vec((S X + X S)/2 - sum_C C X C),
-    applied to the d x d matrix X in O(K d^3)."""
+    applied to the d x d matrix X, or to each matrix of a stack, in O(K d^3)."""
     Cs = _stacked(oset)
     S = _square_sum(Cs)
-    return ((S @ X + X @ S) / 2 - np.sum(Cs @ X @ Cs, axis=0)).ravel()
+    HX = (S @ X + X @ S) / 2 - sum(C @ X @ C for C in Cs)
+    return HX.reshape(X.shape[:-2] + (-1,))
 
 
 def h_tot(ops, pairing: str = "transpose") -> np.ndarray:
@@ -541,10 +542,10 @@ def _unit(v: np.ndarray, norm2) -> np.ndarray:
     return v / np.sqrt(np.maximum(norm2, 1e-300))[..., None]
 
 
-def _half_weight(spec: SpectralData, rho: DensityOperator) -> float:
-    """||P_ker phi||^2 at the unit vector phi = vec(sqrt(rho))."""
-    emb = embedding(rho, 0.5)
-    return spec.kernel_weight(_unit(emb.phi_s, emb.norms[0]))
+def _half_weight(spec: SpectralData, rho: DensityOperator):
+    """||P_ker phi||^2 at the unit vector phi = vec(sqrt(rho)), one per state."""
+    phi = matrix_power(rho, 0.5).reshape(rho.eigenvalues.shape[:-1] + (-1,))
+    return spec.kernel_weight(_unit(phi, np.sum(rho.eigenvalues, axis=-1)))
 
 
 def _result(spec: SpectralData, bound, ov2) -> SpectralBound:
@@ -576,23 +577,32 @@ def bound_wy(ops, rho: DensityOperator) -> SpectralBound:
 _CHI_OVERLAP_FLOOR = 1e-14
 
 
+def _dot(u: np.ndarray, v: np.ndarray):
+    """<u|v> of each pair of rows, one BLAS dot per row as np.vdot takes it."""
+    return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray):
+    """||v|| of each row, from the BLAS dots np.linalg.norm takes on one vector."""
+    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
+
+
 def _feasible_f(chi, ref1, ref2):
-    """f(tau1, tau2) for one reference state, or None if infeasible.
+    """(f(tau1, tau2), feasible) of each row's reference state, f = 0 where
+    infeasible and f > 0 where feasible.
 
     The minimal feasible tau_i is the Gram-Schmidt residual
     ||ref_i - <chi|ref_i> chi|| / |<chi|ref_i>| (= sqrt(1/|<chi|ref_i>|^2 - 1)
     for unit vectors, without its cancellation near overlap 1); f decreases
     in each argument on the feasible region, so the minimal pair maximizes f.
     """
-    o1 = np.vdot(chi, ref1)
-    o2 = np.vdot(chi, ref2)
-    if abs(o1) ** 2 < _CHI_OVERLAP_FLOOR or abs(o2) ** 2 < _CHI_OVERLAP_FLOOR:
-        return None
-    t1 = float(np.linalg.norm(ref1 - o1 * chi)) / abs(o1)
-    t2 = float(np.linalg.norm(ref2 - o2 * chi)) / abs(o2)
-    if t1 * t2 >= 1.0:
-        return None
-    return (1.0 - t1 * t2) / ((1.0 + t1 * t1) * (1.0 + t2 * t2))
+    o1, o2 = _dot(chi, ref1), _dot(chi, ref2)
+    a1, a2 = np.abs(o1), np.abs(o2)
+    ok = (a1 ** 2 >= _CHI_OVERLAP_FLOOR) & (a2 ** 2 >= _CHI_OVERLAP_FLOOR)
+    t1 = _norm(ref1 - o1[..., None] * chi) / np.where(ok, a1, 1.0)  # no 0/0 where infeasible
+    t2 = _norm(ref2 - o2[..., None] * chi) / np.where(ok, a2, 1.0)
+    ok &= t1 * t2 < 1.0
+    return np.where(ok, (1.0 - t1 * t2) / ((1.0 + t1 * t1) * (1.0 + t2 * t2)), 0.0), ok
 
 
 def bound_wyd(
@@ -607,59 +617,57 @@ def bound_wyd(
     bound is filtered through a reverse Cauchy-Schwarz factor built from
     reference states chi.  The default candidates each collapse one overlap
     to 1; callers may supply more, each a nonzero vector of d^2 entries
-    (DimensionMismatch or DomainError otherwise).  If every candidate is
-    infeasible the bound degrades to 0 with a warning.  H_tot vec(rho^s) and
-    H_tot vec(rho^(1-s)) are applied as maps on d x d matrices, so only the
-    set's spectral data are needed on the doubled space.  It takes one state
-    (a DensityOperator): the search over reference states stays a loop, so a
-    sampling oracle at s != 1/2 calls it once per sample.
+    (DimensionMismatch or DomainError otherwise, before any solve).  A state
+    for which every candidate is infeasible gets bound 0, with one warning
+    per call.  H_tot vec(rho^s) and H_tot vec(rho^(1-s)) are applied as maps
+    on d x d matrices, so only the set's spectral data are needed on the
+    doubled space.  A DensityStack gets all its bounds from one stacked
+    evaluation, each equal to the state's own.
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     if abs(s - 0.5) < 1e-12:
         raise DomainError("s = 1/2 has an exact spectral bound; use bound_wy")
     oset = _as_set(ops)
-    spec = _spectral(oset, rho)
     d = rho.dim
+    extra = []
+    for chi in chi_candidates or ():
+        v = np.asarray(chi, dtype=complex).ravel()
+        if v.size != d * d:
+            raise DimensionMismatch(f"chi candidate has {v.size} entries, need {d * d}")
+        n = np.linalg.norm(v)
+        if n == 0:
+            raise DomainError("chi candidate is the zero vector")
+        extra.append(v / n)
+    spec = _spectral(oset, rho)
     emb = embedding(rho, s)
-    theta = math.sqrt(emb.norms[0] * emb.norms[1])
+    theta = np.sqrt(emb.norms[0] * emb.norms[1])
     phis = _unit(emb.phi_s, emb.norms[0])
     phi1s = _unit(emb.phi_1ms, emb.norms[1])
     # (ref1, ref2, factor): ref2 is H_tot phi_(1-s) or H_tot phi_s normalized,
     # factor ||(1 - P_ker) phi|| of the other unit embedding, since
-    # ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi
+    # ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi; a vanishing
+    # H_tot phi gives ref2 = 0, which no chi overlaps
     branches = []
     for ref1, phi, v in ((phis, phi1s, emb.phi_1ms), (phi1s, phis, emb.phi_s)):
-        Hv = _apply_h_tot(oset, v.reshape(d, d))
-        n = np.linalg.norm(Hv)
-        if n > 1e-12:
-            branches.append((ref1, Hv / n, math.sqrt(1.0 - spec.kernel_weight(phi))))
+        Hv = _apply_h_tot(oset, v.reshape(v.shape[:-1] + (d, d)))
+        n = _norm(Hv)
+        ref2 = Hv / np.where(n > 1e-12, n, np.inf)[..., None]
+        branches.append((ref1, ref2, np.sqrt(1.0 - spec.kernel_weight(phi))))
     mes = np.eye(d).ravel() / math.sqrt(d)
-    candidates = [phis, phi1s, mes] + [ref2 for _, ref2, _ in branches]
-    if chi_candidates:
-        for chi in chi_candidates:
-            v = np.asarray(chi, dtype=complex).ravel()
-            if v.size != d * d:
-                raise DimensionMismatch(f"chi candidate has {v.size} entries, need {d * d}")
-            n = np.linalg.norm(v)
-            if n == 0:
-                raise DomainError("chi candidate is the zero vector")
-            candidates.append(v / n)
-    best = None
+    candidates = [phis, phi1s, mes] + [ref2 for _, ref2, _ in branches] + extra
+    best, feasible = 0.0, False
     for chi in candidates:
         for ref1, ref2, fac in branches:
-            f = _feasible_f(chi, ref1, ref2)
-            if f is None:
-                continue
-            val = f * fac * theta * spec.epsilon1
-            best = val if best is None else max(best, val)
-    if best is None:
+            f, ok = _feasible_f(chi, ref1, ref2)
+            best = np.maximum(best, f * fac * theta * spec.epsilon1)
+            feasible |= ok
+    if not np.all(feasible):
         warnings.warn(
-            "no feasible reference state; reporting bound 0",
+            "no feasible reference state for some state; reporting bound 0 there",
             NoFeasibleChiWarning,
             stacklevel=2,
         )
-        best = 0.0
     return _result(spec, best, _half_weight(spec, rho))
 
 

@@ -337,20 +337,26 @@ def _bound_report(sb: bounds.SpectralBound) -> dict:
     }
 
 
+def _bound(ops: bounds.OperatorSet, rho, s: float) -> bounds.SpectralBound:
+    """``bound_wy`` at s = 1/2, ``bound_wyd`` elsewhere, on one state or a DensityStack."""
+    if abs(s - 0.5) < 1e-12:
+        return bounds.bound_wy(ops, rho)
+    return bounds.bound_wyd(ops, rho, s)
+
+
 def _run_oracle(report: dict, ops: bounds.OperatorSet, s: float, samples: int, seed,
-                tol: Tolerances, bound) -> int:
+                tol: Tolerances) -> int:
     """Sample states from one stream and record, over the same samples, the
     smallest skew sum of ``ops`` at ``s`` (the sum ``empirical_minimum``
-    takes) and the smallest margin over the state-dependent ``bound(rhos)``;
-    a negative margin is a build bug.  ``bound`` takes a DensityStack of
-    samples and gives one value per state."""
+    takes) and the smallest margin over the reported bound, one stacked
+    ``_bound`` per stack of samples; a negative margin is a build bug."""
     lowest = margin = math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for rhos in bounds.sample_stacks(ops.dim, samples, seed):
             t = sum(moments.wyd_skew(A, rhos, s, tol) for A in ops.operators)
             lowest = min(lowest, float(np.min(t)))
-            margin = min(margin, float(np.min(t - bound(rhos))))
+            margin = min(margin, float(np.min(t - _bound(ops, rhos, s).bound)))
     report["oracle_min"] = lowest
     report["oracle_samples"] = samples
     report["oracle_margin_min"] = margin
@@ -366,24 +372,11 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
     tol = pf.params.tolerances
     ops = bounds.OperatorSet(tuple(pf.operators.values()))
     s = args.s if args.s is not None else pf.params.s
-
-    half = abs(s - 0.5) < 1e-12
-
-    def bound_at(rho):
-        if half:
-            return bounds.bound_wy(ops, rho)
-        return bounds.bound_wyd(ops, rho, s)
-
-    def bounds_at(rhos):
-        if half:
-            return bound_at(rhos).bound  # one stacked evaluation
-        return np.array([bound_at(rho).bound for rho in rhos])
-
     report = {
         "command": "bound",
         "report_version": REPORT_VERSION,
         "s": s,
-        **_bound_report(bound_at(pf.rho)),
+        **_bound_report(_bound(ops, pf.rho, s)),
     }
     code = EXIT_OK
     if args.alpha_scan:
@@ -392,7 +385,7 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
         report["alpha_scan_plain"] = bounds.pure_variance_bound(ops, grid)
     if args.oracle:
         seed = args.seed if args.seed is not None else pf.params.seed
-        code = _run_oracle(report, ops, s, args.oracle, seed, tol, bounds_at)
+        code = _run_oracle(report, ops, s, args.oracle, seed, tol)
     return code, report
 
 
@@ -414,8 +407,7 @@ def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
     code = EXIT_OK
     if args.oracle:
         seed = args.seed if args.seed is not None else pf.params.seed
-        code = _run_oracle(report, kset, 0.5, args.oracle, seed, tol,
-                           lambda rhos: bounds.bound_wy(kset, rhos).bound)
+        code = _run_oracle(report, kset, 0.5, args.oracle, seed, tol)
     return code, report
 
 

@@ -54,4 +54,4 @@ class IncompleteChannel(SkewboundError):
 
 
 class NoFeasibleChiWarning(UserWarning):
-    """No reference state satisfied tau1*tau2 < 1; bound reported as 0."""
+    """No reference state satisfied tau1*tau2 < 1 for some state; its bound is reported as 0."""

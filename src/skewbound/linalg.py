@@ -69,7 +69,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_herm", "tol_trace", "tol_psd", "tol_recon", "tol_residual"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails every comparison
                 raise DomainError(f"{name} must be nonnegative")
 
 
@@ -158,8 +158,8 @@ class DensityStack:
     """N validated states of one dimension, from :func:`density_stack`.
 
     The fields are those of :class:`DensityOperator` with a leading axis of
-    length N.  :func:`matrix_power`, ``moments.wyd_skew``,
-    ``moments.gen_skew`` and ``bounds.bound_wy`` accept a stack and return one
+    length N.  :func:`matrix_power`, ``moments.wyd_skew``, ``moments.gen_skew``,
+    ``bounds.bound_wy`` and ``bounds.bound_wyd`` accept a stack and return one
     result per state; iterating yields the single states.
     """
 

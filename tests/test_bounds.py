@@ -39,6 +39,7 @@ from skewbound import (
 from conftest import SX, SZ, four_3x3_ops, four_qubit_ops, spin_ops
 from skewbound import bounds
 from skewbound.bounds import _feasible_f
+from skewbound.errors import NoFeasibleChiWarning
 
 RHO37 = density(np.diag([0.3, 0.7]))
 
@@ -746,7 +747,124 @@ class TestBoundWYD:
             n = int(rng.integers(2, 7)) ** 2
             chi, ref2 = (random_pure_vector(n, rng) for _ in range(2))
             want = abs(np.vdot(chi, ref2)) ** 2
-            assert _feasible_f(chi, chi, ref2) == pytest.approx(want, rel=1e-12)
+            f, ok = _feasible_f(chi, chi, ref2)
+            assert ok
+            assert f == pytest.approx(want, rel=1e-12)
+
+    def test_candidates_checked_before_solve(self, monkeypatch):
+        def no_solve(self):
+            raise AssertionError("spectral data solved before the candidates were checked")
+
+        monkeypatch.setattr(OperatorSet, "spectral", no_solve)
+        with pytest.raises(DimensionMismatch):
+            bound_wyd(spin_ops(0.5), RHO37, 0.3, chi_candidates=[np.ones(3)])
+        with pytest.raises(DomainError):
+            bound_wyd(spin_ops(0.5), RHO37, 0.3, chi_candidates=[np.zeros(4)])
+
+
+def _feasible_f_one(chi, ref1, ref2):
+    """Reference copy of the scalar feasibility rule: f for one reference
+    state, or None if infeasible."""
+    o1 = np.vdot(chi, ref1)
+    o2 = np.vdot(chi, ref2)
+    if abs(o1) ** 2 < 1e-14 or abs(o2) ** 2 < 1e-14:
+        return None
+    t1 = float(np.linalg.norm(ref1 - o1 * chi)) / abs(o1)
+    t2 = float(np.linalg.norm(ref2 - o2 * chi)) / abs(o2)
+    if t1 * t2 >= 1.0:
+        return None
+    return (1.0 - t1 * t2) / ((1.0 + t1 * t1) * (1.0 + t2 * t2))
+
+
+def _bound_wyd_loop(oset, rho, s, chi_candidates=()):
+    """Reference copy of the one-state bound_wyd: loops over branches and
+    candidates with the scalar rule.  Returns (bound, upper end of the
+    interval), bound 0 when no candidate is feasible."""
+    spec = oset.spectral()
+    d = rho.dim
+    Cs = bounds._stacked(oset)
+    S = bounds._square_sum(Cs)
+    emb = embedding(rho, s)
+    theta = math.sqrt(emb.norms[0] * emb.norms[1])
+    phis = emb.phi_s / math.sqrt(emb.norms[0])
+    phi1s = emb.phi_1ms / math.sqrt(emb.norms[1])
+    branches = []
+    for ref1, phi, v in ((phis, phi1s, emb.phi_1ms), (phi1s, phis, emb.phi_s)):
+        X = v.reshape(d, d)
+        Hv = ((S @ X + X @ S) / 2 - np.sum(Cs @ X @ Cs, axis=0)).ravel()
+        n = np.linalg.norm(Hv)
+        if n > 1e-12:
+            branches.append((ref1, Hv / n, math.sqrt(1.0 - spec.kernel_weight(phi))))
+    candidates = [phis, phi1s, np.eye(d).ravel() / math.sqrt(d)]
+    candidates += [ref2 for _, ref2, _ in branches]
+    candidates += [np.ravel(chi) / np.linalg.norm(chi) for chi in chi_candidates]
+    best = None
+    for chi in candidates:
+        for ref1, ref2, fac in branches:
+            f = _feasible_f_one(chi, ref1, ref2)
+            if f is not None:
+                val = f * fac * theta * spec.epsilon1
+                best = val if best is None else max(best, val)
+    half = embedding(rho, 0.5)
+    ov2 = spec.kernel_weight(half.phi_s / math.sqrt(half.norms[0]))
+    return (0.0 if best is None else best), max(spec.epsilonK * (1.0 - ov2), 0.0)
+
+
+def _block_diagonal_set(d, rng):
+    k = int(rng.integers(1, d))
+    ops = []
+    for _ in range(2):
+        A = np.zeros((d, d), dtype=complex)
+        A[:k, :k], A[k:, k:] = random_hermitian(k, rng), random_hermitian(d - k, rng)
+        ops.append(A)
+    return ops
+
+
+class TestBoundWYDStack:
+    """bound_wyd on a DensityStack: each state's value is the reference
+    loop's to 1e-15 relative, and the stack's is each state's own."""
+
+    SETS = {
+        "hermitian": lambda d, rng: [random_hermitian(d, rng) for _ in range(3)],
+        "ginibre": lambda d, rng: [random_operator(d, rng) for _ in range(2)],
+        "block": _block_diagonal_set,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SETS))
+    @pytest.mark.parametrize("extra", [False, True], ids=["default", "extra_chi"])
+    def test_matches_loop(self, rng, kind, extra):
+        for d in range(2, 7):
+            for s in (0.15, 0.3, 0.7, 0.9):
+                oset = OperatorSet(tuple(self.SETS[kind](d, rng)))
+                states = [random_density(d, r, rng) for r in range(1, d + 1)]
+                states.append(maximally_mixed(d))
+                chis = [random_operator(d, rng).ravel()] if extra else []
+                spec = oset.spectral()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", NoFeasibleChiWarning)
+                    stack = bound_wyd(oset, density_stack([r.matrix for r in states]), s,
+                                      chi_candidates=chis)
+                    for i, rho in enumerate(states):
+                        one = bound_wyd(oset, rho, s, chi_candidates=chis)
+                        want, hi = _bound_wyd_loop(oset, rho, s, chis)
+                        assert abs(one.bound - want) <= 1e-15 * abs(want)
+                        assert (one.epsilon1, one.kernel_dim) == (spec.epsilon1, spec.kernel_dim)
+                        assert one.interval == (0.0, hi)
+                        # the stack gives each state its own values, bit for bit
+                        assert stack.bound[i] == one.bound
+                        assert stack.interval[1][i] == one.interval[1]
+
+    def test_maximally_mixed_in_stack(self, rng):
+        # I/d has no feasible reference state; one warning covers the stack,
+        # and the generic states keep their positive bounds
+        states = [maximally_mixed(3)] + [random_density(3, r, rng) for r in (1, 2, 3, 3)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sb = bound_wyd(spin_ops(1), density_stack([r.matrix for r in states]), 0.3)
+        assert [w.category for w in caught] == [NoFeasibleChiWarning]
+        assert sb.bound.shape == (5,)
+        assert sb.bound[0] == 0.0
+        assert np.all(sb.bound[1:] > 0)
 
 
 def _scan_loop(oset, grid_points, pairing):
@@ -1022,25 +1140,31 @@ class TestGoodnessInterval:
 
 class TestReverseCauchySchwarz:
     def test_feasibility_rule(self, rng):
-        from skewbound.bounds import _feasible_f
-
         d = 3
         ref1 = np.zeros(d * d, dtype=complex)
         ref1[0] = 1.0
         ref2 = np.zeros(d * d, dtype=complex)
         ref2[1] = 1.0
         # chi aligned with ref1: tau1 = 0, always feasible, f = 1/(1+tau2^2)
-        assert _feasible_f(ref1, ref1, ref1) == pytest.approx(1.0, abs=1e-12)
+        f, ok = _feasible_f(ref1, ref1, ref1)
+        assert ok
+        assert f == pytest.approx(1.0, abs=1e-12)
         # chi nearly orthogonal to both references: tau1*tau2 >= 1, discarded
-        chi = np.zeros(d * d, dtype=complex)
-        chi[2] = 1.0
-        chi[0] = chi[1] = 1e-3
-        chi /= np.linalg.norm(chi)
-        assert _feasible_f(chi, ref1, ref2) is None
+        near = np.zeros(d * d, dtype=complex)
+        near[2] = 1.0
+        near[0] = near[1] = 1e-3
+        near /= np.linalg.norm(near)
+        assert _feasible_f(near, ref1, ref2) == (0.0, False)
         # exactly orthogonal: overlap floor triggers, discarded
-        chi = np.zeros(d * d, dtype=complex)
-        chi[2] = 1.0
-        assert _feasible_f(chi, ref1, ref2) is None
+        orth = np.zeros(d * d, dtype=complex)
+        orth[2] = 1.0
+        assert _feasible_f(orth, ref1, ref2) == (0.0, False)
+        # the rows of a stack get the same rule, row by row
+        chis = np.stack([ref1, near, orth])
+        f, ok = _feasible_f(chis, np.stack([ref1] * 3), np.stack([ref1, ref2, ref2]))
+        assert ok.tolist() == [True, False, False]
+        assert f[0] == pytest.approx(1.0, abs=1e-12)
+        assert f[1:].tolist() == [0.0, 0.0]
 
     def test_validity_on_3x3_set(self, rng):
         ops = OperatorSet(four_3x3_ops())

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewbound import bounds, cli, empirical_minimum, wyd_skew
+from skewbound import DensityStack, bounds, cli, empirical_minimum, wyd_skew
 from skewbound.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -159,6 +159,36 @@ class TestExitCodes:
         assert "must be at least" in capsys.readouterr().err
         assert run(capsys, *good) == first
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "example1_spinhalf", "--s", "0.3", "--oracle", "50"),
+        ("verify", "example1_spinhalf", "--suite", "qubit", "--seeds", "3"),
+    ], ids=" ".join)
+    def test_nan_env_tolerance_is_3(self, capsys, monkeypatch, argv):
+        # a NaN tolerance would pass every check: margin < -nan is False
+        monkeypatch.setenv("SKEWBOUND_TOL", "nan")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "tol_residual must be nonnegative" in err
+
+    def test_nan_file_tolerance_is_3(self, capsys, tmp_path):
+        path = write_json(tmp_path, "nan.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]],
+            "operators": {"Z": [[1, 0], [0, -1]]},
+            "params": {"tolerances": {"tol_psd": float("nan")}},
+        })
+        assert "NaN" in Path(path).read_text()
+        code, _, err = run(capsys, "moments", path)
+        assert code == EXIT_VALIDATION
+        assert "tol_psd must be nonnegative" in err
+
+    def test_infinite_env_tolerance_is_allowed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SKEWBOUND_TOL", "inf")
+        code, out, _ = run(capsys, "bound", "example1_spinhalf", "--format", "json",
+                           "--s", "0.3", "--oracle", "20")
+        assert code == EXIT_OK
+        assert json.loads(out)["oracle_samples"] == 20
 
     def test_bad_env_tolerance_is_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWBOUND_TOL", "not-a-float")
@@ -352,6 +382,21 @@ class TestGoldenReports:
         # the alpha scan reuses the set's real form and adds only the plain
         # pairing's complex H_tot
         assert calls == ["_h_tot_form"] + (["h_tot"] if "--alpha-scan" in argv else [])
+
+    def test_oracle_one_bound_wyd_per_stack(self, capsys, monkeypatch):
+        # one path for every s: the report's state and each sample stack get
+        # one bound_wyd call each, none per sample
+        calls = []
+
+        def counted(ops, rho, *args, _bound=bounds.bound_wyd, **kwargs):
+            calls.append(len(rho) if isinstance(rho, DensityStack) else None)
+            return _bound(ops, rho, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "bound_wyd", counted)
+        code, _, _ = run(capsys, "bound", "example1_spin1", "--s", "0.3", "--oracle", "60")
+        assert code == EXIT_OK
+        seed = load_problem("example1_spin1").params.seed
+        assert calls == [None] + [len(st) for st in bounds.sample_stacks(3, 60, seed)]
 
     def test_oracle_nonhalf_s(self, capsys):
         code, out, _ = run(capsys, "bound", "example1_spinhalf", "--format", "json",

@@ -19,6 +19,7 @@ from skewbound import (
     random_density,
     random_hermitian,
     SkewboundError,
+    Tolerances,
 )
 from skewbound.linalg import require_hermitian
 from conftest import SX
@@ -73,6 +74,21 @@ class TestHermitianEigen:
         w2, V2 = hermitian_eigen(H.copy())
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(V1, V2)
+
+
+class TestTolerances:
+    FIELDS = ("tol_herm", "tol_trace", "tol_psd", "tol_recon", "tol_residual")
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @pytest.mark.parametrize("value", [-1e-12, float("nan"), float("-inf")])
+    def test_rejects_negative_and_nan(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be nonnegative"):
+            Tolerances(**{name: value})
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @pytest.mark.parametrize("value", [0.0, float("inf")])
+    def test_accepts_zero_and_infinity(self, name, value):
+        assert getattr(Tolerances(**{name: value}), name) == value
 
 
 class TestDensity:
