@@ -54,6 +54,7 @@ from .errors import DimensionMismatch, DomainError, NoFeasibleChiWarning
 from .linalg import (
     DEFAULT_TOL,
     DensityOperator,
+    DensityStack,
     Tolerances,
     _ginibre_state,
     as_operator,
@@ -605,41 +606,9 @@ def _feasible_f(chi, ref1, ref2):
     return np.where(ok, (1.0 - t1 * t2) / ((1.0 + t1 * t1) * (1.0 + t2 * t2)), 0.0), ok
 
 
-def bound_wyd(
-    ops,
-    rho: DensityOperator,
-    s: float,
-    chi_candidates: Optional[Sequence[np.ndarray]] = None,
-) -> SpectralBound:
-    """Lower bound on sum_k I^s_rho(A_k) for s != 1/2.
-
-    The bilinear form is no longer an expectation value, so the spectral
-    bound is filtered through a reverse Cauchy-Schwarz factor built from
-    reference states chi.  The default candidates each collapse one overlap
-    to 1; callers may supply more, each a nonzero vector of d^2 entries
-    (DimensionMismatch or DomainError otherwise, before any solve).  A state
-    for which every candidate is infeasible gets bound 0, with one warning
-    per call.  H_tot vec(rho^s) and H_tot vec(rho^(1-s)) are applied as maps
-    on d x d matrices, so only the set's spectral data are needed on the
-    doubled space.  A DensityStack gets all its bounds from one stacked
-    evaluation, each equal to the state's own.
-    """
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0, 1), got {s}")
-    if abs(s - 0.5) < 1e-12:
-        raise DomainError("s = 1/2 has an exact spectral bound; use bound_wy")
-    oset = _as_set(ops)
+def _wyd_rows(oset: OperatorSet, spec: SpectralData, rho, s: float, extra: list):
+    """(bound, feasible) of :func:`bound_wyd` at each state of ``rho``."""
     d = rho.dim
-    extra = []
-    for chi in chi_candidates or ():
-        v = np.asarray(chi, dtype=complex).ravel()
-        if v.size != d * d:
-            raise DimensionMismatch(f"chi candidate has {v.size} entries, need {d * d}")
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise DomainError("chi candidate is the zero vector")
-        extra.append(v / n)
-    spec = _spectral(oset, rho)
     emb = embedding(rho, s)
     theta = np.sqrt(emb.norms[0] * emb.norms[1])
     phis = _unit(emb.phi_s, emb.norms[0])
@@ -662,6 +631,54 @@ def bound_wyd(
             f, ok = _feasible_f(chi, ref1, ref2)
             best = np.maximum(best, f * fac * theta * spec.epsilon1)
             feasible |= ok
+    return best, feasible
+
+
+def bound_wyd(
+    ops,
+    rho: DensityOperator,
+    s: float,
+    chi_candidates: Optional[Sequence[np.ndarray]] = None,
+) -> SpectralBound:
+    """Lower bound on sum_k I^s_rho(A_k) for s != 1/2.
+
+    The bilinear form is no longer an expectation value, so the spectral
+    bound is filtered through a reverse Cauchy-Schwarz factor built from
+    reference states chi.  The default candidates each collapse one overlap
+    to 1; callers may supply more, each a nonzero vector of d^2 entries
+    (DimensionMismatch or DomainError otherwise, before any solve).  A state
+    for which every candidate is infeasible gets bound 0, with one warning
+    per call.  H_tot vec(rho^s) and H_tot vec(rho^(1-s)) are applied as maps
+    on d x d matrices, so only the set's spectral data are needed on the
+    doubled space.  A DensityStack gets its bounds from stacked evaluations
+    of chunks of states, each bound equal to the state's own.
+    """
+    if not 0 < s < 1:
+        raise DomainError(f"s must lie in (0, 1), got {s}")
+    if abs(s - 0.5) < 1e-12:
+        raise DomainError("s = 1/2 has an exact spectral bound; use bound_wy")
+    oset = _as_set(ops)
+    d = rho.dim
+    extra = []
+    for chi in chi_candidates or ():
+        v = np.asarray(chi, dtype=complex).ravel()
+        if v.size != d * d:
+            raise DimensionMismatch(f"chi candidate has {v.size} entries, need {d * d}")
+        n = np.linalg.norm(v)
+        if n == 0:
+            raise DomainError("chi candidate is the zero vector")
+        extra.append(v / n)
+    spec = _spectral(oset, rho)
+    if isinstance(rho, DensityStack):
+        # chunks of n states whose candidate rows, one (n, d^2) array for each
+        # of the 5 default and the extra candidates, hold _STACK_BYTES at most
+        per = max(1, _STACK_BYTES // (16 * d * d * (5 + len(extra))))
+        parts = [_wyd_rows(oset, spec, DensityStack(*(
+            a[i:i + per] for a in (rho.matrix, rho.eigenvalues, rho.eigenvectors))), s, extra)
+            for i in range(0, len(rho), per)]
+        best, feasible = (np.concatenate(x) for x in zip(*parts))
+    else:
+        best, feasible = _wyd_rows(oset, spec, rho, s, extra)
     if not np.all(feasible):
         warnings.warn(
             "no feasible reference state for some state; reporting bound 0 there",

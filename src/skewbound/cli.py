@@ -462,8 +462,10 @@ def cmd_verify(pf: ProblemFile, args) -> tuple:
     tol = pf.params.tolerances
     wanted = list(sweeps.SUITES) if args.suite == "all" else [args.suite]
     results = {name: sweeps.worst_residual(name, args.seeds, tol) for name in wanted}
-    worst_overall = max(r["max_residual"] for r in results.values())
-    code = EXIT_OK if worst_overall < tol.tol_residual else EXIT_VIOLATION
+    worsts = [r["max_residual"] for r in results.values()]
+    worst_overall = None if None in worsts else max(worsts)  # None: a non-finite residual
+    ok = worst_overall is not None and worst_overall < tol.tol_residual
+    code = EXIT_OK if ok else EXIT_VIOLATION
     return code, {
         "command": "verify",
         "report_version": REPORT_VERSION,

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import DegenerateDenominator, ZeroDeviation, ZeroSkew
 from .linalg import (
-    DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power, require_hermitian,
+    DEFAULT_TOL, DensityOperator, Tolerances, _dagger, _operators, _power, _trace,
+    matrix_power, require_hermitian, rowwise,
 )
 from .moments import std_dev, variance, wyd_skew
 
@@ -64,20 +65,20 @@ class EqualityReport:
         return abs(self.residual) <= DEFAULT_TOL.tol_residual
 
 
-def _commutator_average(A: np.ndarray, B: np.ndarray, rho: np.ndarray) -> float:
+def _commutator_average(A: np.ndarray, B: np.ndarray, rho: np.ndarray):
     """<i([A^dag, B] + [A, B^dag])>_rho; real for any inputs."""
-    C = (A.conj().T @ B - B @ A.conj().T) + (A @ B.conj().T - B.conj().T @ A)
-    return (1j * np.trace(C @ rho)).real
+    Ah, Bh = _dagger(A), _dagger(B)
+    C = (Ah @ B - B @ Ah) + (A @ Bh - Bh @ A)
+    return (1j * _trace(C @ rho)).real
 
 
-def _pick_sign(raw: float, tol: Tolerances) -> int:
-    if abs(raw) < tol.tol_residual:
-        return +1
-    return +1 if raw > 0 else -1
+def _pick_sign(raw, tol: Tolerances):
+    """+1 where raw > 0 or |raw| < tol_residual (a tie), else -1."""
+    return np.where((raw > 0) | (np.abs(raw) < tol.tol_residual), 1, -1)
 
 
 def _centered(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return X - np.trace(X @ rho) * np.eye(X.shape[0])
+    return X - _trace(X @ rho)[..., None, None] * np.eye(X.shape[-1])
 
 
 def _report(lhs, commutator_term, correction_term, sign, rhs=None) -> EqualityReport:
@@ -87,46 +88,48 @@ def _report(lhs, commutator_term, correction_term, sign, rhs=None) -> EqualityRe
     return EqualityReport(lhs, rhs, lhs - rhs, commutator_term, correction_term, sign)
 
 
-def _quotient_report(lhs, num, den, sign, tol: Tolerances) -> EqualityReport:
+def _quotient_report(rows, lhs, num, den, sign, tol: Tolerances) -> EqualityReport:
     """lhs = num/den, reported with rhs = num/den and the residual of the
     undivided identity, lhs*den - num: num/den carries the rounding of num
     and den times 1/|den|, which near a small denominator exceeds
     tol_residual although the identity holds."""
-    if abs(den) < tol.tol_residual:
-        raise DegenerateDenominator(f"denominator {den:.3e} within tolerance of 0")
+    rows.reject(np.abs(den) < tol.tol_residual, DegenerateDenominator,
+                "denominator {:.3e} within tolerance of 0", den)
     return EqualityReport(lhs, num / den, lhs * den - num, num, den, sign)
 
 
 class _SumParts(NamedTuple):
-    commutator: float
-    correction: float
+    commutator: np.ndarray
+    correction: np.ndarray
     M: np.ndarray
     N: np.ndarray
 
 
-def _sum_parts(A: np.ndarray, B: np.ndarray, r: np.ndarray, sign: int) -> _SumParts:
+def _sum_parts(A: np.ndarray, B: np.ndarray, r: np.ndarray, sign) -> _SumParts:
     """Commutator term and quadratic remainder of <dA>^2 + <dB>^2 on the
     caller's sign branch, with the centered factors M = A - sign*i*B and
     N = A + sign*i*B.  The sign is the caller's so that rescaled operators
     keep the branch of the unscaled ones."""
-    M = _centered(A - sign * 1j * B, r)
-    N = _centered(A + sign * 1j * B, r)
-    corr = 0.5 * (np.trace(M.conj().T @ M @ r) + np.trace(N @ N.conj().T @ r)).real
+    iB = B * (sign * 1j)[..., None, None]
+    M = _centered(A - iB, r)
+    N = _centered(A + iB, r)
+    corr = 0.5 * (_trace(_dagger(M) @ M @ r) + _trace(N @ _dagger(N) @ r)).real
     return _SumParts(sign * 0.5 * _commutator_average(A, B, r), corr, M, N)
 
 
-def _operator_pair(A, B, rho: DensityOperator):
-    return as_operator(A, dim=rho.dim), as_operator(B, dim=rho.dim)
+def _operator_pair(A, B, rho):
+    return _operators(A, rho.dim), _operators(B, rho.dim)
 
 
-def _deviations(Xs, rho: DensityOperator, tol: Tolerances) -> list:
-    sd = [std_dev(X, rho, tol) for X in Xs]
-    if min(sd) <= tol.tol_residual:
-        raise ZeroDeviation("product equalities need nonzero deviations")
+def _deviations(rows, Xs, rho, tol: Tolerances) -> list:
+    sd = [std_dev.core(rows, X, rho, tol) for X in Xs]
+    rows.reject(np.min(sd, axis=0) <= tol.tol_residual, ZeroDeviation,
+                "product equalities need nonzero deviations")
     return sd
 
 
-def sum_equality(A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> EqualityReport:
+@rowwise
+def sum_equality(rows, A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> EqualityReport:
     """<dA>^2 + <dB>^2 decomposed into commutator and quadratic remainder.
 
     Holds for arbitrary operators and arbitrary mixed states.  Dropping the
@@ -134,13 +137,16 @@ def sum_equality(A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> E
     """
     A, B = _operator_pair(A, B, rho)
     r = rho.matrix
-    lhs = variance(A, rho, tol) + variance(B, rho, tol)
+    lhs = variance.core(rows, A, rho, tol) + variance.core(rows, B, rho, tol)
     sign = _pick_sign(_commutator_average(A, B, r), tol)
     q = _sum_parts(A, B, r, sign)
     return _report(lhs, q.commutator, q.correction, sign)
 
 
-def product_equality(A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> EqualityReport:
+@rowwise
+def product_equality(
+    rows, A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
+) -> EqualityReport:
     """<dA><dB> as a commutator quotient over normalized operators.
 
     The sum equality at (A/<dA>, B/<dB>), whose left side is 2: its
@@ -151,15 +157,16 @@ def product_equality(A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) 
     """
     A, B = _operator_pair(A, B, rho)
     r = rho.matrix
-    sA, sB = _deviations((A, B), rho, tol)
+    sA, sB = _deviations(rows, (A, B), rho, tol)
     sign = _pick_sign(_commutator_average(A, B, r), tol)
-    q = _sum_parts(A / sA, B / sB, r, sign)
+    q = _sum_parts(A / sA[..., None, None], B / sB[..., None, None], r, sign)
     return _quotient_report(
-        sA * sB, q.commutator * sA * sB / 2, 1 - q.correction / 2, sign, tol)
+        rows, sA * sB, q.commutator * sA * sB / 2, 1 - q.correction / 2, sign, tol)
 
 
+@rowwise
 def product_equality_nontrivial(
-    A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
+    rows, A, B, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
     """Additive form of the product equality; stays useful at zero commutator.
 
@@ -168,18 +175,19 @@ def product_equality_nontrivial(
     """
     A, B = _operator_pair(A, B, rho)
     r = rho.matrix
-    sA, sB = _deviations((A, B), rho, tol)
+    sA, sB = _deviations(rows, (A, B), rho, tol)
     sign = _pick_sign(_commutator_average(A, B, r), tol)
-    q = _sum_parts(A * math.sqrt(sB / sA), B * math.sqrt(sA / sB), r, sign)
+    q = _sum_parts(A * np.sqrt(sB / sA)[..., None, None], B * np.sqrt(sA / sB)[..., None, None],
+                   r, sign)
     return _report(sA * sB, q.commutator / 2, q.correction / 2, sign)
 
 
 _PAIRS = ((0, 1), (1, 2), (2, 0))
 
 
-def _pair_commutator(X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> float:
+def _pair_commutator(X: np.ndarray, Y: np.ndarray, r: np.ndarray):
     """Y_ij = (1/2)<i[X_i, X_j]>_rho of two Hermitian observables."""
-    return 0.5 * (1j * np.trace((X @ Y - Y @ X) @ r)).real
+    return 0.5 * (1j * _trace((X @ Y - Y @ X) @ r)).real
 
 
 def _pair_signs(Xs, r, tol) -> list:
@@ -194,13 +202,14 @@ def _three_parts(Xs, r, signs):
     corr = 0.0
     for (i, j), rij in zip(_PAIRS, signs):
         bracket += rij * _pair_commutator(Xs[i], Xs[j], r)
-        M = _centered(Xs[i], r) - 1j * rij * _centered(Xs[j], r)
-        corr += 0.5 * np.trace(M.conj().T @ M @ r).real
+        M = _centered(Xs[i], r) - _centered(Xs[j], r) * (1j * rij)[..., None, None]
+        corr += 0.5 * _trace(_dagger(M) @ M @ r).real
     return bracket, corr
 
 
+@rowwise
 def three_observable_sum_equality(
-    X1, X2, X3, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
+    rows, X1, X2, X3, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
     """Sum of three variances split into pairwise commutators + remainder.
 
@@ -208,30 +217,31 @@ def three_observable_sum_equality(
     next one; with that conjugate pairing the identity holds for either sign
     branch, and r_ij = sign(Y_ij) keeps the commutator bracket nonnegative.
     """
-    Xs = [require_hermitian(X, tol) for X in (X1, X2, X3)]
+    Xs = [_operators(X, rho.dim, tol) for X in (X1, X2, X3)]
     r = rho.matrix
-    lhs = sum(variance(X, rho, tol) for X in Xs)
+    lhs = sum(variance.core(rows, X, rho, tol) for X in Xs)
     bracket, corr = _three_parts(Xs, r, _pair_signs(Xs, r, tol))
-    return _report(lhs, bracket, corr, +1)
+    return _report(lhs, bracket, corr, np.ones_like(lhs, dtype=int))
 
 
+@rowwise
 def three_observable_product_equality(
-    X1, X2, X3, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
+    rows, X1, X2, X3, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
     """Product of three standard deviations: a third of the sum form at
     X_i sqrt(<dX1><dX2><dX3>)/<dX_i>, whose variances all equal that product
     squared.  The signs are those of the unscaled observables."""
-    Xs = [require_hermitian(X, tol) for X in (X1, X2, X3)]
+    Xs = [_operators(X, rho.dim, tol) for X in (X1, X2, X3)]
     r = rho.matrix
-    sd = _deviations(Xs, rho, tol)
+    sd = _deviations(rows, Xs, rho, tol)
     lhs = sd[0] * sd[1] * sd[2]
-    root = math.sqrt(lhs)
-    scaled = [X * (root / s) for X, s in zip(Xs, sd)]
+    root = np.sqrt(lhs)
+    scaled = [X * (root / s)[..., None, None] for X, s in zip(Xs, sd)]
     bracket, corr = _three_parts(scaled, r, _pair_signs(Xs, r, tol))
-    return _report(lhs, bracket / 3, corr / 3, +1)
+    return _report(lhs, bracket / 3, corr / 3, np.ones_like(lhs, dtype=int))
 
 
-def _skew_parts(A, B, rho, s, tol):
+def _skew_parts(rows, A, B, rho, s, tol):
     """Shared pieces of the skew product equality as sums over rho's
     eigenbasis, with A~ = V^H A V, B~ = V^H B V, p = lambda^s, q = lambda^(1-s).
 
@@ -243,40 +253,44 @@ def _skew_parts(A, B, rho, s, tol):
     with X, Y = A~/sqrt(I(A)) +- sign i B~/sqrt(I(B)).
     """
     A, B = _operator_pair(A, B, rho)
-    IA, IB = wyd_skew(A, rho, s, tol), wyd_skew(B, rho, s, tol)
-    if IA <= tol.tol_residual or IB <= tol.tol_residual:
-        raise ZeroSkew("skew product equality needs nonzero skew informations")
+    IA, IB = wyd_skew.core(rows, A, rho, s, tol), wyd_skew.core(rows, B, rho, s, tol)
+    rows.reject((IA <= tol.tol_residual) | (IB <= tol.tol_residual), ZeroSkew,
+                "skew product equality needs nonzero skew informations")
     lam, V = rho.eigenvalues, rho.eigenvectors
-    p, q = lam**s, lam ** (1 - s)
-    pi, pj, qi, qj = p[:, None], p[None, :], q[:, None], q[None, :]
-    At, Bt = V.conj().T @ A @ V, V.conj().T @ B @ V
-    raw = 2 * np.sum((pj - pi + pi * qj - qi * pj) * (Bt.conj() * At).imag)
+    p, q = _power(lam, s), _power(lam, 1 - np.asarray(s, dtype=float))
+    pi, pj, qi, qj = p[..., :, None], p[..., None, :], q[..., :, None], q[..., None, :]
+    At, Bt = _dagger(V) @ A @ V, _dagger(V) @ B @ V
+    ij = (-2, -1)
+    raw = 2 * np.sum((pj - pi + pi * qj - qi * pj) * (Bt.conj() * At).imag, axis=ij)
     sign = _pick_sign(raw, tol)
     # the rho part of Omega is the trace wyd_skew takes, so that its rounding
     # cancels against I(A) and I(B) in the identity's residual
-    omega = sum((np.sum((pi + pj) * np.abs(Xt) ** 2)
-                 - np.trace((X.conj().T @ X + X @ X.conj().T) @ rho.matrix).real) / (4 * I)
+    omega = sum((np.sum((pi + pj) * np.abs(Xt) ** 2, axis=ij)
+                 - _trace((_dagger(X) @ X + X @ _dagger(X)) @ rho.matrix).real) / (4 * I)
                 for X, Xt, I in ((A, At, IA), (B, Bt, IB)))
-    a, b = At / math.sqrt(IA), Bt / math.sqrt(IB)
-    quad = np.sum(np.abs(a + sign * 1j * b) ** 2 * pi * (1 - qj)
-                  + np.abs(a - sign * 1j * b) ** 2 * (1 - qi) * pj)
+    a, b = At / np.sqrt(IA)[..., None, None], Bt / np.sqrt(IB)[..., None, None]
+    ib = b * (sign * 1j)[..., None, None]
+    quad = np.sum(np.abs(a + ib) ** 2 * pi * (1 - qj) + np.abs(a - ib) ** 2 * (1 - qi) * pj,
+                  axis=ij)
     return IA, IB, sign * raw / 4, omega, quad, sign
 
 
+@rowwise
 def skew_product_equality(
-    A, B, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL
+    rows, A, B, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
     """sqrt(I^s(A) I^s(B)) as a commutator quotient on the rho^s geometry.
 
     At s = 1/2 the cross-exchange term vanishes identically: its weight is
-    exactly 0.
+    exactly 0.  A stack takes one s for all states or one per state.
     """
-    IA, IB, num, omega, quad, sign = _skew_parts(A, B, rho, s, tol)
-    return _quotient_report(math.sqrt(IA * IB), num, 1 + omega - 0.25 * quad, sign, tol)
+    IA, IB, num, omega, quad, sign = _skew_parts(rows, A, B, rho, s, tol)
+    return _quotient_report(rows, np.sqrt(IA * IB), num, 1 + omega - 0.25 * quad, sign, tol)
 
 
+@rowwise
 def skew_product_correction_identity(
-    A, B, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL
+    rows, A, B, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
     """Independent residual check on the quadratic-form trace identity.
 
@@ -284,8 +298,8 @@ def skew_product_correction_identity(
     commutator quotient, i.e. the raw identity the product equality is
     rearranged from.
     """
-    IA, IB, num, omega, quad, sign = _skew_parts(A, B, rho, s, tol)
-    rhs = 2 + 2 * omega - 2 * num / math.sqrt(IA * IB)
+    IA, IB, num, omega, quad, sign = _skew_parts(rows, A, B, rho, s, tol)
+    rhs = 2 + 2 * omega - 2 * num / np.sqrt(IA * IB)
     return _report(0.5 * quad, num, omega, sign, rhs=rhs)
 
 

@@ -14,11 +14,17 @@ caches its spectral decomposition.  Conventions used throughout the package:
 * many states of one dimension may be validated together as a
   :class:`DensityStack`, whose arrays carry a leading axis of states; the
   state functions written on ``(..., d, d)`` arrays then give one value per
-  state, computed slice by slice exactly as for a single state.
+  state, computed slice by slice exactly as for a single state;
+* a :func:`rowwise` function evaluates one case per state of a stack, with
+  operators and parameters shared or given per state along the same axis;
+  a single state runs as the stack of one.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +85,34 @@ DEFAULT_TOL = Tolerances()
 def as_operator(M, dim=None) -> np.ndarray:
     """Coerce ``M`` to a square complex matrix with finite entries."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != 2:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    return _operators(A, dim)
+
+
+def _operators(M, dim=None, tol=None) -> np.ndarray:
+    """``M`` as a complex matrix or ``(..., d, d)`` stack with finite entries,
+    each Hermitian as :func:`require_hermitian` checks it if ``tol`` is given."""
+    A = np.asarray(M, dtype=complex)
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
         raise StateValidationError("matrix contains non-finite entries")
-    if dim is not None and A.shape[0] != dim:
-        raise DimensionMismatch(f"expected dim {dim}, got {A.shape[0]}")
+    if dim is not None and A.shape[-1] != dim:
+        raise DimensionMismatch(f"expected dim {dim}, got {A.shape[-1]}")
+    if tol is not None:
+        _check_hermitian(A, tol)
     return A
+
+
+def _dagger(A: np.ndarray) -> np.ndarray:
+    """A^dag of a matrix, or of each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
+
+
+def _trace(A: np.ndarray):
+    """Tr A of a matrix, or of each matrix of a stack."""
+    return np.trace(A, axis1=-2, axis2=-1)
 
 
 def _check_hermitian(A: np.ndarray, tol: Tolerances) -> None:
@@ -158,9 +185,12 @@ class DensityStack:
     """N validated states of one dimension, from :func:`density_stack`.
 
     The fields are those of :class:`DensityOperator` with a leading axis of
-    length N.  :func:`matrix_power`, ``moments.wyd_skew``, ``moments.gen_skew``,
-    ``bounds.bound_wy`` and ``bounds.bound_wyd`` accept a stack and return one
-    result per state; iterating yields the single states.
+    length N.  :func:`matrix_power`, ``bounds.bound_wy``, ``bounds.bound_wyd``
+    and the :func:`rowwise` functions accept a stack and return one result
+    per state: the state functions of ``moments``, the identities of
+    ``equalities`` (not the chain or the intelligent-state check), those of
+    ``qubit`` that take one state, and ``weakvalue``'s reconstruction and
+    subsystem check.  Iterating yields the single states.
     """
 
     matrix: np.ndarray
@@ -170,6 +200,9 @@ class DensityStack:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+    def purity(self) -> np.ndarray:
+        return np.sum(self.eigenvalues**2, axis=-1)
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -246,13 +279,112 @@ def matrix_power(rho: DensityOperator, s: float) -> np.ndarray:
 
     Returned as ``sum_i lambda_i**s |i><i|`` over the cached eigenbasis;
     Hermitian and PSD by construction.  A :class:`DensityStack` gives the
-    stack of powers.
+    stack of powers, with one s for all or one per state.
     """
-    if not 0 < s <= 1:
-        raise DomainError(f"s must lie in (0, 1], got {s}")
-    w = np.where(rho.eigenvalues > 0, rho.eigenvalues, 0.0) ** s
+    w = _power(np.where(rho.eigenvalues > 0, rho.eigenvalues, 0.0), _exponents(s, closed=True))
     V = rho.eigenvectors
     return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+def _exponents(s, closed: bool = False):
+    """s as a float array; DomainError unless each entry lies in (0, 1), or
+    in (0, 1] if ``closed``, naming the first that does not."""
+    s = np.asarray(s, dtype=float)
+    bad = ~((0 < s) & ((s <= 1) if closed else (s < 1)))
+    if bad.any():
+        raise DomainError(f"s must lie in (0, 1{']' if closed else ')'}, got {s[bad][0]}")
+    return s
+
+
+def _power(w: np.ndarray, s) -> np.ndarray:
+    """w ** s for a (..., d) stack of spectra and one s for all or per
+    spectrum, each entry as numpy's power by a float s gives it (s = 1/2 is
+    sqrt): the exponents are spread to w's shape, so that one power loop
+    takes every entry and each spectrum gets the powers it gets alone."""
+    e = np.zeros_like(w) + np.asarray(s)[..., None]
+    return np.where(e == 0.5, np.sqrt(w), w ** e)
+
+
+class _Rows:
+    """The per-state outcome of a stacked evaluation: ``ok`` marks the states
+    that passed every check so far, and ``first`` is (state, error) of the
+    first failing state, with the error that state meets first alone."""
+
+    def __init__(self, n: int):
+        self.ok = np.ones(n, dtype=bool)
+        self.first = None
+
+    def reject(self, bad, error, message: str, value=None) -> None:
+        """Fail the states where ``bad``; ``message`` formats the state's
+        entry of ``value`` into its ``{}``, if given."""
+        _one_case_per_state(bad, len(self.ok))
+        new = np.flatnonzero(self.ok & bad)
+        if new.size and (self.first is None or new[0] < self.first[0]):
+            i = new[0]
+            self.first = (i, error(message if value is None else message.format(value[i])))
+        self.ok &= ~bad
+
+
+def _one_case_per_state(x: np.ndarray, n: int) -> None:
+    if len(x) != n:
+        raise DimensionMismatch(f"{len(x)} cases for {n} states")
+
+
+def _row0(x):
+    """Row 0 of every array in a stacked result: a single state's result."""
+    if isinstance(x, np.ndarray):
+        _one_case_per_state(x, 1)
+        return x[0]
+    if dataclasses.is_dataclass(x):
+        return dataclasses.replace(x, **{f.name: _row0(getattr(x, f.name))
+                                          for f in dataclasses.fields(x)})
+    if isinstance(x, tuple):
+        return type(x)(*map(_row0, x)) if hasattr(x, "_fields") else tuple(map(_row0, x))
+    return x
+
+
+def rowwise(core):
+    """The public function of a row core ``core(rows, ..., rho, ...)``, which
+    evaluates each state of the DensityStack ``rho`` and records the states
+    that fail a check in ``rows`` (a :class:`_Rows`).
+
+    The public function takes the other arguments, runs a DensityOperator as
+    the stack of one, and raises the first failing state's error (naming the
+    state for a stack).  ``public.rows(...)`` returns ``(result, ok)`` for a
+    stack without raising; ``public.core`` is the core.
+    """
+    sig = inspect.signature(core)
+    at = list(sig.parameters).index("rho") - 1  # rho's position after rows
+
+    def run(args, kwargs):
+        positional = len(args) > at
+        rho = args[at] if positional else kwargs["rho"]
+        single = isinstance(rho, DensityOperator)
+        if single:
+            rho = DensityStack(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
+            if positional:
+                args = args[:at] + (rho,) + args[at + 1:]
+            else:
+                kwargs = {**kwargs, "rho": rho}
+        rows = _Rows(len(rho))
+        with np.errstate(divide="ignore", invalid="ignore"):  # on failing states
+            return core(rows, *args, **kwargs), rows, single
+
+    @functools.wraps(core)
+    def public(*args, **kwargs):
+        out, rows, single = run(args, kwargs)
+        if rows.first is not None:
+            i, error = rows.first
+            raise error if single else type(error)(f"state {i}: {error}")
+        return _row0(out) if single else out
+
+    def stacked(*args, **kwargs):
+        out, rows, _ = run(args, kwargs)
+        return out, rows.ok
+
+    public.rows, public.core = stacked, core
+    public.__signature__ = sig.replace(parameters=list(sig.parameters.values())[1:])
+    return public
 
 
 def sqrt_trace(rho: DensityOperator) -> float:

@@ -2,6 +2,8 @@
 
 All operations accept arbitrary (not necessarily Hermitian) operators; the
 symmetrized definitions below reduce to the textbook ones on Hermitian input.
+The state functions are ``linalg.rowwise``: a DensityStack gives one value
+per state, for one operator or a stack of one per state.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NegativeRadicand
-from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator
+from .errors import DomainError, NegativeRadicand
+from .linalg import (
+    DEFAULT_TOL, DensityOperator, Tolerances, _dagger, _exponents, _operators, _power, _trace,
+    as_operator, rowwise,
+)
 
 __all__ = [
     "MeanOrder",
@@ -82,20 +87,12 @@ def generalized_mean(x: float, y: float, order) -> float:
 
     m_0 = sqrt(xy), m_{-inf} = min(x, y), otherwise
     ((x**nu + y**nu)/2)**(1/nu).  Monotone nonincreasing as nu decreases.
-    Callers must pre-filter zero eigenvalues; see :func:`gen_skew`.
+    Callers must pre-filter zero eigenvalues; see :func:`gen_skew`.  The
+    off-diagonal weight of :func:`gen_skew` at the spectrum (x, y).
     """
     if x <= 0 or y <= 0:
         raise DomainError("generalized_mean requires strictly positive arguments")
-    order = as_mean_order(order)
-    if order.is_min:
-        return min(x, y)
-    a, b = math.log(x), math.log(y)
-    if order.is_zero or abs(order.nu) < _NU_SERIES_CUTOFF:
-        return math.exp((a + b) / 2 + order.nu * (a - b) ** 2 / 8)
-    # exp((a+b)/2 + logcosh(nu*(a-b)/2)/nu), stable for very negative nu
-    z = order.nu * (a - b) / 2
-    logcosh = abs(z) + math.log1p(math.exp(-2 * abs(z))) - math.log(2)
-    return math.exp((a + b) / 2 + logcosh / order.nu)
+    return float(_mean_weights(np.array([x, y], dtype=float), order, 0.0)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -120,67 +117,55 @@ def hermitian_split(A, sign: int = +1) -> HermitianSplit:
     return HermitianSplit(a1=a1, a2=a2, sign=sign)
 
 
-def _check_dims(A: np.ndarray, rho: DensityOperator):
-    if A.shape[0] != rho.dim:
-        raise DimensionMismatch(f"operator dim {A.shape[0]} != state dim {rho.dim}")
-
-
-def variance(A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def variance(rows, A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     """Symmetrized variance Tr[rho (A^dag A + A A^dag)/2] - |Tr(A rho)|^2."""
-    A = as_operator(A)
-    _check_dims(A, rho)
+    A = _operators(A, rho.dim)
     r = rho.matrix
-    quad = 0.5 * np.trace((A.conj().T @ A + A @ A.conj().T) @ r).real
-    mean = np.trace(A @ r)
-    v = quad - abs(mean) ** 2
-    if v < -tol.tol_residual:
-        raise NegativeRadicand(f"variance radicand {v:.3e} < -{tol.tol_residual:.3e}")
-    return max(v, 0.0)
+    quad = 0.5 * _trace((_dagger(A) @ A + A @ _dagger(A)) @ r).real
+    v = quad - np.abs(_trace(A @ r)) ** 2
+    rows.reject(v < -tol.tol_residual, NegativeRadicand,
+                f"variance radicand {{:.3e}} < -{tol.tol_residual:.3e}", v)
+    return np.maximum(v, 0.0)
 
 
-def std_dev(A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def std_dev(rows, A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     """Standard deviation of an arbitrary operator; symmetric under A <-> A^dag."""
-    return math.sqrt(variance(A, rho, tol))
+    return np.sqrt(variance.core(rows, A, rho, tol))
 
 
-def _skew_kernel(A, rho: DensityOperator, W: np.ndarray, what: str, tol: Tolerances):
+def _skew_kernel(rows, A, rho, W: np.ndarray, what: str, tol: Tolerances):
     """quad - sum_ij W_ij |A~_ij|^2, with quad = Tr[rho (A^dag A + A A^dag)/2]
-    and A~ = A in the eigenbasis of rho.
+    and A~ = A in the eigenbasis of rho, for each state of the stack ``rho``
+    and its (N, d, d) weights.
 
     :func:`wyd_skew` and :func:`gen_skew` differ only in the symmetric
     eigenvalue weighting W; for symmetric W,
     (1/2) sum_ij W_ij (|<i|A^dag|j>|^2 + |<i|A|j>|^2) = sum_ij W_ij |A~_ij|^2.
-    For a DensityStack and a (N, d, d) stack of weights it is one stacked
-    evaluation with one value per state; a single state is the case N = 1
-    without the leading axis, and each state's value is the one it gets alone.
     """
-    A = as_operator(A)
-    _check_dims(A, rho)
-    AA = A.conj().T @ A + A @ A.conj().T
-    quad = 0.5 * np.trace(AA @ rho.matrix, axis1=-2, axis2=-1).real
+    A = _operators(A, rho.dim)
+    quad = 0.5 * _trace((_dagger(A) @ A + A @ _dagger(A)) @ rho.matrix).real
     V = rho.eigenvectors
-    At = V.conj().swapaxes(-1, -2) @ A @ V
-    weighted = W * np.abs(At) ** 2
-    val = quad - np.sum(weighted.reshape(weighted.shape[:-2] + (-1,)), axis=-1)
-    worst = np.min(val)
-    if worst < -tol.tol_residual:
-        raise NegativeRadicand(f"{what} {worst:.3e} < -{tol.tol_residual:.3e}")
+    val = quad - np.sum(W * np.abs(_dagger(V) @ A @ V) ** 2, axis=(-2, -1))
+    rows.reject(val < -tol.tol_residual, NegativeRadicand,
+                f"{what} {{:.3e}} < -{tol.tol_residual:.3e}", val)
     return np.maximum(val, 0.0)
 
 
-def wyd_skew(A, rho: DensityOperator, s: float, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def wyd_skew(rows, A, rho: DensityOperator, s, tol: Tolerances = DEFAULT_TOL):
     """Skew information (1/2) Tr([rho^s, A]^dag [rho^(1-s), A]) for 0 < s < 1.
 
     s = 1/2 is the symmetric case (1/2)||[sqrt(rho), A]||_F^2.  Evaluated as
     the eigenbasis kernel with W_ij = (l_i^s l_j^(1-s) + l_i^(1-s) l_j^s)/2,
-    which is 0 on pairs touching a zero eigenvalue (0**s = 0).  A
-    DensityStack gives an array of one skew information per state.
+    which is 0 on pairs touching a zero eigenvalue (0**s = 0).  A stack
+    takes one s for all states or one per state.
     """
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0, 1), got {s}")
-    p, q = rho.eigenvalues**s, rho.eigenvalues ** (1 - s)
+    s = _exponents(s)
+    p, q = _power(rho.eigenvalues, s), _power(rho.eigenvalues, 1 - s)
     W = (_outer(p, q) + _outer(q, p)) / 2
-    return _skew_kernel(A, rho, W, "skew information", tol)
+    return _skew_kernel(rows, A, rho, W, "skew information", tol)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -188,45 +173,57 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y[..., None, :]
 
 
-def _mean_weights(eigs: np.ndarray, order: MeanOrder, tol_psd: float) -> np.ndarray:
+def _mean_weights(eigs: np.ndarray, order, tol_psd: float) -> np.ndarray:
     """Matrix m_nu(lambda_i, lambda_j); pairs touching the kernel weigh 0.
 
     The zero-eigenvalue rule is the continuous limit of the power mean with a
     vanishing argument and nonpositive exponent, consistent with 0**s = 0.
-    A stack of spectra gives a stack of matrices.
+    A stack of spectra gives a stack of matrices, with one order for all or
+    an array of one per spectrum; the spectra of each distinct order are
+    weighted together.
     """
+    if not isinstance(order, MeanOrder) and np.ndim(order):
+        nu = np.broadcast_to(np.asarray(order, dtype=float), eigs.shape[:-1])
+        M = np.empty(eigs.shape + eigs.shape[-1:])
+        for u in np.unique(nu):
+            M[nu == u] = _mean_weights(eigs[nu == u], u, tol_psd)
+        return M
+    order = as_mean_order(order)
     pos = eigs > tol_psd
     x = np.where(pos, eigs, 1.0)  # placeholder 1 off the support, masked below
     if order.is_min:
         M = np.minimum(x[..., :, None], x[..., None, :])
     else:
-        # same log-domain formulas as generalized_mean, on all pairs at once
+        # log-domain formulas, on all pairs at once
         a = np.log(x)
         mid = (a[..., :, None] + a[..., None, :]) / 2
         diff = a[..., :, None] - a[..., None, :]
         if order.is_zero or abs(order.nu) < _NU_SERIES_CUTOFF:
             M = np.exp(mid + order.nu * diff**2 / 8)
         else:
+            # exp((a+b)/2 + logcosh(nu*(a-b)/2)/nu), stable for very negative nu
             z = np.abs(order.nu * diff / 2)
             logcosh = z + np.log1p(np.exp(-2 * z)) - math.log(2)
             M = np.exp(mid + logcosh / order.nu)
     return np.where(_outer(pos, pos), M, 0.0)
 
 
-def gen_skew(A, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def gen_skew(rows, A, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL):
     """Generalized skew information of an arbitrary operator.
 
     Interpolates the skew-information family through the power mean of
     eigenvalue pairs: the eigenbasis kernel of :func:`wyd_skew` with
     W_ij = m_nu(l_i, l_j).  Order 0 gives the s = 1/2 weights, so it
     reproduces ``wyd_skew(A, rho, 1/2)``, and order -1 gives a quarter of the
-    Fisher information.  A DensityStack gives one value per state.
+    Fisher information.  A stack takes one order for all states or an array
+    of one per state.
     """
-    order = as_mean_order(order)
     W = _mean_weights(rho.eigenvalues, order, tol.tol_psd)
-    return _skew_kernel(A, rho, W, "generalized skew", tol)
+    return _skew_kernel(rows, A, rho, W, "generalized skew", tol)
 
 
-def fisher_information(A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def fisher_information(rows, A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     """Quantum Fisher information, 4x the order -1 generalized skew."""
-    return 4.0 * gen_skew(A, rho, MeanOrder.finite(-1.0), tol)
+    return 4.0 * gen_skew.core(rows, A, rho, MeanOrder.finite(-1.0), tol)

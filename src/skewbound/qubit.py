@@ -17,14 +17,11 @@ import numpy as np
 from .bounds import OperatorSet, pure_variance_bound
 from .equalities import EqualityReport
 from .errors import DegenerateDenominator, DimensionMismatch, DomainError, NotOrthonormal
-from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, as_operator, density, pure_state
-from .moments import (
-    as_mean_order,
-    fisher_information,
-    gen_skew,
-    generalized_mean,
-    variance,
+from .linalg import (
+    DEFAULT_TOL, DensityOperator, Tolerances, _operators, _trace, as_operator, density,
+    density_stack, rowwise,
 )
+from .moments import _mean_weights, fisher_information, gen_skew, variance
 
 __all__ = [
     "PAULI_X",
@@ -50,7 +47,7 @@ __all__ = [
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 _ORTHO_TOL = 1e-10
 
@@ -74,20 +71,31 @@ class BlochState:
         return density(M, tol)
 
 
-def bloch_vector(rho: DensityOperator) -> np.ndarray:
+@rowwise
+def bloch_vector(rows, rho: DensityOperator) -> np.ndarray:
     """Bloch vector of a qubit state."""
     _check_qubit(rho)
-    return np.array([np.trace(rho.matrix @ P).real for P in _PAULI])
+    return _trace(rho.matrix[:, None] @ _PAULI).real
+
+
+def _directions(n) -> np.ndarray:
+    """A direction as 3 floats, or a (N, 3) stack of one per state."""
+    v = np.asarray(n, dtype=float)
+    v = v.ravel() if v.size == 3 else v
+    if v.shape[-1] != 3:
+        raise DimensionMismatch("direction must have three components")
+    return v
 
 
 def direction_op(n) -> np.ndarray:
-    """Spin operator (1/2) n . sigma along a unit direction."""
-    v = np.asarray(n, dtype=float).ravel()
-    if v.size != 3:
-        raise DimensionMismatch("direction must have three components")
-    if abs(np.linalg.norm(v) - 1) > _ORTHO_TOL:
-        raise NotOrthonormal(f"direction norm {np.linalg.norm(v):.12f} != 1")
-    return sum(c * P for c, P in zip(v, _PAULI)) / 2
+    """Spin operator (1/2) n . sigma along a unit direction, or the (N, 2, 2)
+    stack of a (N, 3) stack of directions."""
+    v = _directions(n)
+    norm = np.linalg.norm(v, axis=-1)
+    bad = np.abs(norm - 1) > _ORTHO_TOL
+    if np.any(bad):
+        raise NotOrthonormal(f"direction norm {norm[bad][0]:.12f} != 1")
+    return sum(v[..., k, None, None] * P for k, P in enumerate(_PAULI)) / 2
 
 
 def _check_qubit(rho: DensityOperator):
@@ -95,63 +103,65 @@ def _check_qubit(rho: DensityOperator):
         raise DimensionMismatch("qubit operations need a 2-dimensional state")
 
 
-def qubit_bracket(rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL) -> float:
-    """State factor 1 - 2 m_nu(l1, l2); equals 1 on pure states."""
+@rowwise
+def qubit_bracket(rows, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL):
+    """State factor 1 - 2 m_nu(l1, l2); equals 1 on pure states, where the
+    zero-eigenvalue rule collapses the mean to 0.  A stack takes one order
+    for all states or an array of one per state."""
     _check_qubit(rho)
-    order = as_mean_order(order)
-    l1, l2 = rho.eigenvalues
-    if min(l1, l2) <= tol.tol_psd:
-        return 1.0  # zero-eigenvalue rule: the mean collapses to 0
-    return 1.0 - 2.0 * generalized_mean(l1, l2, order)
+    return 1.0 - 2.0 * _mean_weights(rho.eigenvalues, order, tol.tol_psd)[:, 0, 1]
 
 
-def _strictly_mixed_bracket(rho, order, tol) -> float:
+def _strictly_mixed_bracket(rows, rho, order, tol):
     """Bracket for operations whose derivation assumes a mixed state."""
     _check_qubit(rho)
-    if min(rho.eigenvalues) <= tol.tol_psd:
-        raise DegenerateDenominator(
-            "pure state: the bracket degenerates (analytic limit gives skew = variance)"
-        )
-    b = qubit_bracket(rho, order, tol)
-    if b < tol.tol_residual:
-        raise DegenerateDenominator("maximally mixed state: bracket vanishes (0/0)")
+    rows.reject(np.min(rho.eigenvalues, axis=-1) <= tol.tol_psd, DegenerateDenominator,
+                "pure state: the bracket degenerates (analytic limit gives skew = variance)")
+    b = qubit_bracket.core(rows, rho, order, tol)
+    rows.reject(b < tol.tol_residual, DegenerateDenominator,
+                "maximally mixed state: bracket vanishes (0/0)")
     return b
 
 
-def qubit_gen_skew_closed(sigma, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def qubit_gen_skew_closed(rows, sigma, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL):
     """Closed-form generalized skew: bracket times eigenvector variance.
 
     Uses the smaller-eigenvalue eigenvector; the value is provably identical
     for either one, which the test suite asserts.
     """
     _check_qubit(rho)
-    sigma = as_operator(sigma, dim=2)
-    eigstate = pure_state(rho.eigenvectors[:, 0], tol)
-    return qubit_bracket(rho, order, tol) * variance(sigma, eigstate, tol)
+    sigma = _operators(sigma, 2)
+    v = rho.eigenvectors[:, :, 0]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    eigstates = density_stack(v[:, :, None] * v[:, None, :].conj(), tol)
+    bracket = qubit_bracket.core(rows, rho, order, tol)
+    return bracket * variance.core(rows, sigma, eigstates, tol)
 
 
-def order_ratio(rho: DensityOperator, order, order_prime, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def order_ratio(rows, rho: DensityOperator, order, order_prime, tol: Tolerances = DEFAULT_TOL):
     """Exact ratio I^nu / I^nu' of two skew orders of the same operator."""
-    return _strictly_mixed_bracket(rho, order, tol) / _strictly_mixed_bracket(
-        rho, order_prime, tol
+    return _strictly_mixed_bracket(rows, rho, order, tol) / _strictly_mixed_bracket(
+        rows, rho, order_prime, tol
     )
 
 
-def fisher_wy_ratio(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def fisher_wy_ratio(rows, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     """Fisher over symmetric-skew ratio 4(1-4 l1 l2)/(1-2 sqrt(l1 l2))."""
-    _check_qubit(rho)
-    l1, l2 = rho.eigenvalues
-    den = _strictly_mixed_bracket(rho, 0.0, tol)
-    return 4.0 * (1.0 - 4.0 * l1 * l2) / den
+    return 4.0 * _gamma(rows, rho, 0.0, tol)
 
 
-def _gamma(rho: DensityOperator, order, tol) -> float:
+def _gamma(rows, rho, order, tol):
     """(1 - 4 l1 l2) / bracket_nu; converts order-nu skew to Fisher scale."""
-    l1, l2 = rho.eigenvalues
-    return (1.0 - 4.0 * l1 * l2) / _strictly_mixed_bracket(rho, order, tol)
+    b = _strictly_mixed_bracket(rows, rho, order, tol)
+    l1, l2 = rho.eigenvalues.T
+    return (1.0 - 4.0 * l1 * l2) / b
 
 
-def scaled_skew_sum(ops_with_orders, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+@rowwise
+def scaled_skew_sum(rows, ops_with_orders, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     """Sum of bracket-normalized skews; equals the eigenvector variance sum.
 
     Each term I^nu_k(sigma_k) / [1 - 2 m_nu_k] removes the state dependence,
@@ -160,9 +170,9 @@ def scaled_skew_sum(ops_with_orders, rho: DensityOperator, tol: Tolerances = DEF
     _check_qubit(rho)
     total = 0.0
     for sigma, order in ops_with_orders:
-        sigma = as_operator(sigma, dim=2)
-        b = _strictly_mixed_bracket(rho, order, tol)
-        total += gen_skew(sigma, rho, order, tol) / b
+        sigma = _operators(sigma, 2)
+        b = _strictly_mixed_bracket(rows, rho, order, tol)
+        total += gen_skew.core(rows, sigma, rho, order, tol) / b
     return total
 
 
@@ -208,45 +218,50 @@ def fisher_variance_direction_bound(a, b, rho: DensityOperator, tol: Tolerances 
 
 
 def _require_orthonormal_triple(n1, n2, n3):
-    ns = [np.asarray(n, dtype=float).ravel() for n in (n1, n2, n3)]
+    ns = [_directions(n) for n in (n1, n2, n3)]
     for i, u in enumerate(ns):
-        if u.size != 3:
-            raise DimensionMismatch("directions must have three components")
-        if abs(np.linalg.norm(u) - 1) > _ORTHO_TOL:
+        if np.any(np.abs(np.linalg.norm(u, axis=-1) - 1) > _ORTHO_TOL):
             raise NotOrthonormal(f"direction {i} is not unit length")
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(np.dot(ns[i], ns[j])) > _ORTHO_TOL:
+            if np.any(np.abs(np.sum(ns[i] * ns[j], axis=-1)) > _ORTHO_TOL):
                 raise NotOrthonormal(f"directions {i} and {j} are not orthogonal")
     return ns
 
 
-def _flat_report(lhs: float, rhs: float) -> EqualityReport:
+def _flat_report(lhs, rhs) -> EqualityReport:
+    zero = np.zeros_like(lhs)
     return EqualityReport(
         lhs=lhs,
-        rhs=rhs,
+        rhs=rhs + zero,
         residual=lhs - rhs,
-        commutator_term=0.0,
-        correction_term=0.0,
-        sign_choice=+1,
+        commutator_term=zero,
+        correction_term=zero,
+        sign_choice=np.ones_like(lhs, dtype=int),
     )
 
 
+@rowwise
 def orthogonal_triple_skew_equality(
-    n1, n2, n3, rho: DensityOperator, orders: Sequence, tol: Tolerances = DEFAULT_TOL
+    rows, n1, n2, n3, rho: DensityOperator, orders: Sequence, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
-    """Bracket-normalized skews along an orthonormal triple sum to 1/2."""
+    """Bracket-normalized skews along an orthonormal triple sum to 1/2.
+
+    A stack takes directions and orders shared by all states or given one
+    per state, as (N, 3) and (N,) arrays.
+    """
     ns = _require_orthonormal_triple(n1, n2, n3)
     if len(orders) != 3:
         raise DomainError("need three mean orders")
-    lhs = scaled_skew_sum(
-        [(direction_op(n), order) for n, order in zip(ns, orders)], rho, tol
+    lhs = scaled_skew_sum.core(
+        rows, [(direction_op(n), order) for n, order in zip(ns, orders)], rho, tol
     )
     return _flat_report(lhs, 0.5)
 
 
+@rowwise
 def mixed_triple_equalities(
-    n1, n2, n3, rho: DensityOperator, orders: Sequence, tol: Tolerances = DEFAULT_TOL
+    rows, n1, n2, n3, rho: DensityOperator, orders: Sequence, tol: Tolerances = DEFAULT_TOL
 ):
     """Two equalities mixing Fisher-scaled skews and variances on a triple.
 
@@ -259,40 +274,44 @@ def mixed_triple_equalities(
     if len(orders) < 2:
         raise DomainError("need at least two mean orders")
     s1, s2, s3 = (direction_op(n) for n in ns)
-    g1 = _gamma(rho, orders[0], tol) * gen_skew(s1, rho, orders[0], tol)
-    g2 = _gamma(rho, orders[1], tol) * gen_skew(s2, rho, orders[1], tol)
-    v2 = variance(s2, rho, tol)
-    v3 = variance(s3, rho, tol)
+    g1 = _gamma(rows, rho, orders[0], tol) * gen_skew.core(rows, s1, rho, orders[0], tol)
+    g2 = _gamma(rows, rho, orders[1], tol) * gen_skew.core(rows, s2, rho, orders[1], tol)
+    v2 = variance.core(rows, s2, rho, tol)
+    v3 = variance.core(rows, s3, rho, tol)
     first = _flat_report(g1 + v2 + v3, 0.5)
     second = _flat_report(g1 + g2 + v3, 0.5 * rho.purity())
     return first, second
 
 
+@rowwise
 def direction_variance_fisher_identity(
-    n, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
+    rows, n, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
     """<d s_n>^2 = F(s_n)/4 + (1 - Tr rho^2)/2 for any direction."""
     _check_qubit(rho)
     sn = direction_op(n)
-    lhs = variance(sn, rho, tol)
-    rhs = fisher_information(sn, rho, tol) / 4 + 0.5 * (1.0 - rho.purity())
+    lhs = variance.core(rows, sn, rho, tol)
+    rhs = fisher_information.core(rows, sn, rho, tol) / 4 + 0.5 * (1.0 - rho.purity())
     return _flat_report(lhs, rhs)
 
 
+@rowwise
 def direction_variance_skew_identity(
-    n, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL
+    rows, n, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL
 ) -> EqualityReport:
     """<d s_n>^2 = Gamma_nu I^nu(s_n) + (1 - Tr rho^2)/2."""
     _check_qubit(rho)
     sn = direction_op(n)
-    lhs = variance(sn, rho, tol)
-    rhs = _gamma(rho, order, tol) * gen_skew(sn, rho, order, tol) + 0.5 * (1.0 - rho.purity())
+    lhs = variance.core(rows, sn, rho, tol)
+    rhs = (_gamma(rows, rho, order, tol) * gen_skew.core(rows, sn, rho, order, tol)
+           + 0.5 * (1.0 - rho.purity()))
     return _flat_report(lhs, rhs)
 
 
-def triple_purity_identity(n1, n2, n3, rho: DensityOperator) -> EqualityReport:
+@rowwise
+def triple_purity_identity(rows, n1, n2, n3, rho: DensityOperator) -> EqualityReport:
     """Tr rho^2 = (1 + sum_i (n_i . r)^2)/2 over an orthonormal triple."""
     ns = _require_orthonormal_triple(n1, n2, n3)
-    r = bloch_vector(rho)
-    rhs = 0.5 * (1.0 + sum(float(np.dot(n, r)) ** 2 for n in ns))
+    r = bloch_vector.core(rows, rho)
+    rhs = 0.5 * (1.0 + sum(np.sum(n * r, axis=-1) ** 2 for n in ns))
     return _flat_report(rho.purity(), rhs)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotOrthonormal, OrthogonalSelection
 from .linalg import (
-    DEFAULT_TOL, DensityOperator, Tolerances, as_operator, matrix_power, require_hermitian,
+    DEFAULT_TOL, DensityOperator, Tolerances, _dagger, _exponents, _operators,
+    as_operator, matrix_power, rowwise,
 )
 
 __all__ = [
@@ -76,23 +77,23 @@ class ReconstructionResult(NamedTuple):
 
 
 def _check_basis(basis, d: int) -> np.ndarray:
+    """The matrix U of basis columns, or the (N, d, d) stack of U for a
+    basis of d vectors each given as a (N, d) stack of one per state."""
     if basis is None:
         return np.eye(d, dtype=complex)
-    U = np.column_stack([np.asarray(b, dtype=complex).ravel() for b in basis])
-    if U.shape != (d, d):
+    vectors = [np.asarray(b, dtype=complex) for b in basis]
+    U = np.stack([v if v.ndim == 2 and v.shape[-1] == d else v.ravel() for v in vectors], -1)
+    if U.shape[-2:] != (d, d):
         raise DomainError(f"need {d} basis vectors of dimension {d}")
-    defect = np.max(np.abs(U.conj().T @ U - np.eye(d)))
+    defect = np.max(np.abs(_dagger(U) @ U - np.eye(d)))
     if defect > 1e-9:
         raise NotOrthonormal(f"basis orthonormality defect {defect:.3e}")
     return U
 
 
-def _observable(A, rho: DensityOperator, tol: Tolerances) -> np.ndarray:
-    """A as a Hermitian matrix on the space of rho."""
-    return require_hermitian(as_operator(A, dim=rho.dim), tol)
-
-
+@rowwise
 def reconstruct_skew(
+    rows,
     A,
     rho: DensityOperator,
     s: float,
@@ -105,21 +106,21 @@ def reconstruct_skew(
     ``basis`` gives the postselection basis of the first factor (defaults to
     computational); the second factor uses its entrywise conjugates.  The
     reconstruction matches the direct definition and the total imaginary part
-    vanishes, both to working precision.
+    vanishes, both to working precision.  A stack takes the observable, s
+    and the basis shared by all states or given one per state.
     """
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0, 1), got {s}")
-    A = _observable(A, rho, tol)
+    s = _exponents(s)
+    A = _operators(A, rho.dim, tol)
     U = _check_basis(basis, rho.dim)
     P, Q = matrix_power(rho, s), matrix_power(rho, 1 - s)
-    Uh = U.conj().T
+    Uh = _dagger(U)
     weights_s, weights_1ms = Uh @ P @ U, Uh @ Q @ U
     # <a_i a_j*|H_A|Phi~^s> and likewise for 1-s
     T_s = Uh @ (A @ P - P @ A) @ U / math.sqrt(2)
     T_1ms = Uh @ (A @ Q - Q @ A) @ U / math.sqrt(2)
     # pre-cancellation form: the weights cancel the weak-value denominators,
     # so each summand is overlap-free
-    total = np.sum(T_s.conj() * T_1ms)
+    total = np.sum(T_s.conj() * T_1ms, axis=(-2, -1))
     defined = (np.abs(weights_s) > tol_overlap) & (np.abs(weights_1ms) > tol_overlap)
     values_s = np.full_like(T_s, np.nan)
     values_1ms = np.full_like(T_1ms, np.nan)
@@ -132,7 +133,7 @@ def reconstruct_skew(
         weights_1ms=weights_1ms,
         defined=defined,
     )
-    return ReconstructionResult(value=float(total.real), imag_residual=abs(total.imag), table=table)
+    return ReconstructionResult(value=total.real, imag_residual=np.abs(total.imag), table=table)
 
 
 class SubsystemReport(NamedTuple):
@@ -141,7 +142,9 @@ class SubsystemReport(NamedTuple):
     entries_checked: int
 
 
+@rowwise
 def subsystem_weak_values(
+    rows,
     A,
     rho: DensityOperator,
     s: float,
@@ -162,25 +165,28 @@ def subsystem_weak_values(
     as |<a_i|phi^j>| <= |phi^j| and the swapped overlap has the same modulus,
     and no selection is orthogonal even after normalizing: |phi^j| <= 1, so
     |<a_i|phi^j>| / |phi^j| > tol_overlap.  Returns the maximum entrywise
-    residual of each identity.
+    residual of each identity.  A stack takes the observable, s and the
+    basis shared by all states or given one per state.
     """
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0, 1), got {s}")
-    A = _observable(A, rho, tol)
+    s = _exponents(s)
+    A = _operators(A, rho.dim, tol)
     U = _check_basis(basis, rho.dim)
     P = matrix_power(rho, s)  # Phi~^s = vec(P)
-    Uh = U.conj().T
+    Uh = _dagger(U)
     Phi = P @ U  # column j is the collapsed preselection phi^j
     ov = Uh @ Phi
     checked = np.abs(ov) > tol_overlap
-    with np.errstate(divide="ignore", invalid="ignore"):  # on unchecked entries
-        single = Uh @ A @ Phi / ov
-        # <a_i a_j*|(A (x) I)|Phi~^s> and <a_i a_j*|(I (x) A^T)|Phi~^s> over
-        # the overlap, since these operators map vec(P) to vec(A P) and vec(P A)
-        res_f = np.abs(Uh @ (A @ P) @ U / ov - single)[checked]
-        res_c = np.abs(Uh @ (P @ A) @ U / ov - single.T.conj())[checked]
+    single = Uh @ A @ Phi / ov  # unchecked entries are masked below
+    # <a_i a_j*|(A (x) I)|Phi~^s> and <a_i a_j*|(I (x) A^T)|Phi~^s> over
+    # the overlap, since these operators map vec(P) to vec(A P) and vec(P A)
+    res_f = np.abs(Uh @ (A @ P) @ U / ov - single)
+    res_c = np.abs(Uh @ (P @ A) @ U / ov - _dagger(single))
+
+    def worst(res):
+        return np.max(np.where(checked, res, 0.0), axis=(-2, -1))
+
     return SubsystemReport(
-        factorization_residual=float(res_f.max(initial=0.0)),
-        conjugation_residual=float(res_c.max(initial=0.0)),
-        entries_checked=int(np.count_nonzero(checked)),
+        factorization_residual=worst(res_f),
+        conjugation_residual=worst(res_c),
+        entries_checked=np.count_nonzero(checked, axis=(-2, -1)),
     )

@@ -7,8 +7,7 @@ criterion.  Random sweeps use fixed seeds so the numbers are reproducible.
 import math
 import time
 import warnings
-from collections import Counter, defaultdict
-from itertools import chain
+from collections import defaultdict
 
 import numpy as np
 
@@ -119,16 +118,27 @@ def test_criterion_4_qubit_order_family():
 
 
 def test_criterion_5_equality_suites():
-    # `verify`'s equalities and qubit cases; tests/test_sweeps.py sees every check occur
+    # `verify`'s equalities and qubit cases, drawn in turns from one stream
+    # and evaluated in stacks; tests/test_sweeps.py sees every check occur
     need = 1000
-    counts, worst = Counter(), defaultdict(float)
     rng = np.random.default_rng(500)
-    rounds = 0
-    while min(counts.values(), default=0) < need and rounds < 20 * need:
-        rounds += 1
-        for check, residual in chain(sweeps.equalities_case(rng), sweeps.qubit_case(rng)):
-            counts[check] += 1
-            worst[check] = max(worst[check], abs(residual))
+    cases = {"equalities": [], "qubit": []}
+    found = defaultdict(list)  # check -> (round, residual) per instance
+    while min(map(len, found.values()), default=0) < need and len(cases["qubit"]) < 20 * need:
+        start = len(cases["qubit"])
+        for _ in range(need):  # a round: one case of each suite
+            for suite, drawn in cases.items():
+                drawn.append(sweeps.SUITES[suite].draw(rng))
+        for suite, drawn in cases.items():
+            for check, at, res in sweeps.residuals(suite, drawn[start:]):
+                found[check] += zip(start + at, res)
+    # a loop over rounds stops at the first round where every check has `need`
+    # instances; only its rounds count
+    rounds = len(cases["qubit"])
+    stop = max(sorted(r for r, _ in rows)[need - 1] if len(rows) >= need else rounds
+               for rows in found.values())
+    counts = {check: sum(r <= stop for r, _ in rows) for check, rows in found.items()}
+    worst = {check: max(abs(x) for r, x in rows if r <= stop) for check, rows in found.items()}
 
     ok = min(counts.values()) >= need and max(worst.values()) < 1e-8
     worst_key = max(worst, key=worst.get)
@@ -283,10 +293,10 @@ def test_criterion_6_structure_suites():
 
 def test_criterion_7_weak_value_reconstruction():
     rng = np.random.default_rng(700)
+    cases = [sweeps.SUITES["weakvalue"].draw(rng) for _ in range(200)]
     worst = defaultdict(float)
-    for _ in range(200):
-        for check, residual in sweeps.weakvalue_case(rng):
-            worst[check] = max(worst[check], abs(residual))
+    for check, _, res in sweeps.residuals("weakvalue", cases):
+        worst[check] = max(worst[check], float(np.max(np.abs(res))))
     ok = max(worst.values()) < 1e-9
     announce(7, ok, " ".join(f"{check}={v:.2e}" for check, v in worst.items()))
 

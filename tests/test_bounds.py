@@ -866,6 +866,23 @@ class TestBoundWYDStack:
         assert sb.bound[0] == 0.0
         assert np.all(sb.bound[1:] > 0)
 
+    def test_chunks_change_no_bit_and_bound_the_rows(self, rng, monkeypatch):
+        # a stack is evaluated in chunks whose candidate rows hold at most
+        # _STACK_BYTES; its (N, d^2) rows once took ten times the stack's bytes
+        ops = OperatorSet(tuple(random_hermitian(6, rng) for _ in range(3)))
+        states = [maximally_mixed(6)] + [random_density(6, 1 + k % 6, rng) for k in range(399)]
+        stack = density_stack([r.matrix for r in states])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            whole = bound_wyd(ops, stack, 0.3)
+            monkeypatch.setattr(bounds, "_STACK_BYTES", 2**16)  # 19 chunks of 22 states
+            peak = _traced_peak(lambda: bound_wyd(ops, stack, 0.3))
+            chunked = bound_wyd(ops, stack, 0.3)
+        assert [w.category for w in caught] == [NoFeasibleChiWarning] * 3  # one per call
+        assert np.array_equal(whole.bound, chunked.bound)
+        assert np.array_equal(whole.interval[1], chunked.interval[1])
+        assert peak <= 4 * stack.matrix.nbytes
+
 
 def _scan_loop(oset, grid_points, pairing):
     """The alpha scan one grid point at a time: the ground eigenvalue of

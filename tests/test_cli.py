@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewbound import DensityStack, bounds, cli, empirical_minimum, wyd_skew
+from skewbound import DensityStack, bounds, cli, empirical_minimum, moments, sweeps, wyd_skew
 from skewbound.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -440,6 +440,43 @@ class TestVerifyCommand:
         assert rep["max_residual"] < 1e-8
         for suite, row in rep["suites"].items():
             assert row["max_residual"] == max(abs(r) for _, r in residuals(suite, 5))
+
+    def test_non_finite_residual_fails(self, capsys, monkeypatch):
+        rows = [("sum", np.array([0, 1]), np.array([1e-15, np.nan]))]
+        monkeypatch.setattr(sweeps, "seed_residuals", lambda *args: iter(rows))
+        code, out, _ = run(capsys, "verify", "example1_spinhalf", "--suite", "equalities",
+                           "--seeds", "2", "--format", "json")
+        assert code == EXIT_VIOLATION
+
+        def constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads(out, parse_constant=constant)
+        assert rep["pass"] is False and rep["max_residual"] is None
+        assert rep["suites"]["equalities"] == {"max_residual": None, "worst_case": "sum seed=1"}
+
+    @pytest.mark.parametrize("suite", ["equalities", "qubit", "weakvalue"])
+    def test_one_evaluation_per_dimension_group(self, capsys, monkeypatch, suite):
+        # the cases of one dimension share each skew kernel call: the count
+        # follows the dimension groups, not the seeds
+        calls = []
+
+        def counted(*args, _kernel=moments._skew_kernel):
+            calls.append(args[2].dim)
+            return _kernel(*args)
+
+        monkeypatch.setattr(moments, "_skew_kernel", counted)
+        offset, draw, _ = sweeps.SUITES[suite]
+        per_group = []
+        for seeds in (4, 40):
+            calls.clear()
+            code, _, _ = run(capsys, "verify", "example1_spinhalf", "--suite", suite,
+                             "--seeds", str(seeds))
+            assert code == EXIT_OK
+            dims = {len(draw(np.random.default_rng(offset + k))[0]) for k in range(seeds)}
+            assert set(calls) == dims
+            per_group.append(len(calls) / len(dims))
+        assert per_group[0] == per_group[1] > 0
 
 
 class TestCommandPreconditions:

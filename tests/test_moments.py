@@ -115,6 +115,15 @@ class TestWydSkewKernel:
             with pytest.raises(DimensionMismatch):
                 f(np.eye(3))
 
+    def test_one_case_per_state(self, rng):
+        # a single state takes one operator and one s; a stack of them would
+        # leave cases without a state
+        ops = np.stack([random_operator(2, rng) for _ in range(3)])
+        for f in (lambda: wyd_skew(ops, RHO37, 0.3), lambda: wyd_skew(ops[0], RHO37, [0.3, 0.7]),
+                  lambda: variance(ops, RHO37)):
+            with pytest.raises(DimensionMismatch):
+                f()
+
 
 class TestGeneralizedMean:
     def test_equal_arguments(self):
