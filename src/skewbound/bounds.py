@@ -18,8 +18,12 @@ is larger.  When the components share invariant subspaces (found in O(K d^3)
 from one generic element, as in Murota et al.'s *-algebra block
 decomposition), ``H_tot`` splits into one small problem per pair of blocks,
 and those are solved instead: a set of several blocks makes no d^2-sized
-eigensolve.  Equal copies of one block, in a basis that mixes them, are
-found as one block and solved whole.
+eigensolve.  A set of one block whose generic element M has ad_M commuting
+with ``H_tot`` (spin triples, Pauli sets, orthonormal Lie-algebra bases, and
+equal copies of these in a basis that mixes them) splits further, into one
+small complex problem per eigenvalue ("weight") of ad_M, and no real form is
+built.  Other equal copies of one block, in a mixing basis, are found as one
+block and solved whole.
 
 Doubled-space vectors are row-major vec(X) of d x d matrices X, so each
 generator is a map on matrices.  Two doubling conventions appear:
@@ -108,11 +112,12 @@ class SpectralData:
     ``w_0 + 1e-8 max(1, epsilonK)``.  It always contains vec(I)/sqrt(d); when
     that is all of it, it is exactly that column and no eigenvector was
     computed.  Otherwise each invariant block contributes vec(P_a)/sqrt(d_a)
-    for its projector P_a, and a block pair with more kernel than that adds
-    the kernel eigenvectors of its own small problem, mapped back to d x d
-    matrices.  ``epsilon1`` is the smallest eigenvalue above that kernel (0
-    if none), and ``epsilon1_multiplicity`` counts the eigenvalues within
-    ``1e-8 max(1, epsilonK)`` of it (0 if none lies above the kernel).
+    for its projector P_a, and a block pair or weight class with more kernel
+    than that adds the kernel eigenvectors of its own small problem, mapped
+    back to d x d matrices.  ``epsilon1`` is the smallest eigenvalue above
+    that kernel (0 if none), and ``epsilon1_multiplicity`` counts the
+    eigenvalues within ``1e-8 max(1, epsilonK)`` of it (0 if none lies above
+    the kernel).
     """
 
     epsilon1: float
@@ -236,12 +241,11 @@ class OperatorSet:
         """Spectral data of ``H_tot``, cached per operator content,
         process-wide, for the last 32 sets.
 
-        ``H_tot`` is solved one pair of invariant blocks at a time (see
-        :func:`_block_spectrum`); a set of one block, every irreducible set
-        among them, takes one real ``eigvalsh`` of ``H_tot``'s real form,
-        and an ``eigh`` only if its kernel is larger than vec(I).  The
-        kernel columns are read-only, as every set of this content shares
-        them.
+        ``H_tot`` is solved per pair of invariant blocks, a set of one
+        block per weight class of ad_M when ad_M commutes with ``H_tot``
+        and else as one real form (see :func:`_block_spectrum`); an ``eigh``
+        runs only where the kernel is larger than the known one.  The kernel
+        columns are read-only, as every set of this content shares them.
         """
         record = self._record
         if record.spectrum is None:
@@ -266,55 +270,129 @@ def _spectral_tol(w: np.ndarray) -> float:
 
 def _block_spectrum(oset: OperatorSet):
     """The eigenvalues of ``H_tot``, ascending, and its kernel columns (see
-    :class:`SpectralData`).
-
-    Over the blocks of :func:`_invariant_blocks`, a block (a, a) is the real
-    form of its own components' ``H_tot``, of size d_a^2, and a pair a < b
-    the complex map Y -> (S_a Y + Y S_b)/2 - sum_C C_a Y C_b on d_a x d_b
-    matrices, whose eigenvalues count twice (Y and Y^H).  Each is solved
-    alone; one block is the set's own real form, with no basis change.
+    :class:`SpectralData`), from independent pieces of ``H_tot``: each a
+    matrix, whether its eigenvalues count twice (it and its adjoint), its
+    known kernel column (or None), and the map of its eigenvectors to
+    doubled-space columns.  The pieces are the weight classes of
+    :func:`_weight_pieces` when it takes the set, and otherwise the blocks
+    and block pairs of :func:`_pair_pieces`.
     """
     d = oset.dim
-    V, B, blocks = _invariant_blocks(_stacked(oset))
-    if len(blocks) == 1:
-        V = None  # no basis change: the set's own real form
-    parts = [B[:, i][:, :, i] for i in blocks]
-    parts = [(P + P.conj().transpose(0, 2, 1)) / 2 for P in parts]
-    squares = [_square_sum(P) for P in parts]
-    forms = {}
-    for a in range(len(blocks)):
-        forms[a, a] = oset._real_h_tot() if V is None else _h_tot_form(parts[a])
-        for b in range(a + 1, len(blocks)):
-            forms[a, b] = _kron_form(parts[a], squares[a], parts[b].transpose(0, 2, 1),
-                                     squares[b].T)
-    spectra = {p: np.linalg.eigvalsh(F) for p, F in forms.items()}
+    V, B, blocks, mu = _invariant_blocks(_stacked(oset))
+    pieces = (_weight_pieces(V, B, mu) if len(blocks) == 1 else None) or _pair_pieces(
+        oset, V, B, blocks)
+    spectra = [np.linalg.eigvalsh(F) for F, _, _, _ in pieces]
 
     def union():
-        return np.sort(np.concatenate([w if a == b else np.repeat(w, 2)
-                                       for (a, b), w in spectra.items()]))
+        return np.sort(np.concatenate([np.repeat(w, 2) if twice else w
+                                       for w, (_, twice, _, _) in zip(spectra, pieces)]))
 
-    # an eigh only where the kernel is more than the known one, vec(P_a) for
-    # a block and nothing for a pair; its eigenvalues replace eigvalsh's
+    # an eigh only where the kernel is more than the known one; its
+    # eigenvalues replace eigvalsh's
     w = union()
     vectors = {}
-    for (a, b), wp in spectra.items():
-        if np.count_nonzero(wp <= w[0] + _spectral_tol(w)) > (a == b):
-            spectra[a, b], vectors[a, b] = np.linalg.eigh(forms[a, b])
+    for i, (F, _, known, _) in enumerate(pieces):
+        if np.count_nonzero(spectra[i] <= w[0] + _spectral_tol(w)) > (known is not None):
+            spectra[i], vectors[i] = np.linalg.eigh(F)
     w = union()
     cut = w[0] + _spectral_tol(w)
     cols = []
-    for (a, b), wp in spectra.items():
-        if (a, b) in vectors:
-            Y = vectors[a, b][:, wp <= cut]
-            X = _lift(V, blocks, a, b, _hermitian_vecs(Y) if a == b else Y)
+    for i, (_, twice, known, lift) in enumerate(pieces):
+        if i in vectors:
+            X = lift(vectors[i][:, spectra[i] <= cut])
             cols.append(X)
-            if a != b:  # each vec(V_a Y V_b^H) has its adjoint in the pair (b, a)
+            if twice:  # the adjoint of each column lies in the mirror piece
                 cols.append(X.reshape(d, d, -1).conj().transpose(1, 0, 2).reshape(d * d, -1))
-        elif a == b:
-            n = len(blocks[a])
-            P = np.eye(n, dtype=complex).reshape(-1, 1) / math.sqrt(n)
-            cols.append(_lift(V, blocks, a, a, P))
+        elif known is not None:
+            cols.append(known)
     return w, np.concatenate(cols, axis=1)
+
+
+def _pair_pieces(oset: OperatorSet, V: np.ndarray, B: np.ndarray, blocks) -> list:
+    """Pieces of :func:`_block_spectrum` per block and block pair: a block
+    (a, a) is the real form of its own components' ``H_tot``, of size d_a^2,
+    with known kernel column vec(P_a)/sqrt(d_a), and a pair a < b the complex
+    map Y -> (S_a Y + Y S_b)/2 - sum_C C_a Y C_b on d_a x d_b matrices, whose
+    eigenvalues count twice (Y and Y^H)."""
+    if len(blocks) == 1:  # no basis change: the set's own real form
+        P = np.eye(oset.dim, dtype=complex).reshape(-1, 1) / math.sqrt(oset.dim)
+        return [(oset._real_h_tot(), False, P, _hermitian_vecs)]
+    parts = [B[:, i][:, :, i] for i in blocks]
+    parts = [(P + P.conj().transpose(0, 2, 1)) / 2 for P in parts]
+    squares = [_square_sum(P) for P in parts]
+    pieces = []
+    for a in range(len(blocks)):
+        n = len(blocks[a])
+        P = np.eye(n, dtype=complex).reshape(-1, 1) / math.sqrt(n)
+        pieces.append((_h_tot_form(parts[a]), False, _lift(V, blocks, a, a, P),
+                       lambda Y, a=a: _lift(V, blocks, a, a, _hermitian_vecs(Y))))
+        for b in range(a + 1, len(blocks)):
+            pieces.append((_kron_form(parts[a], squares[a], parts[b].transpose(0, 2, 1),
+                                      squares[b].T), True, None,
+                           lambda Y, a=a, b=b: _lift(V, blocks, a, b, Y)))
+    return pieces
+
+
+# Relative levels of the weight-class check's fit residual and of its
+# coefficients' symmetric part: rotated spin-j sets (d 12-28) read 1e-14
+# and 5e-16, random Hermitian, Ginibre and Kraus sets about 1 and 0.2.
+_WEIGHT_FIT = 1e-12
+
+# Weights of ad_M closer than this, relative to max|mu|, share a class:
+# merging costs time, and only splitting an eigenspace would be wrong.
+_WEIGHT_MERGE = 1e-9
+
+
+def _weight_pieces(V: np.ndarray, B: np.ndarray, mu: np.ndarray) -> Optional[list]:
+    """Pieces of :func:`_block_spectrum` per weight class of ad_M, for
+    M = V diag(mu) V^H the generic element, or None when ad_M is not shown
+    to commute with ``H_tot`` or the classes would cost more than the real
+    form's solve.
+
+    The check fits [M, C_k] = sum_l A_kl C_l by least squares on the
+    components' Gram matrix, in O(K^2 d^2): when the fit is exact and A is
+    antisymmetric, [ad_M, sum_k ad_Ck^2] = sum_kl (A_kl + A_lk) ad_Cl ad_Ck
+    vanishes, so each eigenspace W_w = span{V E_ab V^H : mu_a - mu_b = w} of
+    ad_M is invariant.  A class w is the complex matrix
+    <E_ce|H|E_ab> = (S_ca d_eb + d_ca S_be)/2 - sum_k B_k[c, a] B_k[b, e]
+    over its pairs, gathered from B_k = V^H C_k V and S = sum_k B_k^2.  A
+    class w > 0 counts twice (X^H lies in W_-w), so w < 0 is not solved; the
+    class of w = 0 holds vec(I)/sqrt(d), its known kernel column.
+    """
+    K, d = B.shape[:2]
+    B = (B + B.conj().transpose(0, 2, 1)) / 2
+    weight = mu[:, None] - mu
+    flat, comm = B.reshape(K, d * d), (weight * B).reshape(K, d * d)
+    G = (flat.conj() @ flat.T).real
+    A = np.linalg.lstsq(G, (comm @ flat.conj().T).T, rcond=1e-10)[0].T
+    if (np.abs(comm - A @ flat).max(initial=0.0) > _WEIGHT_FIT * np.abs(comm).max(initial=0.0)
+            or np.abs(A + A.T).max(initial=0.0) > _WEIGHT_FIT * np.abs(A).max(initial=0.0)):
+        return None
+    omega = weight.ravel()
+    order = np.argsort(omega, kind="stable")
+    classes = np.split(order, np.flatnonzero(
+        np.diff(omega[order]) > _WEIGHT_MERGE * np.abs(mu).max()) + 1)
+    # the classes mirror about the one holding w = 0, so solve it and those above
+    classes = [np.sort(c) for c in classes if omega[c].max() >= 0]
+    if 4 * sum(len(c) ** 3 for c in classes) > d**6:
+        return None  # complex solves dearer than the real form's, as at d = 1
+    S = _square_sum(B)
+
+    def lift(c, Y):  # the class's coordinates are the entries c of Y's d x d matrix
+        Z = np.zeros((d * d, Y.shape[1]), dtype=complex)
+        Z[c] = Y
+        return _lift(V, [np.arange(d)], 0, 0, Z)
+
+    pieces = []
+    for c in classes:
+        a, b = np.divmod(c, d)
+        ra, rb = a[:, None], b[:, None]
+        F = (np.where(rb == b, S[ra, a], 0) + np.where(ra == a, S[b, rb], 0)) / 2
+        F -= np.sum(B[:, ra, a] * B[:, b, rb], axis=0)
+        zero = omega[c].min() <= 0
+        known = np.eye(d, dtype=complex).reshape(-1, 1) / math.sqrt(d) if zero else None
+        pieces.append((F, not zero, known, lambda Y, c=c: lift(c, Y)))
+    return pieces
 
 
 # Weights of the generic element sum_k r_k C_k: fixed, distinct and
@@ -329,9 +407,10 @@ _BLOCK_LINK = 1e-12
 
 
 def _invariant_blocks(Cs: np.ndarray):
-    """A unitary V, the components in its basis, V^H C V, and index blocks of
+    """A unitary V, the components in its basis, V^H C V, index blocks of
     V's columns such that every component is block diagonal to within
-    ``_BLOCK_LINK`` max|C|.
+    ``_BLOCK_LINK`` max|C|, and the eigenvalues mu of the generic element
+    M = V diag(mu) V^H.
 
     V holds the eigenvectors of one fixed generic real combination of the
     components, the random-element step of Murota, Kanno, Kojima and Kojima
@@ -341,7 +420,7 @@ def _invariant_blocks(Cs: np.ndarray):
     """
     K, d = Cs.shape[:2]
     r = 1.0 + (np.arange(1, K + 1) * _GOLDEN) % 1.0
-    V = np.linalg.eigh(np.tensordot(r, Cs, axes=1))[1]
+    mu, V = np.linalg.eigh(np.tensordot(r, Cs, axes=1))
     B = V.conj().T @ Cs @ V
     link = np.any(np.abs(B) > _BLOCK_LINK * np.abs(Cs).max(initial=0.0), axis=0)
     reach = link | link.T | np.eye(d, dtype=bool)
@@ -352,7 +431,7 @@ def _invariant_blocks(Cs: np.ndarray):
         reach = grown
     # a column starts its block when it is the block's smallest index
     starts = np.flatnonzero(reach.argmax(axis=1) == np.arange(d))
-    return V, B, [np.flatnonzero(reach[i]) for i in starts]
+    return V, B, [np.flatnonzero(reach[i]) for i in starts], mu
 
 
 def _lift(V: Optional[np.ndarray], blocks, a: int, b: int, Y: np.ndarray) -> np.ndarray:

@@ -367,8 +367,9 @@ class TestRealSpectrum:
     """The spectral data from the real form of H_tot match a complex eigh of
     H_tot itself.  A set of one invariant block sees one d x d eigh (the block
     finder) and one real eigvalsh of size d^2, plus one real eigh only when
-    its kernel is larger than vec(I); a set of several blocks solves each
-    block pair alone and nothing of size d^2."""
+    its kernel is larger than vec(I), unless it is solved per weight class; a
+    set of several blocks solves each block pair alone and nothing of size
+    d^2."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(oset=_operator_sets())
@@ -401,7 +402,10 @@ class TestRealSpectrum:
         return calls
 
     @pytest.mark.parametrize("ops, solves", [
-        (spin_ops(1), [("eigh", 3, True), ("eigvalsh", 9, False)]),
+        # ad_M commutes with H_tot: one complex solve per weight w >= 0 of
+        # ad_M, sizes 3, 2 and 1, and nothing of size d^2
+        (spin_ops(1), [("eigh", 3, True), ("eigvalsh", 3, True), ("eigvalsh", 2, True),
+                       ("eigvalsh", 1, True)]),
         (four_3x3_ops(), [("eigh", 3, True), ("eigvalsh", 9, False)]),
         # I_2 (x) sigma: blocks (0, 0) and (1, 1) are spin-1/2 sets, whose
         # kernel is their projector; the pair (0, 1) has the intertwiner in
@@ -423,17 +427,60 @@ class TestRealSpectrum:
         assert spec.kernel.shape == (n, spec.kernel_dim)
 
 
+def _gell_mann():
+    """The eight Gell-Mann matrices, a basis of su(3) orthogonal in the trace form."""
+    ops = []
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for v in (1.0, 1j):
+                X = np.zeros((3, 3), dtype=complex)
+                X[a, b], X[b, a] = v, np.conj(v)
+                ops.append(X)
+    return ops + [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / math.sqrt(3)]
+
+
+# Lie-closed sets that take the weight-class path, and a near miss that must not
+_LIE = ["spin-1/2", "spin-1", "spin-3/2", "gell-mann", "copies", "near"]
+
+
+def _lie_ops(which: str, rng) -> list:
+    """A set of _LIE in a Haar basis: a spin-j triple, Gell-Mann su(3), or
+    I_2 (x) spin-1/2; "near" is a spin-1 triple whose first operator has a
+    Hermitian perturbation of size 1e-9."""
+    if which == "gell-mann":
+        base = _gell_mann()
+    elif which == "copies":
+        base = [np.kron(np.eye(2), S) for S in spin_ops(0.5)]
+    else:
+        base = spin_ops({"spin-1/2": 0.5, "spin-1": 1, "spin-3/2": 1.5, "near": 1}[which])
+    d = len(base[0])
+    U = np.linalg.qr(random_operator(d, rng))[0]
+    ops = [U @ A @ U.conj().T for A in base]
+    if which == "near":
+        ops[0] = ops[0] + 1e-9 * random_hermitian(d, rng)
+    return ops
+
+
+def _weight_path(oset: OperatorSet) -> bool:
+    """Whether the set's spectrum is solved per weight class of ad_M."""
+    V, B, blocks, mu = bounds._invariant_blocks(bounds._stacked(oset))
+    return len(blocks) == 1 and bounds._weight_pieces(V, B, mu) is not None
+
+
 @st.composite
 def _block_sets(draw):
-    """Sets whose H_tot splits into block pairs, and near misses, d <= 16:
-    2-4 blocks of sizes 1-4 (Hermitian or Ginibre) in a random basis, equal
-    copies I_m (x) A, one Hermitian operator with repeated eigenvalues, the
-    block sets plus a coupling log-uniform in [1e-16, 1e-6], and zero and
-    scalar operators."""
-    kind = draw(st.sampled_from(["blocks", "copies", "single", "near", "trivial"]))
+    """Sets whose H_tot splits into block pairs or weight classes, and near
+    misses, d <= 16: 2-4 blocks of sizes 1-4 (Hermitian or Ginibre) in a
+    random basis, equal copies I_m (x) A, one Hermitian operator with
+    repeated eigenvalues, the block sets plus a coupling log-uniform in
+    [1e-16, 1e-6], zero and scalar operators, and the Lie-closed sets of
+    :func:`_lie_ops`."""
+    kind = draw(st.sampled_from(["blocks", "copies", "single", "near", "trivial", "lie"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_ops = draw(st.integers(1, 3))
-    if kind == "copies":
+    if kind == "lie":
+        ops = _lie_ops(draw(st.sampled_from(_LIE)), rng)
+    elif kind == "copies":
         m, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
         ops = [np.kron(np.eye(m), random_operator(n, rng)) for _ in range(n_ops)]
     elif kind == "single":
@@ -456,12 +503,20 @@ def _block_sets(draw):
 
 
 class TestBlockSpectrum:
-    """Spectral data solved per block pair match a complex eigh of H_tot."""
+    """Spectral data solved per block pair or weight class match a complex
+    eigh of H_tot."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(case=_block_sets())
     def test_matches_complex_eigh(self, case):
-        oset, rng = case
+        self._check(*case)
+
+    @pytest.mark.parametrize("which", _LIE)
+    def test_lie_sets_match_complex_eigh(self, which, rng):
+        self._check(OperatorSet(tuple(_lie_ops(which, rng))), rng)
+
+    @staticmethod
+    def _check(oset, rng):
         w, V = np.linalg.eigh(h_tot(oset))
         in_kernel = w <= w[0] + 1e-8 * max(1.0, w[-1])
         atol = 1e-12 * max(1.0, w[-1])
@@ -504,6 +559,54 @@ class TestBlockSpectrum:
         assert spec.epsilon1 == pytest.approx(above[0], abs=1e-12)
         assert spec.epsilon1_multiplicity == np.count_nonzero(above <= above[0] + 1e-8 * w[-1])
         assert spec.kernel_dim == 2
+
+
+@st.composite
+def _near_lie_sets(draw):
+    """The Lie-closed sets of :func:`_lie_ops`, d <= 6, times one common
+    scale in [0.1, 10], unperturbed or with a Hermitian or Ginibre
+    perturbation of their first operator log-uniform in [1e-16, 1e-8]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = _lie_ops(draw(st.sampled_from(_LIE[:-1])), rng)
+    d = len(ops[0])
+    size = draw(st.one_of(st.just(0.0), st.floats(-16, -8).map(lambda e: 10**e)))
+    ops[0] = ops[0] + size * draw(st.sampled_from([random_hermitian, random_operator]))(d, rng)
+    scale = draw(st.floats(0.1, 10))
+    return OperatorSet(tuple(scale * A for A in ops))
+
+
+class TestWeightClasses:
+    """A set of one invariant block is solved per weight class of ad_M, M
+    the block finder's generic element, exactly when its components' fit
+    shows that ad_M commutes with H_tot."""
+
+    @pytest.mark.parametrize("which", _LIE)
+    def test_check_takes_lie_closed_sets(self, which, rng):
+        assert _weight_path(OperatorSet(tuple(_lie_ops(which, rng)))) == (which != "near")
+
+    @pytest.mark.parametrize("ops", [
+        four_3x3_ops(),
+        four_qubit_ops(),  # they span su(2), but are no invariant frame
+        spin_ops(1)[:2],
+        spin_ops(1) + spin_ops(1)[:1],  # a dependent component, weighted twice
+        (spin_ops(1)[0], 2 * spin_ops(1)[1], spin_ops(1)[2]),
+    ])
+    def test_other_sets_keep_the_real_form(self, ops):
+        assert not _weight_path(OperatorSet(tuple(ops)))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(oset=_near_lie_sets())
+    def test_check_is_sound(self, oset):
+        # [H_tot, ad_M] is cubic in the operators and H_tot quadratic, so the
+        # commutator is measured against ||H_tot|| ||ad_M||, ||ad_M|| = mu_d - mu_1
+        if _weight_path(oset):
+            V, _, _, mu = bounds._invariant_blocks(bounds._stacked(oset))
+            d = oset.dim
+            M = (V * mu) @ V.conj().T
+            ad = np.kron(M, np.eye(d)) - np.kron(np.eye(d), M.T)
+            H = h_tot(oset)
+            assert (np.linalg.norm(H @ ad - ad @ H)
+                    <= 1e-12 * np.linalg.norm(H) * (mu[-1] - mu[0]))
 
 
 def _coords(X):
@@ -585,12 +688,13 @@ class TestSetCache:
         for _ in range(10):
             rho = random_density(3, 3, rng)
             assert bound_wy(ops, rho).bound == bound_wy(OperatorSet(tuple(ops)), rho).bound
-        assert builds == [1]
+        # a spin set's spectrum is solved per weight class, with no real form
+        assert builds == []
         # the real form stays with one instance: a new set's scan builds its
         # own, and of the doubled space the set keeps only that real matrix
         oset = OperatorSet(tuple(ops))
         tighten_alpha_scan(oset, 21)
-        assert builds == [1, 1]
+        assert builds == [1]
         assert not np.iscomplexobj(oset._real_h_tot())
         assert oset.spectral().kernel.shape == (9, 1)
 

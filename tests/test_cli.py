@@ -380,8 +380,11 @@ class TestGoldenReports:
         code, _, _ = run(capsys, *argv)
         assert code == EXIT_OK
         # the alpha scan reuses the set's real form and adds only the plain
-        # pairing's complex H_tot
-        assert calls == ["_h_tot_form"] + (["h_tot"] if "--alpha-scan" in argv else [])
+        # pairing's complex H_tot; a spin set is solved per weight class,
+        # with no real form
+        spin = argv[1] == "example1_spinhalf"
+        assert calls == ([] if spin else ["_h_tot_form"]) + (
+            ["h_tot"] if "--alpha-scan" in argv else [])
 
     def test_oracle_one_bound_wyd_per_stack(self, capsys, monkeypatch):
         # one path for every s: the report's state and each sample stack get
