@@ -92,6 +92,7 @@ __all__ = [
     "WitnessResult",
 ]
 
+# Split components within this of c I, entrywise, are dropped: ad_{cI} = 0.
 _ZERO_CUTOFF = 1e-14
 
 # Most bytes of matrices handed to one stacked LAPACK call: the alpha scans'
@@ -179,17 +180,16 @@ def _read_only(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """A collection of same-dimension operators with cached Hermitian splits.
+    """Same-dimension operators and the split components of their ``H_tot``.
 
     The set holds read-only copies of the operators, so a caller who later
-    writes to an array passed in changes nothing here.  Its spectral data and
-    alpha-scan floors are cached per operator content, process-wide, for the
-    last 32 sets: the set is keyed by a blake2b digest of its operators, and
-    every set of equal content, however and wherever built, shares one
-    record.  No tolerance enters either result, so the key holds none.  Two
-    sets are equal, and hash alike, when their keys are.  The real form of
-    ``H_tot`` in the natural-layout Hermitian basis, built in real arithmetic
-    once first asked for, stays with this set alone.
+    writes to an array passed in changes nothing here, and its
+    :meth:`components`, stacked once.  Its spectral data and alpha-scan floors
+    are cached per operator content, process-wide, for the last 32 sets: the
+    set is keyed by a blake2b digest of its operators, and every set of equal
+    content, however and wherever built, shares one record.  No tolerance
+    enters either result, so the key holds none.  Two sets are equal, and
+    hash alike, when their keys are.  Nothing is set on a built set.
     """
 
     operators: tuple
@@ -206,12 +206,13 @@ class OperatorSet:
         for A in ops:
             sp = hermitian_split(A)
             for C in (sp.a1, sp.a2):
-                if np.max(np.abs(C)) > _ZERO_CUTOFF:
-                    comps.append(_read_only(C))
+                # "not <=" keeps a component that overflowed to NaN
+                if not np.max(np.abs(C - np.trace(C) / d * np.eye(d))) <= _ZERO_CUTOFF:
+                    comps.append(C)
         key = _content_key(ops)
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "_components", tuple(comps))
-        object.__setattr__(self, "_real_h", None)
+        object.__setattr__(self, "_components",
+                           _read_only(np.array(comps, dtype=complex).reshape(-1, d, d)))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_record", _shared_record(key))
 
@@ -227,15 +228,10 @@ class OperatorSet:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
-    def components(self):
-        """Nonzero Hermitian split parts of every operator."""
+    def components(self) -> np.ndarray:
+        """The Hermitian split parts of every operator that are not multiples
+        of I, in order, as one read-only (K, d, d) array."""
         return self._components
-
-    def _real_h_tot(self) -> np.ndarray:
-        """``H_tot``'s real form (see :func:`_h_tot_form`), built once per instance."""
-        if self._real_h is None:
-            object.__setattr__(self, "_real_h", _h_tot_form(_stacked(self)))
-        return self._real_h
 
     def spectral(self) -> SpectralData:
         """Spectral data of ``H_tot``, cached per operator content,
@@ -277,10 +273,10 @@ def _block_spectrum(oset: OperatorSet):
     :func:`_weight_pieces` when it takes the set, and otherwise the blocks
     and block pairs of :func:`_pair_pieces`.
     """
-    d = oset.dim
-    V, B, blocks, mu = _invariant_blocks(_stacked(oset))
+    d, Cs = oset.dim, oset.components()
+    V, B, blocks, mu = _invariant_blocks(Cs)
     pieces = (_weight_pieces(V, B, mu) if len(blocks) == 1 else None) or _pair_pieces(
-        oset, V, B, blocks)
+        Cs, V, B, blocks)
     spectra = [np.linalg.eigvalsh(F) for F, _, _, _ in pieces]
 
     def union():
@@ -308,15 +304,15 @@ def _block_spectrum(oset: OperatorSet):
     return w, np.concatenate(cols, axis=1)
 
 
-def _pair_pieces(oset: OperatorSet, V: np.ndarray, B: np.ndarray, blocks) -> list:
-    """Pieces of :func:`_block_spectrum` per block and block pair: a block
-    (a, a) is the real form of its own components' ``H_tot``, of size d_a^2,
-    with known kernel column vec(P_a)/sqrt(d_a), and a pair a < b the complex
-    map Y -> (S_a Y + Y S_b)/2 - sum_C C_a Y C_b on d_a x d_b matrices, whose
-    eigenvalues count twice (Y and Y^H)."""
-    if len(blocks) == 1:  # no basis change: the set's own real form
-        P = np.eye(oset.dim, dtype=complex).reshape(-1, 1) / math.sqrt(oset.dim)
-        return [(oset._real_h_tot(), False, P, _hermitian_vecs)]
+def _pair_pieces(Cs: np.ndarray, V: np.ndarray, B: np.ndarray, blocks) -> list:
+    """Pieces of :func:`_block_spectrum` per block and block pair of the
+    components Cs: a block (a, a) is the real form of its own components'
+    ``H_tot``, of size d_a^2, with known kernel column vec(P_a)/sqrt(d_a),
+    and a pair a < b the complex map Y -> (S_a Y + Y S_b)/2 - sum_C C_a Y C_b
+    on d_a x d_b matrices, whose eigenvalues count twice (Y and Y^H)."""
+    if len(blocks) == 1:  # no basis change: the real form of Cs themselves
+        P = np.eye(len(V), dtype=complex).reshape(-1, 1) / math.sqrt(len(V))
+        return [(_h_tot_form(Cs), False, P, _hermitian_vecs)]
     parts = [B[:, i][:, :, i] for i in blocks]
     parts = [(P + P.conj().transpose(0, 2, 1)) / 2 for P in parts]
     squares = [_square_sum(P) for P in parts]
@@ -434,12 +430,9 @@ def _invariant_blocks(Cs: np.ndarray):
     return V, B, [np.flatnonzero(reach[i]) for i in starts], mu
 
 
-def _lift(V: Optional[np.ndarray], blocks, a: int, b: int, Y: np.ndarray) -> np.ndarray:
+def _lift(V: np.ndarray, blocks, a: int, b: int, Y: np.ndarray) -> np.ndarray:
     """vec(V_a Y V_b^H) for each column of Y, a row-major vec of a
-    d_a x d_b matrix; V_a are the columns of V in block a, and no V is no
-    basis change."""
-    if V is None:
-        return Y
+    d_a x d_b matrix; V_a are the columns of V in block a."""
     Va, Vb = V[:, blocks[a]], V[:, blocks[b]]
     Ys = Y.T.reshape(-1, Va.shape[1], Vb.shape[1])
     return (Va @ Ys @ Vb.conj().T).reshape(len(Ys), -1).T
@@ -551,12 +544,6 @@ def embedding(rho: DensityOperator, s: float) -> EmbeddingVectors:
     )
 
 
-def _stacked(oset: OperatorSet) -> np.ndarray:
-    """The split components as a (K, d, d) array."""
-    d = oset.dim
-    return np.asarray(oset.components(), dtype=complex).reshape(-1, d, d)
-
-
 def _square_sum(Cs: np.ndarray) -> np.ndarray:
     """S = sum_C C^2 of a (K, d, d) stack."""
     S = np.sum(Cs @ Cs, axis=0)
@@ -568,7 +555,7 @@ def _square_sum(Cs: np.ndarray) -> np.ndarray:
 def _apply_h_tot(oset: OperatorSet, X: np.ndarray) -> np.ndarray:
     """H_tot vec(X) = vec(sum_C [C, [C, X]]/2) = vec((S X + X S)/2 - sum_C C X C),
     applied to the d x d matrix X, or to each matrix of a stack, in O(K d^3)."""
-    Cs = _stacked(oset)
+    Cs = oset.components()
     S = _square_sum(Cs)
     HX = (S @ X + X @ S) / 2 - sum(C @ X @ C for C in Cs)
     return HX.reshape(X.shape[:-2] + (-1,))
@@ -583,7 +570,7 @@ def h_tot(ops, pairing: str = "transpose") -> np.ndarray:
     """
     if pairing not in ("transpose", "plain"):
         raise DomainError(f"unknown pairing {pairing!r}")
-    Cs = _stacked(_as_set(ops))
+    Cs = _as_set(ops).components()
     S = _square_sum(Cs)
     if pairing == "transpose":
         return _kron_form(Cs, S, Cs.transpose(0, 2, 1), S.T)
@@ -774,7 +761,7 @@ def tighten_alpha_scan(
 ) -> float:
     """Pure-state variance floor from shifted-operator ground eigenvalues.
 
-    For each split component C and shift alpha in its eigenvalue range the
+    For each component C of the set and shift alpha in its eigenvalue range the
     operator ``H_tot + (C - alpha) (x) (C - alpha)^T`` (transpose pairing; the
     plain pairing drops the transpose) is PSD, and its ground eigenvalue
     bounds the pure-state variance sum on the slice <C> = alpha.  Minimizing
@@ -785,8 +772,8 @@ def tighten_alpha_scan(
     The shifted operator is A - alpha B + alpha^2 I with A = H_tot + C (x) C^p
     and B = C (x) I + I (x) C^p, built once per component; the grid goes to
     stacked ``eigvalsh`` calls of at most ``_STACK_BYTES`` (16 MB) each.  The
-    transpose pairing uses real forms, built as ``H_tot``'s is, of
-    X -> C X C and X -> C X + X C, and starts from 0, the ground eigenvalue
+    transpose pairing builds ``H_tot``'s real form and, the same way, those
+    of X -> C X C and X -> C X + X C, and starts from 0, the ground eigenvalue
     of ``H_tot`` (vec(I) is in its kernel).  The plain pairing does not
     preserve Hermiticity; it builds its own complex ``H_tot`` and starts from
     its ground eigenvalue.  Floors are cached per operator content,
@@ -802,21 +789,20 @@ def tighten_alpha_scan(
     if key in scans:
         return scans[key]
     if pairing == "transpose":
-        H, best = oset._real_h_tot(), 0.0
+        H, best = _h_tot_form(oset.components()), 0.0
     else:
         H, I = h_tot(oset, pairing=pairing), np.eye(oset.dim)
         best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
     for C in oset.components():
         evs = np.linalg.eigvalsh(C)
         lo, hi = float(evs[0]), float(evs[-1])
-        if hi - lo < 1e-14:
-            continue  # multiple of identity: zero variance always
         if pairing == "transpose":
             A, B = _sandwich_form(C[None], [1.0]), _sandwich_form(*_anticommutator(C, 1.0))
         else:
             A, B = np.kron(C, C), np.kron(C, I) + np.kron(I, C)
         A += H
         best = max(best, _scan_floor(A, B, np.linspace(lo, hi, grid_points)))
+        del A, B  # the next component's are not built beside them
     scans[key] = best
     return best
 

@@ -44,12 +44,17 @@ class ParseError(Exception):
 
 
 def _entry_to_complex(x, name, row, col) -> complex:
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in x
-    ):
-        return complex(x[0], x[1])
+    try:
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return complex(x)
+        if isinstance(x, list) and len(x) == 2 and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in x
+        ):
+            return complex(x[0], x[1])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError(
+            f"matrix {name!r}: entry at row {row}, col {col} is too large for a float"
+        ) from exc
     raise ParseError(
         f"matrix {name!r}: entry at row {row}, col {col} must be a number or [re, im], got {x!r}"
     )
@@ -215,7 +220,7 @@ def load_problem(path: str, tol_override: Optional[float] = None) -> ProblemFile
     try:
         with open(real, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer of too many digits
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
@@ -273,15 +278,31 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _flatten(d, prefix=""):
+def _leaves(d, prefix=""):
+    """(dotted key, value) of every field of a nested report, in print order."""
     for k, v in d.items():
         key = f"{prefix}{k}"
         if isinstance(v, dict):
-            yield from _flatten(v, key + ".")
-        elif isinstance(v, (list, tuple)):
+            yield from _leaves(v, key + ".")
+        else:
+            yield key, v
+
+
+def _flatten(d):
+    for key, v in _leaves(d):
+        if isinstance(v, (list, tuple)):
             yield key, "[" + ", ".join(_fmt(x) for x in v) + "]"
         else:
             yield key, _fmt(v)
+
+
+def _non_finite(report: dict) -> Optional[str]:
+    """The key of the first field of ``report`` that holds a NaN or an infinity."""
+    for key, v in _leaves(report):
+        for x in v if isinstance(v, (list, tuple)) else (v,):
+            if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+                return key
+    return None
 
 
 def emit(report: dict, fmt: str, out=None) -> None:
@@ -562,6 +583,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except SkewboundError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    bad = _non_finite(report)
+    if bad is not None:
+        print(f"validation error: report field {bad} is not finite", file=sys.stderr)
         return EXIT_VALIDATION
     emit(report, args.format)
     return code

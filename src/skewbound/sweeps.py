@@ -28,7 +28,7 @@ def draw_equalities(rng: np.random.Generator) -> tuple:
     d = int(rng.integers(2, 6))
     rho = linalg._ginibre_state(d, int(rng.integers(1, d + 1)), rng)
     A, B = linalg.random_operator(d, rng), linalg.random_operator(d, rng)
-    s = float(rng.choice([0.25, 0.5, 0.75]))
+    s = (0.25, 0.5, 0.75)[rng.integers(3)]
     return (rho, A, B, s, *(linalg.random_hermitian(d, rng) for _ in range(3)))
 
 
@@ -55,7 +55,7 @@ def draw_qubit(rng: np.random.Generator) -> tuple:
     U = linalg.haar_unitary(2, rng)
     rho = U @ np.diag([lam, 1 - lam]) @ U.conj().T
     G = rng.normal(size=(3, 3))
-    orders = [float(rng.choice([0.0, -1.0, -2.0, float("-inf")])) for _ in range(3)]
+    orders = [(0.0, -1.0, -2.0, -np.inf)[rng.integers(4)] for _ in range(3)]
     return (rho, G, *orders, linalg.random_operator(2, rng))
 
 
@@ -79,7 +79,7 @@ def draw_weakvalue(rng: np.random.Generator) -> tuple:
     d = int(rng.integers(2, 5))
     rho = linalg._ginibre_state(d, d, rng)
     A = linalg.random_hermitian(d, rng)
-    s = float(rng.choice([0.3, 0.5, 0.7]))
+    s = (0.3, 0.5, 0.7)[rng.integers(3)]
     return rho, A, s, linalg.haar_unitary(d, rng)
 
 

@@ -162,6 +162,42 @@ class TestHTot:
             assert abs(got - want) < 1e-9
 
 
+class TestComponents:
+    """A set keeps the split parts that define H_tot, stacked once into one
+    read-only array; a multiple of I has ad_{cI} = 0 and is dropped."""
+
+    def test_one_read_only_stack_in_split_order(self, rng):
+        A, H = random_operator(3, rng), random_hermitian(3, rng)
+        oset = OperatorSet((A, H + 2j * np.eye(3)))  # the latter's anti-Hermitian part is 2I
+        Cs = oset.components()
+        want = [(A + A.conj().T) / 2, -0.5j * (A - A.conj().T), H]
+        assert Cs.shape == (3, 3, 3) and Cs.flags.c_contiguous and not Cs.flags.writeable
+        np.testing.assert_allclose(Cs, want, rtol=0, atol=1e-15)
+        assert oset.components() is Cs
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_scalar_set_has_zero_spectrum(self, d, rng):
+        oset = OperatorSet((1.5 * np.eye(d),))
+        assert oset.components().shape == (0, d, d)
+        spec = oset.spectral()
+        assert (spec.epsilon1, spec.epsilonK) == (0.0, 0.0)
+        sb = bound_wy(oset, random_density(d, d, rng))
+        assert (sb.bound, *sb.interval) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_appended_identity_changes_nothing(self, d, rng):
+        ops = [random_operator(d, rng), random_hermitian(d, rng)]
+        plain, padded = OperatorSet(tuple(ops)), OperatorSet(tuple(ops + [2.5 * np.eye(d)]))
+        assert padded != plain  # other content, its own record and solve
+        assert padded.components().shape == plain.components().shape
+        assert padded.components().tobytes() == plain.components().tobytes()
+        a, b = plain.spectral(), padded.spectral()
+        assert a is not b
+        assert ((a.epsilon1, a.epsilonK, a.epsilon1_multiplicity)
+                == (b.epsilon1, b.epsilonK, b.epsilon1_multiplicity))
+        assert a.kernel.shape == b.kernel.shape and a.kernel.tobytes() == b.kernel.tobytes()
+
+
 class TestBoundWY:
     def test_spin_half(self):
         sb = bound_wy(spin_ops(0.5), RHO37)
@@ -377,7 +413,8 @@ class TestRealSpectrum:
         w, V = np.linalg.eigh(h_tot(oset))
         in_kernel = w <= w[0] + 1e-8 * max(1.0, w[-1])
         atol = 1e-12 * max(1.0, w[-1])
-        np.testing.assert_allclose(np.linalg.eigvalsh(oset._real_h_tot()), w, rtol=0, atol=atol)
+        real = bounds._h_tot_form(oset.components())
+        np.testing.assert_allclose(np.linalg.eigvalsh(real), w, rtol=0, atol=atol)
         spec = oset.spectral()
         above = w[~in_kernel]
         assert spec.epsilonK == pytest.approx(w[-1], rel=0, abs=atol)
@@ -463,7 +500,7 @@ def _lie_ops(which: str, rng) -> list:
 
 def _weight_path(oset: OperatorSet) -> bool:
     """Whether the set's spectrum is solved per weight class of ad_M."""
-    V, B, blocks, mu = bounds._invariant_blocks(bounds._stacked(oset))
+    V, B, blocks, mu = bounds._invariant_blocks(oset.components())
     return len(blocks) == 1 and bounds._weight_pieces(V, B, mu) is not None
 
 
@@ -551,7 +588,7 @@ class TestBlockSpectrum:
 
     def test_split_set_multiplicity_matches_full_spectrum(self):
         ops = tuple(_block_diag(A, B) for A, B in zip(spin_ops(1), spin_ops(0.5)))
-        Cs = bounds._stacked(OperatorSet(ops))
+        Cs = OperatorSet(ops).components()
         assert len(bounds._invariant_blocks(Cs)[2]) == 2
         spec = OperatorSet(ops).spectral()
         w = np.linalg.eigvalsh(h_tot(ops))
@@ -600,7 +637,7 @@ class TestWeightClasses:
         # [H_tot, ad_M] is cubic in the operators and H_tot quadratic, so the
         # commutator is measured against ||H_tot|| ||ad_M||, ||ad_M|| = mu_d - mu_1
         if _weight_path(oset):
-            V, _, _, mu = bounds._invariant_blocks(bounds._stacked(oset))
+            V, _, _, mu = bounds._invariant_blocks(oset.components())
             d = oset.dim
             M = (V * mu) @ V.conj().T
             ad = np.kron(M, np.eye(d)) - np.kron(np.eye(d), M.T)
@@ -645,7 +682,7 @@ class TestRealForm:
             np.testing.assert_allclose(R, R.T, rtol=0, atol=1e-12 * max(1.0, np.abs(R).max()))
 
         d = oset.dim
-        check(oset._real_h_tot(), bounds._apply_h_tot(oset, X).reshape(d, d))
+        check(bounds._h_tot_form(oset.components()), bounds._apply_h_tot(oset, X).reshape(d, d))
         # the alpha scan's A - H_tot and B, as tighten_alpha_scan builds them
         for C in oset.components():
             check(bounds._sandwich_form(C[None], [1.0]), C @ X @ C)
@@ -658,10 +695,12 @@ class TestRealForm:
         # the real form plus O(d^3) temporaries; a complex d^2 x d^2 array
         # alone is twice the real form
         assert _traced_peak(oset.spectral) < 2 * real_bytes
-        # the scan adds A, B and one shifted matrix per stack
+        # the scan builds the real form for itself, then holds one
+        # component's A and B at a time, one shifted matrix per stack and
+        # eigvalsh's copy of it
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "_STACK_BYTES", real_bytes)
-            assert _traced_peak(lambda: tighten_alpha_scan(oset, 5)) < 5 * real_bytes
+            assert _traced_peak(lambda: tighten_alpha_scan(oset, 5)) < 6 * real_bytes
 
 
 def _count_h_tot(monkeypatch):
@@ -690,13 +729,15 @@ class TestSetCache:
             assert bound_wy(ops, rho).bound == bound_wy(OperatorSet(tuple(ops)), rho).bound
         # a spin set's spectrum is solved per weight class, with no real form
         assert builds == []
-        # the real form stays with one instance: a new set's scan builds its
-        # own, and of the doubled space the set keeps only that real matrix
+        # the transpose scan builds the real form for itself, and the set
+        # keeps nothing of it: no attribute is set after the set is built
         oset = OperatorSet(tuple(ops))
+        before = dict(vars(oset))
         tighten_alpha_scan(oset, 21)
         assert builds == [1]
-        assert not np.iscomplexobj(oset._real_h_tot())
         assert oset.spectral().kernel.shape == (9, 1)
+        assert vars(oset).keys() == before.keys()
+        assert all(vars(oset)[k] is v for k, v in before.items())
 
     def test_caller_writes_do_not_reach_the_cache(self, rng):
         A, B = random_hermitian(3, rng), random_operator(3, rng)
@@ -886,7 +927,7 @@ def _bound_wyd_loop(oset, rho, s, chi_candidates=()):
     interval), bound 0 when no candidate is feasible."""
     spec = oset.spectral()
     d = rho.dim
-    Cs = bounds._stacked(oset)
+    Cs = oset.components()
     S = bounds._square_sum(Cs)
     emb = embedding(rho, s)
     theta = math.sqrt(emb.norms[0] * emb.norms[1])

@@ -1,12 +1,14 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skewbound import DensityStack, bounds, cli, empirical_minimum, moments, sweeps, wyd_skew
+from skewbound import (
+    DensityStack, bounds, cli, empirical_minimum, moments, sweeps, weakvalue, wyd_skew)
 from skewbound.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -91,6 +93,9 @@ class TestLoadProblem:
         ([[[1, 0], [0, 0]]], r"shape \(1, 2\) is not square"),
         ([[]], "row 0 is not a nonempty array"),
         ([], "expected a nonempty array of rows"),
+        ([[10**400, 0], [0, 1]], r"matrix 'A': entry at row 0, col 0 is too large for a float"),
+        ([[[1, 0], [0, 0]], [[0, 0], [1, -10**400]]],
+         r"matrix 'A': entry at row 1, col 1 is too large for a float"),
     ])
     def test_matrix_parse_errors_unchanged(self, obj, message):
         from skewbound.cli import ParseError, _parse_matrix
@@ -217,6 +222,65 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert err.startswith("parse error: ")
 
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps([[10**400, 0], [0, 1]]), "entry at row 0, col 0 is too large"),
+        (json.dumps([[1, [0, 10**400]], [[0, 0], 1]]), "entry at row 0, col 1 is too large"),
+        # past Python's 4300-digit limit the JSON decoder itself refuses
+        ("[[1" + "0" * 5000 + ", 0], [0, 1]]", "invalid JSON"),
+    ], ids=["number", "pair", "digits"])
+    def test_huge_integer_entry_is_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": 1, "rho": [[0.5, 0], [0, 0.5]], "operators": {"A": '
+                        + text + "}}")
+        code, out, err = run(capsys, "moments", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("parse error: ") and message in err
+
+    @pytest.mark.parametrize("command, field", [
+        ("bound", "epsilonK"),
+        ("moments", "operators.A.std_dev"),
+    ])
+    def test_non_finite_report_is_3(self, capsys, tmp_path, command, field):
+        # the operator's split overflows, so the report would hold NaN
+        path = write_json(tmp_path, "overflow.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]],
+            "operators": {"A": [[1e308, 0], [0, 1e308]]},
+        })
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, command, path)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"validation error: report field {field} is not finite\n"
+
+    def test_oracle_violation_is_4(self, capsys, monkeypatch):
+        # a bound raised above the skew sums fails on the first sample stack
+        real = cli._bound
+
+        def raised(ops, rho, s):
+            sb = real(ops, rho, s)
+            return replace(sb, bound=sb.bound + 1e3)
+
+        monkeypatch.setattr(cli, "_bound", raised)
+        code, out, _ = run(capsys, "bound", "example1_spin1", "--format", "json",
+                           "--oracle", "25")
+        assert code == EXIT_VIOLATION
+        rep = json.loads(out)
+        assert rep["oracle_violation"] is True
+        assert rep["oracle_margin_min"] < -1e-8
+
+    def test_weakvalue_violation_is_4(self, capsys, monkeypatch):
+        real = weakvalue.reconstruct_skew
+
+        def shifted(*args, **kwargs):
+            rec = real(*args, **kwargs)
+            return rec._replace(value=rec.value + 1e-6)
+
+        monkeypatch.setattr(weakvalue, "reconstruct_skew", shifted)
+        code, out, _ = run(capsys, "weakvalue", "example1_spinhalf", "--format", "json")
+        assert code == EXIT_VIOLATION
+        rows = json.loads(out)["operators"].values()
+        assert rows and all(row["violation"] is True and row["abs_error"] > 1e-8
+                            for row in rows)
 
     def test_samples_param_is_unknown(self, capsys, tmp_path):
         # the oracle sample count is the --oracle flag; a file cannot set it
@@ -379,12 +443,13 @@ class TestGoldenReports:
             monkeypatch.setattr(bounds, name, counted)
         code, _, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        # the alpha scan reuses the set's real form and adds only the plain
+        # the oracle reuses the spectrum's real form; the alpha scan builds
+        # the real form again for the transpose pairing, and the plain
         # pairing's complex H_tot; a spin set is solved per weight class,
         # with no real form
         spin = argv[1] == "example1_spinhalf"
         assert calls == ([] if spin else ["_h_tot_form"]) + (
-            ["h_tot"] if "--alpha-scan" in argv else [])
+            ["_h_tot_form", "h_tot"] if "--alpha-scan" in argv else [])
 
     def test_oracle_one_bound_wyd_per_stack(self, capsys, monkeypatch):
         # one path for every s: the report's state and each sample stack get
