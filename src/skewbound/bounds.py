@@ -99,8 +99,8 @@ _ZERO_CUTOFF = 1e-14
 # shifted operators and the sampling oracle's states go in chunks this size.
 _STACK_BYTES = 16 * 2**20
 
-# Most operator sets whose records (spectral data and alpha-scan floors) the
-# process keeps; the least recently built set's record is dropped first.
+# Most entries each process-wide cache keeps (the operator-set records here,
+# the parsed problem files of ``cli``); the least recently used goes first.
 _CACHED_SETS = 32
 
 
@@ -159,16 +159,16 @@ def _content_key(ops: tuple) -> bytes:
     return h.digest()
 
 
-def _shared_record(key: bytes) -> _SetRecord:
-    """The record of ``key``, made if absent, as the most recently used one;
-    past ``_CACHED_SETS`` records the least recently used are dropped."""
-    record = _records.pop(key, None)
-    if record is None:
-        record = _SetRecord()
-    _records[key] = record
-    while len(_records) > _CACHED_SETS:
-        _records.popitem(last=False)
-    return record
+def _most_recent(cache: OrderedDict, key, make):
+    """``cache[key]``, made by ``make()`` if absent (nothing is stored if it raises), as
+    the most recently used entry; past ``_CACHED_SETS`` the least recently used go."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+    cache[key] = value
+    while len(cache) > _CACHED_SETS:
+        cache.popitem(last=False)
+    return value
 
 
 def _read_only(A: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ class OperatorSet:
         object.__setattr__(self, "_components",
                            _read_only(np.array(comps, dtype=complex).reshape(-1, d, d)))
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_record", _shared_record(key))
+        object.__setattr__(self, "_record", _most_recent(_records, key, _SetRecord))
 
     def __eq__(self, other):
         if not isinstance(other, OperatorSet):

@@ -4,14 +4,17 @@ Problem files are JSON: matrices are row-major arrays-of-arrays whose
 entries are numbers or [re, im] pairs; a qubit state may be given as
 ``{"bloch": [x, y, z]}``.  Unknown fields are rejected.  Exit codes:
 0 ok, 2 parse error, 3 validation error, 4 property/bound violation.
-``SKEWBOUND_TOL`` overrides the residual tolerance.
+``SKEWBOUND_TOL`` overrides the residual tolerance.  Parsed problems are
+cached per file content and tolerance override for the last 32 files.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -19,13 +22,14 @@ import math
 import os
 import sys
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import bounds, channels, linalg, moments, qubit, sweeps, weakvalue
-from .errors import SkewboundError
+from .errors import DomainError, SkewboundError
 from .linalg import DensityOperator, Tolerances
 
 EXIT_OK = 0
@@ -62,31 +66,45 @@ def _entry_to_complex(x, name, row, col) -> complex:
 
 def _regular_matrix(obj) -> Optional[np.ndarray]:
     """The complex matrix of a square array whose entries are all numbers or
-    all [re, im] pairs, read in one numpy call; None for anything else."""
-    if not (type(obj) is list and obj and all(type(row) is list for row in obj)):
+    all [re, im] pairs, read by numpy from one flat list (nested lists read
+    slower); None for anything else."""
+    if not (type(obj) is list and obj
+            and all(type(row) is list and len(row) == len(obj) for row in obj)):
         return None
     entries = list(itertools.chain.from_iterable(obj))
     kinds = set(map(type, entries))
-    if kinds == {list}:
-        kinds = set(map(type, itertools.chain.from_iterable(entries)))
-    if not kinds or not kinds <= {int, float}:  # bool is a type of its own
+    pairs = kinds == {list}
+    if pairs:
+        if set(map(len, entries)) != {2}:
+            return None
+        entries = list(itertools.chain.from_iterable(entries))
+        kinds = set(map(type, entries))
+    if not kinds <= {int, float}:  # bool is a type of its own
         return None
     try:
-        M = np.array(obj, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # ragged rows or pairs, huge ints
+        M = np.array(entries, dtype=float)
+    except OverflowError:  # an integer beyond the float range
         return None
     n = len(obj)
-    if M.shape == (n, n):
-        return M.astype(complex)
-    if M.shape == (n, n, 2):
-        return M.view(complex)[..., 0]
-    return None
+    return M.view(complex).reshape(n, n) if pairs else M.reshape(n, n).astype(complex)
+
+
+# A finite entry above this overflows A^dag A; no density matrix has one.
+_LARGEST_ENTRY = math.sqrt(sys.float_info.max)
 
 
 def _parse_matrix(obj, name) -> np.ndarray:
     M = _regular_matrix(obj)
-    if M is not None:
-        return M
+    if M is None:
+        M = _entrywise_matrix(obj, name)
+    huge = np.argwhere(np.isfinite(M) & (np.abs(M) > _LARGEST_ENTRY))
+    if huge.size:
+        raise DomainError(f"matrix {name!r}: entry at row {huge[0, 0]}, col {huge[0, 1]} "
+                          f"exceeds {_LARGEST_ENTRY:.4g} in magnitude")
+    return M
+
+
+def _entrywise_matrix(obj, name) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"matrix {name!r}: expected a nonempty array of rows")
     ncols = None
@@ -213,13 +231,28 @@ def _resolve_path(path: str) -> str:
     raise ParseError(f"file not found: {path}")
 
 
+_problems = OrderedDict()  # (blake2b digest of the file's bytes, tol_override) -> ProblemFile
+
+
 def load_problem(path: str, tol_override: Optional[float] = None) -> ProblemFile:
     """Parse and validate a problem file; ParseError vs SkewboundError
-    distinguish malformed input from well-formed but invalid physics."""
+    distinguish malformed input from well-formed but invalid physics.  Each
+    call returns its own copy of the cached parse; errors are not cached."""
     real = _resolve_path(path)
     try:
-        with open(real, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(real, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:  # a directory, no permission
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    key = (hashlib.blake2b(data, digest_size=32).digest(), tol_override)
+    return copy.deepcopy(bounds._most_recent(
+        _problems, key, lambda: _parse_problem(data, path, tol_override)))
+
+
+def _parse_problem(data: bytes, path: str, tol_override: Optional[float]) -> ProblemFile:
+    try:
+        # as text-mode open reads it: a BOM or UTF-16 is bad JSON, CRLF counts as LF
+        raw = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except ValueError as exc:  # bad JSON, bad UTF-8, an integer of too many digits
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skewbound import OperatorSet, bounds
+from skewbound import OperatorSet, bounds, cli
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -42,9 +42,11 @@ def four_qubit_ops():
 
 @pytest.fixture(autouse=True)
 def empty_set_cache():
-    """Each test starts with no cached spectral data or floors, so counts of
-    h_tot builds and eigensolves do not depend on the tests run before."""
+    """Each test starts with no cached spectral data, floors or parsed
+    problems, so counts of h_tot builds, eigensolves and parses do not
+    depend on the tests run before."""
     bounds._records.clear()
+    cli._problems.clear()
 
 
 @pytest.fixture

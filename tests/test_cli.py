@@ -242,15 +242,33 @@ class TestExitCodes:
         ("moments", "operators.A.std_dev"),
     ])
     def test_non_finite_report_is_3(self, capsys, tmp_path, command, field):
-        # the operator's split overflows, so the report would hold NaN
+        # every entry is below the load cap, but A^2 overflows, so the report
+        # would hold an infinity or NaN
         path = write_json(tmp_path, "overflow.json", {
             "version": 1, "rho": [[0.5, 0], [0, 0.5]],
-            "operators": {"A": [[1e308, 0], [0, 1e308]]},
+            "operators": {"A": [[1e154, 1e154], [1e154, 1e154]]},
         })
         with np.errstate(all="ignore"):
             code, out, err = run(capsys, command, path)
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == f"validation error: report field {field} is not finite\n"
+
+    @pytest.mark.parametrize("command, rho, A, where", [
+        ("moments", [[1e308, 0], [0, 1e308]], [[1e308, 0], [0, 1e308]], "'rho': entry at row 0, col 0"),
+        ("bound", [[0.5, 0], [0, 0.5]], [[1e200, 1], [1, -1e200]], "'A': entry at row 0, col 0"),
+        ("bound", [[0.5, 0], [0, 0.5]], [[0, 1], [1, [0, -2e154]]], "'A': entry at row 1, col 1"),
+    ], ids=["moments-rho", "bound-A", "bound-pair"])
+    @pytest.mark.filterwarnings("error")  # rejected before numpy can overflow and warn
+    def test_huge_entry_is_3(self, capsys, tmp_path, command, rho, A, where):
+        path = write_json(tmp_path, "huge.json", {"version": 1, "rho": rho, "operators": {"A": A}})
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"validation error: matrix {where} exceeds 1.341e+154 in magnitude\n"
+
+    def test_directory_is_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bound", str(tmp_path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"parse error: cannot read {tmp_path}: ")
 
     def test_oracle_violation_is_4(self, capsys, monkeypatch):
         # a bound raised above the skew sums fails on the first sample stack
@@ -325,6 +343,112 @@ class TestReadmeCommands:
         assert code == EXIT_OK, err
         rep = json.loads(out)
         assert {key: _fmt(rep[key]) for key in expected} == expected
+
+    @pytest.mark.parametrize("argv, expected", _readme_commands())
+    def test_cached_load_gives_the_same_report(self, capsys, argv, expected):
+        first = run(capsys, *argv, "--format", "json")
+        assert len(cli._problems) == 1
+        assert run(capsys, *argv, "--format", "json") == first
+
+
+class TestProblemCache:
+    RHO = [[0.25, 0], [0, 0.75]]
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """The list of texts ``json.loads`` has decoded in the test."""
+        texts = []
+
+        def counted(text, *args, _loads=json.loads, **kwargs):
+            texts.append(text)
+            return _loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "loads", counted)
+        return texts
+
+    def problem(self, tmp_path, name="p.json", rho=RHO):
+        return write_json(tmp_path, name, {
+            "version": 1, "rho": rho, "operators": {"A": [[0, 1], [1, 0]]},
+            "params": {"nu": [-1.0]},
+        })
+
+    def test_second_load_decodes_nothing(self, tmp_path, decodes):
+        path = self.problem(tmp_path)
+        first, second = load_problem(path), load_problem(path)
+        assert len(decodes) == 1
+        assert first.rho.matrix.tobytes() == second.rho.matrix.tobytes()
+        assert first.operators["A"].tobytes() == second.operators["A"].tobytes()
+        assert first.params == second.params
+
+    def test_same_bytes_under_another_path_hit(self, tmp_path, decodes):
+        path = self.problem(tmp_path)
+        other = tmp_path / "other.json"
+        other.write_bytes(Path(path).read_bytes())
+        load_problem(path)
+        load_problem(str(other))
+        assert len(decodes) == 1
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path, decodes):
+        path = self.problem(tmp_path)
+        size = Path(path).stat().st_size
+        assert load_problem(path).rho.matrix[0, 0] == 0.25
+        self.problem(tmp_path, rho=[[0.75, 0], [0, 0.25]])
+        assert Path(path).stat().st_size == size
+        assert load_problem(path).rho.matrix[0, 0] == 0.75
+        assert len(decodes) == 2
+
+    def test_tolerance_override_is_its_own_entry(self, capsys, monkeypatch, tmp_path, decodes):
+        path = self.problem(tmp_path)
+        assert load_problem(path).params.tolerances.tol_residual == 1e-8
+        monkeypatch.setenv("SKEWBOUND_TOL", "1e-6")
+        assert run(capsys, "moments", path)[0] == EXIT_OK
+        assert len(decodes) == 2
+        assert load_problem(path, 1e-6).params.tolerances.tol_residual == 1e-6
+        assert load_problem(path).params.tolerances.tol_residual == 1e-8
+        assert len(decodes) == 2
+
+    def test_writes_to_a_result_change_no_later_load(self, tmp_path):
+        path = self.problem(tmp_path)
+        for _ in range(2):  # the miss's result, then a hit's
+            pf = load_problem(path)
+            pf.rho.matrix[0, 0] = pf.rho.eigenvalues[0] = 9
+            pf.operators["A"][0, 0] = 9
+            pf.operators["B"] = np.eye(2)
+            pf.params.s = 0.1
+            pf.params.nu.append(2.0)
+        pf = load_problem(path)
+        assert pf.rho.matrix[0, 0] == 0.25 and pf.rho.eigenvalues[0] == 0.25
+        assert pf.operators["A"][0, 0] == 0 and set(pf.operators) == {"A"}
+        assert (pf.params.s, pf.params.nu) == (0.5, [-1.0])
+
+    def test_parse_errors_are_not_cached(self, tmp_path, decodes):
+        from skewbound.cli import ParseError
+
+        path = write_json(tmp_path, "bad.json", {"version": 1, "extra": 1})
+        for _ in range(2):
+            with pytest.raises(ParseError, match="unknown top-level fields"):
+                load_problem(path)
+        assert len(decodes) == 2 and not cli._problems
+
+    @pytest.mark.parametrize("encoding, message", [
+        ("utf-8-sig", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("utf-16", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ])
+    def test_bom_and_utf16_files_are_2(self, capsys, tmp_path, encoding, message):
+        path = tmp_path / "encoded.json"
+        path.write_text('{"version": 1, "rho": [[1]], "operators": {"A": [[1]]}}', encoding=encoding)
+        for _ in range(2):
+            code, out, err = run(capsys, "moments", str(path))
+            assert (code, out) == (EXIT_PARSE, "")
+            assert err == f"parse error: invalid JSON in {path}: {message}\n"
+
+    def test_crlf_error_positions_are_unchanged(self, capsys, tmp_path):
+        # text-mode reading turns CRLF into LF, so the char offset counts one per line
+        path = tmp_path / "crlf.json"
+        path.write_bytes(b'{"version": 1,\r\n "rho": [[1]],\r\n "operators": {"A": [[x]]}}')
+        code, _, err = run(capsys, "moments", str(path))
+        assert code == EXIT_PARSE
+        assert err.endswith("Expecting value: line 3 column 23 (char 52)\n")
 
 
 class TestGoldenReports:
