@@ -206,8 +206,9 @@ class OperatorSet:
         for A in ops:
             sp = hermitian_split(A)
             for C in (sp.a1, sp.a2):
+                C = C - np.trace(C).real / d * np.eye(d)  # ad_{C + cI} = ad_C
                 # "not <=" keeps a component that overflowed to NaN
-                if not np.max(np.abs(C - np.trace(C) / d * np.eye(d))) <= _ZERO_CUTOFF:
+                if not np.max(np.abs(C)) <= _ZERO_CUTOFF:
                     comps.append(C)
         key = _content_key(ops)
         object.__setattr__(self, "operators", ops)
@@ -230,7 +231,8 @@ class OperatorSet:
 
     def components(self) -> np.ndarray:
         """The Hermitian split parts of every operator that are not multiples
-        of I, in order, as one read-only (K, d, d) array."""
+        of I, in order, each less its trace part (Tr C/d) I, as one read-only
+        (K, d, d) array of traceless matrices."""
         return self._components
 
     def spectral(self) -> SpectralData:
@@ -309,22 +311,21 @@ def _pair_pieces(Cs: np.ndarray, V: np.ndarray, B: np.ndarray, blocks) -> list:
     components Cs: a block (a, a) is the real form of its own components'
     ``H_tot``, of size d_a^2, with known kernel column vec(P_a)/sqrt(d_a),
     and a pair a < b the complex map Y -> (S_a Y + Y S_b)/2 - sum_C C_a Y C_b
-    on d_a x d_b matrices, whose eigenvalues count twice (Y and Y^H)."""
+    on d_a x d_b matrices (block a's left and block b's right terms), whose
+    eigenvalues count twice (Y and Y^H)."""
     if len(blocks) == 1:  # no basis change: the real form of Cs themselves
         P = np.eye(len(V), dtype=complex).reshape(-1, 1) / math.sqrt(len(V))
         return [(_h_tot_form(Cs), False, P, _hermitian_vecs)]
-    parts = [B[:, i][:, :, i] for i in blocks]
-    parts = [(P + P.conj().transpose(0, 2, 1)) / 2 for P in parts]
-    squares = [_square_sum(P) for P in parts]
+    parts = [(P + P.conj().transpose(0, 2, 1)) / 2 for P in (B[:, i][:, :, i] for i in blocks)]
+    terms = [_h_tot_terms(P) for P in parts]
     pieces = []
-    for a in range(len(blocks)):
+    for a, (La, _, w) in enumerate(terms):
         n = len(blocks[a])
         P = np.eye(n, dtype=complex).reshape(-1, 1) / math.sqrt(n)
         pieces.append((_h_tot_form(parts[a]), False, _lift(V, blocks, a, a, P),
                        lambda Y, a=a: _lift(V, blocks, a, a, _hermitian_vecs(Y))))
         for b in range(a + 1, len(blocks)):
-            pieces.append((_kron_form(parts[a], squares[a], parts[b].transpose(0, 2, 1),
-                                      squares[b].T), True, None,
+            pieces.append((_kron_form(La, terms[b][1], w), True, None,
                            lambda Y, a=a, b=b: _lift(V, blocks, a, b, Y)))
     return pieces
 
@@ -350,8 +351,8 @@ def _weight_pieces(V: np.ndarray, B: np.ndarray, mu: np.ndarray) -> Optional[lis
     antisymmetric, [ad_M, sum_k ad_Ck^2] = sum_kl (A_kl + A_lk) ad_Cl ad_Ck
     vanishes, so each eigenspace W_w = span{V E_ab V^H : mu_a - mu_b = w} of
     ad_M is invariant.  A class w is the complex matrix
-    <E_ce|H|E_ab> = (S_ca d_eb + d_ca S_be)/2 - sum_k B_k[c, a] B_k[b, e]
-    over its pairs, gathered from B_k = V^H C_k V and S = sum_k B_k^2.  A
+    <E_ce|H|E_ab> = sum_j w_j L_j[c, a] R_j[b, e] over its pairs, gathered
+    from the terms of ``H_tot`` (:func:`_h_tot_terms`) of B_k = V^H C_k V.  A
     class w > 0 counts twice (X^H lies in W_-w), so w < 0 is not solved; the
     class of w = 0 holds vec(I)/sqrt(d), its known kernel column.
     """
@@ -372,7 +373,7 @@ def _weight_pieces(V: np.ndarray, B: np.ndarray, mu: np.ndarray) -> Optional[lis
     classes = [np.sort(c) for c in classes if omega[c].max() >= 0]
     if 4 * sum(len(c) ** 3 for c in classes) > d**6:
         return None  # complex solves dearer than the real form's, as at d = 1
-    S = _square_sum(B)
+    Ls, Rs, w = _h_tot_terms(B)
 
     def lift(c, Y):  # the class's coordinates are the entries c of Y's d x d matrix
         Z = np.zeros((d * d, Y.shape[1]), dtype=complex)
@@ -383,8 +384,7 @@ def _weight_pieces(V: np.ndarray, B: np.ndarray, mu: np.ndarray) -> Optional[lis
     for c in classes:
         a, b = np.divmod(c, d)
         ra, rb = a[:, None], b[:, None]
-        F = (np.where(rb == b, S[ra, a], 0) + np.where(ra == a, S[b, rb], 0)) / 2
-        F -= np.sum(B[:, ra, a] * B[:, b, rb], axis=0)
+        F = sum(wj * L[ra, a] * R[b, rb] for wj, L, R in zip(w, Ls, Rs))
         zero = omega[c].min() <= 0
         known = np.eye(d, dtype=complex).reshape(-1, 1) / math.sqrt(d) if zero else None
         pieces.append((F, not zero, known, lambda Y, c=c: lift(c, Y)))
@@ -438,24 +438,35 @@ def _lift(V: np.ndarray, blocks, a: int, b: int, Y: np.ndarray) -> np.ndarray:
     return (Va @ Ys @ Vb.conj().T).reshape(len(Ys), -1).T
 
 
-def _sandwich_form(Ds: np.ndarray, weights) -> np.ndarray:
-    """Real symmetric matrix of X -> sum_j w_j D_j X D_j, for Hermitian D_j.
+def _h_tot_terms(Cs: np.ndarray):
+    """Terms (L_j, R_j, w_j) of H_tot as the map X -> sum_j w_j L_j X R_j
+    on d x d matrices: sum_C [C, [C, X]]/2 = (S X + X S)/2 - sum_C C X C,
+    S = sum_C C^2, so L = [C..., S, I], R = [C..., I, S], w = [-1..., 1/2, 1/2]."""
+    K, d = Cs.shape[:2]
+    S, I = _square_sum(Cs)[None], np.eye(d, dtype=complex)[None]
+    return (np.concatenate([Cs, S, I]), np.concatenate([Cs, I, S]),
+            np.array([-1.0] * K + [0.5, 0.5]))
+
+
+def _sandwich_form(Ls: np.ndarray, Rs: np.ndarray, w) -> np.ndarray:
+    """Real symmetric matrix of X -> sum_j w_j L_j X R_j, for terms whose sum
+    maps Hermitian X to Hermitian matrices and is self-adjoint.
 
     The basis is the natural-layout orthonormal Hermitian basis: X has the
     row-major coordinates y_aa = X_aa and, for a < b, y_ab = sqrt(2) Re X_ab
     and y_ba = sqrt(2) Im X_ab.  With the map's tensor
-    T[p, q, a, b] = sum_j w_j D_j[p, a] D_j[b, q], row (p, q) reads U = T
+    T[p, q, a, b] = sum_j w_j L_j[p, a] R_j[b, q], row (p, q) reads U = T
     (p <= q) or iT (p > q), and column (a, b) reads Re(U + U^T) (a <= b) or
-    Im(U - U^T) (a > b), ^T over (a, b).  With D = P + iQ, the block of rows
-    p is one real rank-2J product, whose right factor carries the row's phase
-    and scale, two axis transposes and np.where masks: O(d^3) temporaries,
-    and no d^2 x d^2 array but the result.
+    Im(U - U^T) (a > b), ^T over (a, b).  With L = P + iQ and R = P' + iQ',
+    the block of rows p is one real rank-2J product, whose right factor
+    carries the row's phase and scale, two axis transposes and np.where
+    masks: O(d^3) temporaries, and no d^2 x d^2 array but the result.
     """
-    J, d = Ds.shape[:2]
-    w = np.asarray(weights, dtype=float)[:, None, None]
-    wP, wQ = w * Ds.real, w * Ds.imag
-    left = np.concatenate([Ds.real, Ds.imag]).reshape(2 * J, d * d).T  # [(p, a), 2J]
-    # right factors of Re T = sum w (PP - QQ) and Im T = sum w (PQ + QP)
+    J, d = Ls.shape[:2]
+    w = np.asarray(w, dtype=float)[:, None, None]
+    wP, wQ = w * Rs.real, w * Rs.imag
+    left = np.concatenate([Ls.real, Ls.imag]).reshape(2 * J, d * d).T  # [(p, a), 2J]
+    # right factors of Re T = sum w (PP' - QQ') and Im T = sum w (PQ' + QP')
     re, im = np.concatenate([wP, -wQ]), np.concatenate([wQ, wP])
     U, iU = np.stack([re, im], axis=1), np.stack([-im, re], axis=1)  # [2J, Re|Im, b, q]
     q = np.arange(d)
@@ -472,19 +483,19 @@ def _sandwich_form(Ds: np.ndarray, weights) -> np.ndarray:
     return R
 
 
-def _anticommutator(S: np.ndarray, w: float):
-    """X -> w (S X + X S) as the sandwiches w/(2t) [(tI + S) X (tI + S) -
-    (tI - S) X (tI - S)], t = ||S||_F (1 if S = 0), so neither outgrows S."""
-    t = float(np.linalg.norm(S)) or 1.0
-    tI = t * np.eye(len(S))
-    return np.stack([tI + S, tI - S]), [w / (2 * t), -w / (2 * t)]
-
-
 def _h_tot_form(Cs: np.ndarray) -> np.ndarray:
-    """Real form of H_tot of the components Cs: X -> (S X + X S)/2 - sum_C C X C."""
-    S = _square_sum(Cs)
-    Ds, w = _anticommutator(S, 0.5)
-    return _sandwich_form(np.concatenate([Cs, Ds]), [-1.0] * len(Cs) + w)
+    """Real form of H_tot of the components Cs."""
+    return _sandwich_form(*_h_tot_terms(Cs))
+
+
+def _kron_form(Ls: np.ndarray, Rs: np.ndarray, w) -> np.ndarray:
+    """sum_j w_j L_j (x) R_j^T, the complex matrix of Y -> sum_j w_j L_j Y R_j
+    on row-major vecs of m x n matrices Y, for m x m L_j and n x n R_j."""
+    J, m, n = len(Ls), Ls.shape[1], Rs.shape[1]
+    wL = np.asarray(w, dtype=float)[:, None, None] * Ls
+    # one rank-J product of the vecs, [(i,j),(b,a)], regrouped to [(i,a),(j,b)]
+    G = wL.reshape(J, m * m).T @ Rs.reshape(J, n * n)
+    return G.reshape(m, m, n, n).transpose(0, 3, 1, 2).reshape(m * n, m * n)
 
 
 def _hermitian_vecs(V: np.ndarray) -> np.ndarray:
@@ -570,31 +581,14 @@ def h_tot(ops, pairing: str = "transpose") -> np.ndarray:
     """
     if pairing not in ("transpose", "plain"):
         raise DomainError(f"unknown pairing {pairing!r}")
-    Cs = _as_set(ops).components()
-    S = _square_sum(Cs)
-    if pairing == "transpose":
-        return _kron_form(Cs, S, Cs.transpose(0, 2, 1), S.T)
-    return _kron_form(Cs, S, Cs, S)
+    form = _kron_form if pairing == "transpose" else _plain_form
+    return form(*_h_tot_terms(_as_set(ops).components()))
 
 
-def _kron_form(Cs: np.ndarray, S: np.ndarray, Cp: np.ndarray, Sp: np.ndarray) -> np.ndarray:
-    """(S (x) I + I (x) Sp)/2 - sum_k Cs_k (x) Cp_k, for K matrices Cs of size
-    m and K matrices Cp of size n."""
-    K, m, n = len(Cs), len(S), len(Sp)
-    # sum_k Cs_k (x) Cp_k is one rank-K product of the vecs, indexed
-    # [(i,j),(a,b)] and regrouped to [(i,a),(j,b)]; the S terms go on its
-    # block diagonals
-    G = Cs.reshape(K, m * m).T @ Cp.reshape(K, n * n)
-    H = np.empty((m, n, m, n), dtype=complex)
-    np.negative(G.reshape(m, m, n, n).transpose(0, 2, 1, 3), out=H)
-    del G
-    S, Sp = S / 2, Sp / 2
-    for a in range(max(m, n)):
-        if a < n:
-            H[:, a, :, a] += S
-        if a < m:
-            H[a, :, a, :] += Sp
-    return H.reshape(m * n, m * n)
+def _plain_form(Ls: np.ndarray, Rs: np.ndarray, w) -> np.ndarray:
+    """sum_j w_j L_j (x) R_j, the plain pairing's matrix of the terms of
+    X -> sum_j w_j L_j X R_j: their transpose-pairing form with each R_j^T."""
+    return _kron_form(Ls, Rs.transpose(0, 2, 1), w)
 
 
 def _spectral(ops, rho: DensityOperator) -> SpectralData:
@@ -769,15 +763,16 @@ def tighten_alpha_scan(
     eigenvalue.  The grid is a documented approximation of the continuum
     minimum.
 
-    The shifted operator is A - alpha B + alpha^2 I with A = H_tot + C (x) C^p
-    and B = C (x) I + I (x) C^p, built once per component; the grid goes to
-    stacked ``eigvalsh`` calls of at most ``_STACK_BYTES`` (16 MB) each.  The
-    transpose pairing builds ``H_tot``'s real form and, the same way, those
-    of X -> C X C and X -> C X + X C, and starts from 0, the ground eigenvalue
-    of ``H_tot`` (vec(I) is in its kernel).  The plain pairing does not
-    preserve Hermiticity; it builds its own complex ``H_tot`` and starts from
-    its ground eigenvalue.  Floors are cached per operator content,
-    process-wide, for the last 32 sets, and per (pairing, grid_points).
+    The shifted operator is A - alpha B + alpha^2 I with A - H_tot the map
+    X -> C X C and B the map X -> C X + X C, built once per component from
+    their terms by the pairing's builder; the grid goes to stacked
+    ``eigvalsh`` calls of at most ``_STACK_BYTES`` (16 MB) each.  The
+    transpose pairing builds real forms (``H_tot``'s too) and starts from 0,
+    the ground eigenvalue of ``H_tot`` (vec(I) is in its kernel).  The plain
+    pairing does not preserve Hermiticity; it builds complex matrices, its
+    own ``H_tot`` too, and starts from that one's ground eigenvalue.  Floors
+    are cached per operator content, process-wide, for the last 32 sets, and
+    per (pairing, grid_points).
     """
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")
@@ -789,17 +784,16 @@ def tighten_alpha_scan(
     if key in scans:
         return scans[key]
     if pairing == "transpose":
-        H, best = _h_tot_form(oset.components()), 0.0
+        H, best, form = _h_tot_form(oset.components()), 0.0, _sandwich_form
     else:
-        H, I = h_tot(oset, pairing=pairing), np.eye(oset.dim)
+        H, form = h_tot(oset, pairing=pairing), _plain_form
         best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
+    I = np.eye(oset.dim)
     for C in oset.components():
         evs = np.linalg.eigvalsh(C)
         lo, hi = float(evs[0]), float(evs[-1])
-        if pairing == "transpose":
-            A, B = _sandwich_form(C[None], [1.0]), _sandwich_form(*_anticommutator(C, 1.0))
-        else:
-            A, B = np.kron(C, C), np.kron(C, I) + np.kron(I, C)
+        A = form(C[None], C[None], [1.0])
+        B = form(np.stack([C, I]), np.stack([I, C]), [1.0, 1.0])
         A += H
         best = max(best, _scan_floor(A, B, np.linspace(lo, hi, grid_points)))
         del A, B  # the next component's are not built beside them
@@ -900,11 +894,16 @@ def empirical_minimum(
     for a fixed seed; each stack's skew sums come from one stacked kernel
     evaluation per operator, equal to the per-state values.
     """
+    sums = _sampled_sums(ops, s_or_order, samples, seed, ranks, tol)
+    return min(float(np.min(t)) for _, t in sums)
+
+
+def _sampled_sums(ops, s_or_order, samples: int, seed, ranks=None, tol=DEFAULT_TOL):
+    """(stack, skew sums) for each DensityStack of :func:`sample_stacks`, the
+    sums those of :func:`empirical_minimum`: the one sampling oracle."""
     oset = _as_set(ops)
-    return min(
-        float(np.min(_sum_value(oset, rhos, s_or_order, tol)))
-        for rhos in sample_stacks(oset.dim, samples, seed, ranks)
-    )
+    for rhos in sample_stacks(oset.dim, samples, seed, ranks):
+        yield rhos, _sum_value(oset, rhos, s_or_order, tol)
 
 
 @dataclass(frozen=True)

@@ -400,15 +400,14 @@ def _bound(ops: bounds.OperatorSet, rho, s: float) -> bounds.SpectralBound:
 
 def _run_oracle(report: dict, ops: bounds.OperatorSet, s: float, samples: int, seed,
                 tol: Tolerances) -> int:
-    """Sample states from one stream and record, over the same samples, the
-    smallest skew sum of ``ops`` at ``s`` (the sum ``empirical_minimum``
-    takes) and the smallest margin over the reported bound, one stacked
+    """Record, over the stacks and skew sums of ``bounds``' sampling oracle
+    (those ``empirical_minimum`` takes), the smallest skew sum of ``ops`` at
+    ``s`` and the smallest margin over the reported bound, one stacked
     ``_bound`` per stack of samples; a negative margin is a build bug."""
     lowest = margin = math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for rhos in bounds.sample_stacks(ops.dim, samples, seed):
-            t = sum(moments.wyd_skew(A, rhos, s, tol) for A in ops.operators)
+        for rhos, t in bounds._sampled_sums(ops, s, samples, seed, tol=tol):
             lowest = min(lowest, float(np.min(t)))
             margin = min(margin, float(np.min(t - _bound(ops, rhos, s).bound)))
     report["oracle_min"] = lowest

@@ -139,6 +139,28 @@ class TestHTot:
         rho = random_density(6, 6, rng)
         assert bound_wy(ops, rho).bound <= sum(wyd_skew(A, rho, 0.5) for A in ops)
 
+    def test_kron_form_of_a_rectangular_pair(self, rng):
+        # Y -> sum_j w_j L_j Y R_j on 2 x 3 matrices Y
+        Ls = np.array([random_operator(2, rng) for _ in range(3)])
+        Rs = np.array([random_operator(3, rng) for _ in range(3)])
+        w = [-1.0, 0.5, 2.0]
+        F = bounds._kron_form(Ls, Rs, w)
+        want = sum(wj * np.kron(L, R.T) for wj, L, R in zip(w, Ls, Rs))
+        np.testing.assert_allclose(F, want, rtol=0, atol=1e-13)
+        Y = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        LYR = sum(wj * L @ Y @ R for wj, L, R in zip(w, Ls, Rs))
+        np.testing.assert_allclose(F @ Y.ravel(), LYR.ravel(), rtol=0, atol=1e-13)
+
+    def test_kron_form_of_the_plain_term_list(self, rng):
+        oset = OperatorSet((random_operator(3, rng), random_hermitian(3, rng)))
+        Cs, I = oset.components(), np.eye(3)
+        Ls, Rs, w = bounds._h_tot_terms(Cs)
+        S = bounds._square_sum(Cs)
+        want = (np.kron(S, I) + np.kron(I, S)) / 2 - sum(np.kron(C, C) for C in Cs)
+        F = bounds._kron_form(Ls, Rs.transpose(0, 2, 1), w)
+        np.testing.assert_allclose(F, want, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(F, h_tot(oset, "plain"))
+
     def test_spin_sets_eigenvalues(self):
         for j in (0.5, 1):
             H = h_tot(spin_ops(j))
@@ -170,10 +192,27 @@ class TestComponents:
         A, H = random_operator(3, rng), random_hermitian(3, rng)
         oset = OperatorSet((A, H + 2j * np.eye(3)))  # the latter's anti-Hermitian part is 2I
         Cs = oset.components()
-        want = [(A + A.conj().T) / 2, -0.5j * (A - A.conj().T), H]
+        parts = [(A + A.conj().T) / 2, -0.5j * (A - A.conj().T), H]
+        # each less its trace part: ad_{C + cI} = ad_C
+        want = [C - np.trace(C).real / 3 * np.eye(3) for C in parts]
         assert Cs.shape == (3, 3, 3) and Cs.flags.c_contiguous and not Cs.flags.writeable
+        np.testing.assert_allclose(np.trace(Cs, axis1=1, axis2=2), 0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(Cs, want, rtol=0, atol=1e-15)
         assert oset.components() is Cs
+
+    @pytest.mark.parametrize("c", [1e3, 1e5, 1e7])
+    def test_scalar_offset_keeps_epsilon1(self, c):
+        # the components are traceless, so a large c I costs only the
+        # rounding of H + c I itself
+        ops = [random_hermitian(6, np.random.default_rng(seed)) for seed in (31, 32, 33)]
+        want = OperatorSet(tuple(ops)).spectral()
+        got = OperatorSet(tuple(H + c * np.eye(6) for H in ops)).spectral()
+        assert abs(got.epsilon1 - want.epsilon1) <= 1e-9 * max(1.0, want.epsilonK)
+        assert (got.kernel_dim, got.epsilon1_multiplicity) == (
+            want.kernel_dim, want.epsilon1_multiplicity)
+
+    def test_shifted_lie_closed_set_takes_weight_classes(self):
+        assert _weight_path(OperatorSet(tuple(S + 3.0 * np.eye(3) for S in spin_ops(1))))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_scalar_set_has_zero_spectrum(self, d, rng):
@@ -681,12 +720,17 @@ class TestRealForm:
             np.testing.assert_allclose(R @ y, _coords(Y), rtol=0, atol=atol)
             np.testing.assert_allclose(R, R.T, rtol=0, atol=1e-12 * max(1.0, np.abs(R).max()))
 
-        d = oset.dim
+        d, I = oset.dim, np.eye(oset.dim)
         check(bounds._h_tot_form(oset.components()), bounds._apply_h_tot(oset, X).reshape(d, d))
         # the alpha scan's A - H_tot and B, as tighten_alpha_scan builds them
         for C in oset.components():
-            check(bounds._sandwich_form(C[None], [1.0]), C @ X @ C)
-            check(bounds._sandwich_form(*bounds._anticommutator(C, 1.0)), C @ X + X @ C)
+            check(bounds._sandwich_form(C[None], C[None], [1.0]), C @ X @ C)
+            check(bounds._sandwich_form(np.stack([C, I]), np.stack([I, C]), [1.0, 1.0]),
+                  C @ X + X @ C)
+        # terms with L != R: S, I and I, S
+        S = bounds._square_sum(oset.components())
+        check(bounds._sandwich_form(np.stack([S, I]), np.stack([I, S]), [0.5, 0.5]),
+              (S @ X + X @ S) / 2)
 
     def test_no_complex_doubled_space_array(self, rng):
         d = 20
