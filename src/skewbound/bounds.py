@@ -60,7 +60,7 @@ from .linalg import (
     DensityOperator,
     DensityStack,
     Tolerances,
-    _ginibre_state,
+    _ginibre_states,
     as_operator,
     density_stack,
     matrix_power,
@@ -98,6 +98,10 @@ _ZERO_CUTOFF = 1e-14
 # Most bytes of matrices handed to one stacked LAPACK call: the alpha scans'
 # shifted operators and the sampling oracle's states go in chunks this size.
 _STACK_BYTES = 16 * 2**20
+
+# Most bytes of the (candidates, 2 branches, states, d^2) temporaries of bound_wyd's
+# one-pass test; past this a pass per pair is faster (measured with a 2 MB L2 cache).
+_ROW_BYTES = 2**19
 
 # Most entries each process-wide cache keeps (the operator-set records here,
 # the parsed problem files of ``cli``); the least recently used goes first.
@@ -139,9 +143,10 @@ class SpectralData:
 
 @dataclass(eq=False)
 class _SetRecord:
-    """State-independent results shared by every OperatorSet of one content:
-    the spectral data and the alpha-scan floors by (pairing, grid_points)."""
+    """State-independent results shared by every OperatorSet of one content: its
+    components, spectral data and alpha-scan floors by (pairing, grid_points)."""
 
+    components: Optional[np.ndarray] = None
     spectrum: Optional[SpectralData] = None
     scans: dict = field(default_factory=dict)
 
@@ -183,9 +188,9 @@ class OperatorSet:
     """Same-dimension operators and the split components of their ``H_tot``.
 
     The set holds read-only copies of the operators, so a caller who later
-    writes to an array passed in changes nothing here, and its
-    :meth:`components`, stacked once.  Its spectral data and alpha-scan floors
-    are cached per operator content, process-wide, for the last 32 sets: the
+    writes to an array passed in changes nothing here.  Its
+    :meth:`components`, stacked once, its spectral data and its alpha-scan
+    floors are cached per operator content, process-wide, for the last 32 sets: the
     set is keyed by a blake2b digest of its operators, and every set of equal
     content, however and wherever built, shares one record.  No tolerance
     enters either result, so the key holds none.  Two sets are equal, and
@@ -202,20 +207,21 @@ class OperatorSet:
         for A in ops:
             if A.shape[0] != d:
                 raise DimensionMismatch("operators must share one dimension")
-        comps = []
-        for A in ops:
-            sp = hermitian_split(A)
-            for C in (sp.a1, sp.a2):
-                C = C - np.trace(C).real / d * np.eye(d)  # ad_{C + cI} = ad_C
-                # "not <=" keeps a component that overflowed to NaN
-                if not np.max(np.abs(C)) <= _ZERO_CUTOFF:
-                    comps.append(C)
         key = _content_key(ops)
+        record = _most_recent(_records, key, _SetRecord)
+        if record.components is None:
+            comps = []
+            for A in ops:
+                sp = hermitian_split(A)
+                for C in (sp.a1, sp.a2):
+                    C = C - np.trace(C).real / d * np.eye(d)  # ad_{C + cI} = ad_C
+                    # "not <=" keeps a component that overflowed to NaN
+                    if not np.max(np.abs(C)) <= _ZERO_CUTOFF:
+                        comps.append(C)
+            record.components = _read_only(np.array(comps, dtype=complex).reshape(-1, d, d))
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "_components",
-                           _read_only(np.array(comps, dtype=complex).reshape(-1, d, d)))
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_record", _most_recent(_records, key, _SetRecord))
+        object.__setattr__(self, "_record", record)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorSet):
@@ -233,7 +239,7 @@ class OperatorSet:
         """The Hermitian split parts of every operator that are not multiples
         of I, in order, each less its trace part (Tr C/d) I, as one read-only
         (K, d, d) array of traceless matrices."""
-        return self._components
+        return self._record.components
 
     def spectral(self) -> SpectralData:
         """Spectral data of ``H_tot``, cached per operator content,
@@ -667,31 +673,34 @@ def _feasible_f(chi, ref1, ref2):
 
 
 def _wyd_rows(oset: OperatorSet, spec: SpectralData, rho, s: float, extra: list):
-    """(bound, feasible) of :func:`bound_wyd` at each state of ``rho``."""
+    """(bound, feasible) of :func:`bound_wyd` at each state of the stack ``rho``."""
     d = rho.dim
     emb = embedding(rho, s)
     theta = np.sqrt(emb.norms[0] * emb.norms[1])
     phis = _unit(emb.phi_s, emb.norms[0])
     phi1s = _unit(emb.phi_1ms, emb.norms[1])
-    # (ref1, ref2, factor): ref2 is H_tot phi_(1-s) or H_tot phi_s normalized,
-    # factor ||(1 - P_ker) phi|| of the other unit embedding, since
-    # ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi; a vanishing
-    # H_tot phi gives ref2 = 0, which no chi overlaps
-    branches = []
-    for ref1, phi, v in ((phis, phi1s, emb.phi_1ms), (phi1s, phis, emb.phi_s)):
-        Hv = _apply_h_tot(oset, v.reshape(v.shape[:-1] + (d, d)))
+    # (ref1, ref2, factor) of two branches: ref2 is H_tot phi_(1-s) or H_tot
+    # phi_s normalized, factor ||(1 - P_ker) phi|| of the other unit embedding,
+    # since ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi; a
+    # vanishing H_tot phi gives ref2 = 0, which no chi overlaps
+    ref1, ref2, fac = [phis, phi1s], [], []
+    Hvs = _apply_h_tot(oset, np.stack([emb.phi_1ms, emb.phi_s]).reshape(2, -1, d, d))
+    for phi, Hv in zip((phi1s, phis), Hvs):
         n = _norm(Hv)
-        ref2 = Hv / np.where(n > 1e-12, n, np.inf)[..., None]
-        branches.append((ref1, ref2, np.sqrt(1.0 - spec.kernel_weight(phi))))
-    mes = np.eye(d).ravel() / math.sqrt(d)
-    candidates = [phis, phi1s, mes] + [ref2 for _, ref2, _ in branches] + extra
+        ref2.append(Hv / np.where(n > 1e-12, n, np.inf)[..., None])
+        fac.append(np.sqrt(1.0 - spec.kernel_weight(phi)))
+    chis = [phis, phi1s, np.eye(d).ravel() / math.sqrt(d), *ref2, *extra]  # the candidates
+    if 32 * len(chis) * phis.size <= _ROW_BYTES:
+        # every candidate (axis 0) against both branches (axis 1) in one pass
+        runs = [(np.stack(np.broadcast_arrays(*chis))[:, None], *map(np.stack, (ref1, ref2, fac)))]
+    else:  # a pass per pair, as the (C, 2, n, d^2) temporaries outgrow the cache
+        runs = [(chi, ref1[b], ref2[b], fac[b]) for chi in chis for b in range(2)]
     best, feasible = 0.0, False
-    for chi in candidates:
-        for ref1, ref2, fac in branches:
-            f, ok = _feasible_f(chi, ref1, ref2)
-            best = np.maximum(best, f * fac * theta * spec.epsilon1)
-            feasible |= ok
-    return best, feasible
+    for chi, r1, r2, factor in runs:
+        f, ok = _feasible_f(chi, r1, r2)
+        best = np.maximum(best, f * factor * theta * spec.epsilon1)
+        feasible |= ok
+    return best.reshape(-1, len(rho)).max(axis=0), feasible.reshape(-1, len(rho)).any(axis=0)
 
 
 def bound_wyd(
@@ -729,23 +738,21 @@ def bound_wyd(
             raise DomainError("chi candidate is the zero vector")
         extra.append(v / n)
     spec = _spectral(oset, rho)
-    if isinstance(rho, DensityStack):
-        # chunks of n states whose candidate rows, one (n, d^2) array for each
-        # of the 5 default and the extra candidates, hold _STACK_BYTES at most
-        per = max(1, _STACK_BYTES // (16 * d * d * (5 + len(extra))))
-        parts = [_wyd_rows(oset, spec, DensityStack(*(
-            a[i:i + per] for a in (rho.matrix, rho.eigenvalues, rho.eigenvectors))), s, extra)
-            for i in range(0, len(rho), per)]
-        best, feasible = (np.concatenate(x) for x in zip(*parts))
-    else:
-        best, feasible = _wyd_rows(oset, spec, rho, s, extra)
+    stack = rho if isinstance(rho, DensityStack) else DensityStack(
+        rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
+    # chunks of n states whose candidate rows, one (n, d^2) array for each
+    # of the 5 default and the extra candidates, hold _STACK_BYTES at most
+    per = max(1, _STACK_BYTES // (16 * d * d * (5 + len(extra))))
+    best, feasible = (np.concatenate(x) for x in zip(*(_wyd_rows(oset, spec, DensityStack(*(
+        a[i:i + per] for a in (stack.matrix, stack.eigenvalues, stack.eigenvectors))), s, extra)
+        for i in range(0, len(stack), per))))
     if not np.all(feasible):
         warnings.warn(
             "no feasible reference state for some state; reporting bound 0 there",
             NoFeasibleChiWarning,
             stacklevel=2,
         )
-    return _result(spec, best, _half_weight(spec, rho))
+    return _result(spec, best if stack is rho else best[0], _half_weight(spec, rho))
 
 
 def tighten_alpha_scan(
@@ -848,9 +855,9 @@ def sample_stacks(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] =
     Each state's rank is drawn uniformly from ``ranks`` (default: 1..dim),
     then its Ginibre matrix; everything comes from
     ``np.random.default_rng(seed)`` in that per-state order, so a fixed seed
-    gives the same states to every caller.  The states are validated in
-    stacks of at most ``_STACK_BYTES`` (16 MB) of matrices, one stacked
-    ``eigh`` per stack, and each gets the decomposition it would get alone.
+    gives the same states to every caller.  A stack of at most ``_STACK_BYTES``
+    (16 MB) of matrices is built one rank at a time and validated with one
+    stacked ``eigh``, each state bit for bit as built and decomposed alone.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -862,10 +869,10 @@ def sample_stacks(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] =
     per = max(1, _STACK_BYTES // (16 * dim * dim))
 
     def draw(n: int):
-        return density_stack([
-            _ginibre_state(dim, int(rank_pool[rng.integers(len(rank_pool))]), rng)
+        return density_stack(_ginibre_states([
+            rng.normal(size=(2, dim, int(rank_pool[rng.integers(len(rank_pool))])))
             for _ in range(n)
-        ])
+        ]))
 
     return (draw(min(per, samples - start)) for start in range(0, samples, per))
 

@@ -609,7 +609,9 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         pf = load_problem(args.file, tol_override)
-        code, report = _DISPATCH[args.command](pf, args)
+        # an overflow shows as the non-finite report field checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = _DISPATCH[args.command](pf, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

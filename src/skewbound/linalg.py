@@ -407,12 +407,36 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _ginibre_state(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """Unvalidated matrix of a Hilbert-Schmidt state of given rank: G G^dag / Tr,
-    with G a dim x rank Ginibre matrix drawn real part first."""
-    G = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    M = G @ G.conj().T
-    return M / np.trace(M).real
+def _ginibre(raw: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices of raw normals (..., 2, m, n): real parts first."""
+    return raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
+
+
+def _hermitians(raw: np.ndarray) -> np.ndarray:
+    """The Hermitian parts (M + M^dag)/2 of the Ginibre matrices of ``raw``."""
+    M = _ginibre(raw)
+    return (M + _dagger(M)) / 2
+
+
+def _haar_unitaries(raw: np.ndarray) -> np.ndarray:
+    """Haar unitaries of raw normals (..., 2, d, d): the phase-corrected Q
+    factors of their Ginibre matrices, from one stacked QR."""
+    Q, R = np.linalg.qr(_ginibre(raw))
+    ph = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)[..., None, :]
+
+
+def _ginibre_states(raws) -> np.ndarray:
+    """(N, d, d) unvalidated Hilbert-Schmidt states G G^dag / Tr of the Ginibre
+    matrices G of N raw draws (2, d, rank), any ranks; the states of one rank
+    are built as one stack."""
+    M = np.empty((len(raws),) + raws[0].shape[1:2] * 2, dtype=complex)
+    for r in {raw.shape[-1] for raw in raws}:
+        at = [i for i, raw in enumerate(raws) if raw.shape[-1] == r]
+        G = _ginibre(np.array([raws[i] for i in at]))
+        S = G @ _dagger(G)
+        M[at] = S / _trace(S).real[..., None, None]
+    return M
 
 
 def random_density(dim: int, rank: int, seed) -> DensityOperator:
@@ -422,30 +446,23 @@ def random_density(dim: int, rank: int, seed) -> DensityOperator:
     """
     if not 1 <= rank <= dim:
         raise DomainError(f"rank must lie in [1, {dim}], got {rank}")
-    return density(_ginibre_state(dim, rank, _rng(seed)))
+    return density(_ginibre_states([_rng(seed).normal(size=(2, dim, rank))])[0])
 
 
 def random_operator(dim: int, seed) -> np.ndarray:
     """Ginibre matrix; generic non-Hermitian test operator."""
-    rng = _rng(seed)
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return _ginibre(_rng(seed).normal(size=(2, dim, dim)))
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:
-    M = random_operator(dim, seed)
-    return (M + M.conj().T) / 2
+    return _hermitians(_rng(seed).normal(size=(2, dim, dim)))
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
-    rng = _rng(seed)
-    Q, R = np.linalg.qr(random_operator(dim, rng))
-    ph = np.diagonal(R).copy()
-    ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
-    return Q * ph
+    return _haar_unitaries(_rng(seed).normal(size=(2, dim, dim)))
 
 
 def random_pure_vector(dim: int, seed) -> np.ndarray:
-    rng = _rng(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = _ginibre(_rng(seed).normal(size=(2, dim, 1)))[:, 0]
     return v / np.linalg.norm(v)

@@ -1,10 +1,11 @@
 """Random residual sweeps of the identities, for ``skewbound verify`` and the tests.
 
 Each suite draws one case at a time from a ``np.random.Generator`` (the draw
-order fixes the case each seed gives; keep it) and evaluates its cases in
-stacks: the cases of one dimension, in chunks of at most
-``bounds._STACK_BYTES`` of state matrices, are validated with one
-``density_stack`` and each identity is checked once per chunk.  A check
+order fixes the case each seed gives; keep it) as raw normals and values, and
+evaluates its cases in stacks: the cases of one dimension, in chunks of at most
+``bounds._STACK_BYTES`` of state matrices, are built together (each bit for
+bit as alone), validated with one ``density_stack``, and each identity is
+checked once per chunk.  A check
 yields one residual per case and a mask of the cases it covers.  A check the
 one-case loop ran inside a ``try`` (catching SkewboundError) is evaluated by
 the identity's ``.rows`` form, and its mask drops the cases where that check,
@@ -23,13 +24,18 @@ from .linalg import DEFAULT_TOL, Tolerances
 
 
 def draw_equalities(rng: np.random.Generator) -> tuple:
-    """A state of random rank, d <= 5, two Ginibre operators, s and three
-    Hermitian observables."""
+    """Raw normals of a state of random rank, d <= 5, of two Ginibre
+    operators and of three Hermitian observables, and s."""
     d = int(rng.integers(2, 6))
-    rho = linalg._ginibre_state(d, int(rng.integers(1, d + 1)), rng)
-    A, B = linalg.random_operator(d, rng), linalg.random_operator(d, rng)
+    rho, AB = rng.normal(size=(2, d, int(rng.integers(1, d + 1)))), rng.normal(size=(2, 2, d, d))
     s = (0.25, 0.5, 0.75)[rng.integers(3)]
-    return (rho, A, B, s, *(linalg.random_hermitian(d, rng) for _ in range(3)))
+    return rho, AB, s, rng.normal(size=(3, 2, d, d))
+
+
+def build_equalities(rho, AB, s, X):
+    A, B = linalg._ginibre(np.stack(AB, axis=1))
+    return (linalg._ginibre_states(rho), A, B, np.array(s),
+            *linalg._hermitians(np.stack(X, axis=1)))
 
 
 def evaluate_equalities(tol: Tolerances, rho, A, B, s, X1, X2, X3):
@@ -48,15 +54,21 @@ def evaluate_equalities(tol: Tolerances, rho, A, B, s, X1, X2, X3):
 
 
 def draw_qubit(rng: np.random.Generator) -> tuple:
-    """A strictly mixed qubit away from I/2 (where the three-direction
-    equalities are 0/0), the Gaussian matrix whose Q factor's columns are an
-    orthonormal triple, three mean orders and a Ginibre operator."""
+    """A strictly mixed qubit U diag(lam, 1 - lam) U^dag away from I/2 (where the
+    three-direction equalities are 0/0) as U's raw normals and lam, the Gaussian
+    matrix whose Q factor's columns are an orthonormal triple, three mean
+    orders and a Ginibre operator's normals."""
     lam = float(rng.uniform(0.05, 0.45))
-    U = linalg.haar_unitary(2, rng)
-    rho = U @ np.diag([lam, 1 - lam]) @ U.conj().T
+    U = rng.normal(size=(2, 2, 2))
     G = rng.normal(size=(3, 3))
     orders = [(0.0, -1.0, -2.0, -np.inf)[rng.integers(4)] for _ in range(3)]
-    return (rho, G, *orders, linalg.random_operator(2, rng))
+    return (U, lam, G, *orders, rng.normal(size=(2, 2, 2)))
+
+
+def build_qubit(U, lam, G, o1, o2, o3, sigma):
+    U, lam = linalg._haar_unitaries(np.array(U)), np.array(lam)
+    rho = U @ (np.eye(2) * np.stack([lam, 1 - lam], axis=-1)[:, None, :]) @ linalg._dagger(U)
+    return (rho, *map(np.array, (G, o1, o2, o3)), linalg._ginibre(np.array(sigma)))
 
 
 def evaluate_qubit(tol: Tolerances, rho, G, o1, o2, o3, sigma):
@@ -75,12 +87,17 @@ def evaluate_qubit(tol: Tolerances, rho, G, o1, o2, o3, sigma):
 
 
 def draw_weakvalue(rng: np.random.Generator) -> tuple:
-    """A full-rank state, d <= 4, a Hermitian observable, s and a Haar basis."""
+    """Raw normals of a full-rank state, d <= 4, of a Hermitian observable
+    and of a Haar basis, and s."""
     d = int(rng.integers(2, 5))
-    rho = linalg._ginibre_state(d, d, rng)
-    A = linalg.random_hermitian(d, rng)
+    rho, A = rng.normal(size=(2, d, d)), rng.normal(size=(2, d, d))
     s = (0.3, 0.5, 0.7)[rng.integers(3)]
-    return rho, A, s, linalg.haar_unitary(d, rng)
+    return rho, A, s, rng.normal(size=(2, d, d))
+
+
+def build_weakvalue(rho, A, s, U):
+    return (linalg._ginibre_states(rho), linalg._hermitians(np.array(A)), np.array(s),
+            linalg._haar_unitaries(np.array(U)))
 
 
 def evaluate_weakvalue(tol: Tolerances, rho, A, s, U):
@@ -95,33 +112,34 @@ def evaluate_weakvalue(tol: Tolerances, rho, A, s, U):
     yield "conjugation", sub.conjugation_residual, None
 
 
-# seed k draws from default_rng(offset + k); draw(rng) gives a case, the state's
-# matrix first, and evaluate(tol, DensityStack, *stacked fields) the checks
-Suite = namedtuple("Suite", "offset draw evaluate")
+# seed k draws from default_rng(offset + k); draw(rng) gives a case's raw fields,
+# the state's first with the dimension on axis -2; build(*fields of same-dimension
+# cases) their stacks, the states' matrices first; evaluate(tol, DensityStack, ...) the checks
+Suite = namedtuple("Suite", "offset draw build evaluate")
 SUITES = {
-    "equalities": Suite(10_000, draw_equalities, evaluate_equalities),
-    "qubit": Suite(20_000, draw_qubit, evaluate_qubit),
-    "weakvalue": Suite(30_000, draw_weakvalue, evaluate_weakvalue),
+    "equalities": Suite(10_000, draw_equalities, build_equalities, evaluate_equalities),
+    "qubit": Suite(20_000, draw_qubit, build_qubit, evaluate_qubit),
+    "weakvalue": Suite(30_000, draw_weakvalue, build_weakvalue, evaluate_weakvalue),
 }
 
 
 def residuals(suite: str, cases, tol: Tolerances = DEFAULT_TOL):
     """``(check, case indices, residuals)`` of ``suite`` on drawn ``cases``,
     one triple per check and chunk of same-dimension cases."""
-    dims = np.array([case[0].shape[-1] for case in cases])
+    dims = np.array([case[0].shape[-2] for case in cases])
     for d in np.unique(dims):
         group = np.flatnonzero(dims == d)
         per = max(1, bounds._STACK_BYTES // (16 * d * d))
         for start in range(0, len(group), per):
             at = group[start:start + per]
-            rho, *fields = (np.array(field) for field in zip(*(cases[i] for i in at)))
+            rho, *fields = SUITES[suite].build(*zip(*(cases[i] for i in at)))
             for check, res, ok in SUITES[suite].evaluate(tol, linalg.density_stack(rho), *fields):
                 yield (check, at, res) if ok is None else (check, at[ok], res[ok])
 
 
 def seed_residuals(suite: str, seeds: int, tol: Tolerances = DEFAULT_TOL):
     """:func:`residuals` over ``verify``'s cases, seeds 0..seeds-1."""
-    offset, draw, _ = SUITES[suite]
+    offset, draw, _, _ = SUITES[suite]
     return residuals(suite, [draw(np.random.default_rng(offset + k)) for k in range(seeds)], tol)
 
 

@@ -826,6 +826,25 @@ class TestSetCache:
         assert per_set == 3
         assert len(builds) == 2 * per_set
 
+    def test_equal_content_shares_one_split(self, monkeypatch, rng):
+        splits = []
+
+        def counted(A, *args, _split=bounds.hermitian_split):
+            splits.append(A)
+            return _split(A, *args)
+
+        monkeypatch.setattr(bounds, "hermitian_split", counted)
+        ops = (random_hermitian(4, rng), random_operator(4, rng))
+        first, second = OperatorSet(ops), OperatorSet(tuple(A.copy() for A in ops))
+        assert second.components() is first.components()
+        assert len(splits) == len(ops)  # the second set split nothing
+        kept = first.components().tobytes()
+        bounds._records.clear()  # evicted: the next set splits afresh
+        third = OperatorSet(ops)
+        assert third.components() is not first.components()
+        assert third.components().tobytes() == kept
+        assert len(splits) == 2 * len(ops)
+
     def test_least_recently_built_set_is_evicted(self):
         cap = bounds._CACHED_SETS
         sets = [OperatorSet((np.diag([1.0, float(k)]),)) for k in range(cap)]
@@ -1232,14 +1251,17 @@ class TestEmpiricalMinimum:
     def test_stacks_draw_states_one_by_one(self, monkeypatch, stack_bytes):
         # same stream and per-state order as drawing rank, then state, one at a
         # time; each state gets the decomposition density() gives it alone
+        # (every rank of 1..d, the states of one rank built together)
         monkeypatch.setattr(bounds, "_STACK_BYTES", stack_bytes)
-        stacks = list(bounds.sample_stacks(2, 10, 13, ranks=[1, 2]))
-        assert [len(stack) for stack in stacks] == ([3, 3, 3, 1] if stack_bytes < 2**20 else [10])
-        rng = np.random.default_rng(13)
-        for rho in (rho for stack in stacks for rho in stack):
-            alone = random_density(2, [1, 2][rng.integers(2)], rng)
-            for field in ("matrix", "eigenvalues", "eigenvectors"):
-                assert getattr(rho, field).tobytes() == getattr(alone, field).tobytes()
+        for d in range(2, 9):
+            stacks = list(bounds.sample_stacks(d, 10, 13))
+            per = max(1, stack_bytes // (16 * d * d))  # 3 states at d = 2 in the small stacks
+            assert [len(stack) for stack in stacks] == [min(per, 10 - i) for i in range(0, 10, per)]
+            rng = np.random.default_rng(13)
+            for rho in (rho for stack in stacks for rho in stack):
+                alone = random_density(d, 1 + int(rng.integers(d)), rng)
+                for field in ("matrix", "eigenvalues", "eigenvectors"):
+                    assert getattr(rho, field).tobytes() == getattr(alone, field).tobytes()
 
     def test_stacked_values_match_single_states(self, monkeypatch):
         monkeypatch.setattr(bounds, "_STACK_BYTES", 16 * 3 * 3 * 7)

@@ -253,6 +253,17 @@ class TestExitCodes:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == f"validation error: report field {field} is not finite\n"
 
+    @pytest.mark.parametrize("command", ["bound", "moments"])
+    @pytest.mark.filterwarnings("error")  # no numpy warning is printed before the error
+    def test_overflow_prints_one_line(self, capsys, tmp_path, command):
+        path = write_json(tmp_path, "overflow.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]],
+            "operators": {"A": [[1e154, 1e154], [1e154, 1e154]]},
+        })
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert len(err.splitlines()) == 1 and err.startswith("validation error: ")
+
     @pytest.mark.parametrize("command, rho, A, where", [
         ("moments", [[1e308, 0], [0, 1e308]], [[1e308, 0], [0, 1e308]], "'rho': entry at row 0, col 0"),
         ("bound", [[0.5, 0], [0, 0.5]], [[1e200, 1], [1, -1e200]], "'A': entry at row 0, col 0"),
@@ -658,14 +669,15 @@ class TestVerifyCommand:
             return _kernel(*args)
 
         monkeypatch.setattr(moments, "_skew_kernel", counted)
-        offset, draw, _ = sweeps.SUITES[suite]
+        offset, draw, build, _ = sweeps.SUITES[suite]
         per_group = []
         for seeds in (4, 40):
             calls.clear()
             code, _, _ = run(capsys, "verify", "example1_spinhalf", "--suite", suite,
                              "--seeds", str(seeds))
             assert code == EXIT_OK
-            dims = {len(draw(np.random.default_rng(offset + k))[0]) for k in range(seeds)}
+            dims = {build(*zip(draw(np.random.default_rng(offset + k))))[0].shape[-1]
+                    for k in range(seeds)}
             assert set(calls) == dims
             per_group.append(len(calls) / len(dims))
         assert per_group[0] == per_group[1] > 0

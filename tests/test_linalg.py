@@ -18,9 +18,11 @@ from skewbound import (
     pure_state,
     random_density,
     random_hermitian,
+    random_operator,
     SkewboundError,
     Tolerances,
 )
+from skewbound import linalg
 from skewbound.linalg import require_hermitian
 from conftest import SX
 
@@ -225,3 +227,20 @@ class TestLargeDim:
         recon = (V * w) @ V.conj().T
         assert np.max(np.abs(H - recon)) < 1e-10
         np.testing.assert_allclose(V.conj().T @ V, np.eye(64), atol=1e-10)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_random_constructors_are_stacks_of_one(d):
+    # each constructor builds the stack of one of the builder that the
+    # sampler and the verify suites run on whole stacks: draw k of a stack,
+    # built together, has the bytes of seed k's matrix built alone
+    ranks = [1 + k % d for k in range(2 * d + 1)]  # every rank, mixed
+    states = linalg._ginibre_states([np.random.default_rng(k).normal(size=(2, d, r))
+                                    for k, r in enumerate(ranks)])
+    for k, r in enumerate(ranks):
+        assert random_density(d, r, k).matrix.tobytes() == states[k].tobytes()
+    square = np.array([np.random.default_rng(k).normal(size=(2, d, d)) for k in range(5)])
+    for build, alone in ((linalg._ginibre, random_operator), (linalg._hermitians, random_hermitian),
+                         (linalg._haar_unitaries, haar_unitary)):
+        stack = build(square)
+        assert [alone(d, k).tobytes() for k in range(5)] == [M.tobytes() for M in stack]

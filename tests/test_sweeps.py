@@ -20,8 +20,9 @@ def residuals(suite, seeds):
 
 
 def one_case(suite, case):
-    """(check, residual) of one drawn case from one-state library calls; a
-    check that raises SkewboundError is skipped with the rest of its try."""
+    """(check, residual) of one drawn case, built alone, from one-state library
+    calls; a check that raises SkewboundError is skipped with the rest of its try."""
+    case = [field[0] for field in sweeps.SUITES[suite].build(*zip(case))]
     if suite == "equalities":
         M, A, B, s, *Xs = case
         rho = density(M)
@@ -82,7 +83,7 @@ def test_residuals_stay_at_rounding_level(suite):
 def test_stack_gives_each_case_its_own_residual(suite):
     # every case keeps the checks a one-case loop runs on it, and each
     # residual is that loop's to the last bit
-    offset, draw, _ = sweeps.SUITES[suite]
+    offset, draw, _, _ = sweeps.SUITES[suite]
     cases = [draw(np.random.default_rng(offset + k)) for k in range(60)]
     stacked = {(check, int(k)): r for check, at, res in sweeps.residuals(suite, cases)
                for k, r in zip(at, res)}
@@ -96,7 +97,8 @@ def test_masks_skip_what_the_loop_skips():
     # product_equality raises, so its check and product_nontrivial drop out
     rng = np.random.default_rng(3)
     cases = [sweeps.draw_equalities(rng) for _ in range(12)]
-    cases[1] = (np.eye(len(cases[1][0])) / len(cases[1][0]),) + cases[1][1:]
+    d = cases[1][0].shape[-2]  # raw normals of G = I: the state G G^dag / Tr is I/d
+    cases[1] = (np.stack([np.eye(d), np.zeros((d, d))]),) + cases[1][1:]
     got = sorted((check, int(k)) for check, at, _ in sweeps.residuals("equalities", cases)
                  for k in at)
     want = sorted((check, k) for k, case in enumerate(cases)
