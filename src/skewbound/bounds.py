@@ -99,9 +99,9 @@ _ZERO_CUTOFF = 1e-14
 # shifted operators and the sampling oracle's states go in chunks this size.
 _STACK_BYTES = 16 * 2**20
 
-# Most bytes of the (candidates, 2 branches, states, d^2) temporaries of bound_wyd's
-# one-pass test; past this a pass per pair is faster (measured with a 2 MB L2 cache).
-_ROW_BYTES = 2**19
+# Most bytes of one (candidates, 2 branches, states, d^2) temporary of bound_wyd's
+# one-pass test: the test runs over slices of a chunk's states this size.
+_ROW_BYTES = 2**20
 
 # Most entries each process-wide cache keeps (the operator-set records here,
 # the parsed problem files of ``cli``); the least recently used goes first.
@@ -604,9 +604,9 @@ def _spectral(ops, rho: DensityOperator) -> SpectralData:
     return oset.spectral()
 
 
-def _unit(v: np.ndarray, norm2) -> np.ndarray:
+def _unit(v: np.ndarray, norm2, out=None) -> np.ndarray:
     """v / sqrt(norm2) for a vector, or row by row for a stack."""
-    return v / np.sqrt(np.maximum(norm2, 1e-300))[..., None]
+    return np.divide(v, np.sqrt(np.maximum(norm2, 1e-300))[..., None], out=out)
 
 
 def _half_weight(spec: SpectralData, rho: DensityOperator):
@@ -677,30 +677,28 @@ def _wyd_rows(oset: OperatorSet, spec: SpectralData, rho, s: float, extra: list)
     d = rho.dim
     emb = embedding(rho, s)
     theta = np.sqrt(emb.norms[0] * emb.norms[1])
-    phis = _unit(emb.phi_s, emb.norms[0])
-    phi1s = _unit(emb.phi_1ms, emb.norms[1])
-    # (ref1, ref2, factor) of two branches: ref2 is H_tot phi_(1-s) or H_tot
-    # phi_s normalized, factor ||(1 - P_ker) phi|| of the other unit embedding,
-    # since ||H phi|| >= eps1 ||(1 - P_ker) phi|| for a unit vector phi; a
-    # vanishing H_tot phi gives ref2 = 0, which no chi overlaps
-    ref1, ref2, fac = [phis, phi1s], [], []
+    # the candidates chi, written in place: ref1 of the two branches (the unit
+    # embeddings), ref2 of the two branches, vec(I)/sqrt(d) and the extra ones
+    chi = np.empty((5 + len(extra), len(rho), d * d), dtype=complex)
+    phis, phi1s = _unit(emb.phi_s, emb.norms[0], chi[0]), _unit(emb.phi_1ms, emb.norms[1], chi[1])
+    # ref2 is H_tot phi_(1-s) or H_tot phi_s normalized, its factor
+    # ||(1 - P_ker) phi|| of the other unit embedding, since ||H phi|| >= eps1
+    # ||(1 - P_ker) phi|| for a unit vector phi; a vanishing H_tot phi gives
+    # ref2 = 0, which no chi overlaps
+    fac = []
     Hvs = _apply_h_tot(oset, np.stack([emb.phi_1ms, emb.phi_s]).reshape(2, -1, d, d))
-    for phi, Hv in zip((phi1s, phis), Hvs):
+    for phi, Hv, ref2 in zip((phi1s, phis), Hvs, chi[2:4]):
         n = _norm(Hv)
-        ref2.append(Hv / np.where(n > 1e-12, n, np.inf)[..., None])
+        np.divide(Hv, np.where(n > 1e-12, n, np.inf)[..., None], out=ref2)
         fac.append(np.sqrt(1.0 - spec.kernel_weight(phi)))
-    chis = [phis, phi1s, np.eye(d).ravel() / math.sqrt(d), *ref2, *extra]  # the candidates
-    if 32 * len(chis) * phis.size <= _ROW_BYTES:
-        # every candidate (axis 0) against both branches (axis 1) in one pass
-        runs = [(np.stack(np.broadcast_arrays(*chis))[:, None], *map(np.stack, (ref1, ref2, fac)))]
-    else:  # a pass per pair, as the (C, 2, n, d^2) temporaries outgrow the cache
-        runs = [(chi, ref1[b], ref2[b], fac[b]) for chi in chis for b in range(2)]
-    best, feasible = 0.0, False
-    for chi, r1, r2, factor in runs:
-        f, ok = _feasible_f(chi, r1, r2)
-        best = np.maximum(best, f * factor * theta * spec.epsilon1)
-        feasible |= ok
-    return best.reshape(-1, len(rho)).max(axis=0), feasible.reshape(-1, len(rho)).any(axis=0)
+    chi[4:] = np.array([np.eye(d).ravel() / math.sqrt(d), *extra])[:, None]
+    # every candidate (axis 0) against both branches (axis 1) in one pass per
+    # slice of states whose (candidates, 2, states, d^2) temporaries hold _ROW_BYTES
+    per = max(1, _ROW_BYTES // (32 * len(chi) * d * d))
+    f, ok = (np.concatenate(x, axis=-1) for x in zip(*(_feasible_f(
+        chi[:, None, i:i + per], chi[:2, i:i + per], chi[2:4, i:i + per]) for i in range(0, len(rho), per))))
+    best = np.maximum(0.0, f * np.stack(fac) * theta * spec.epsilon1)
+    return best.reshape(-1, len(rho)).max(axis=0), ok.reshape(-1, len(rho)).any(axis=0)
 
 
 def bound_wyd(

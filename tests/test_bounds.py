@@ -1076,7 +1076,8 @@ class TestBoundWYDStack:
 
     def test_chunks_change_no_bit_and_bound_the_rows(self, rng, monkeypatch):
         # a stack is evaluated in chunks whose candidate rows hold at most
-        # _STACK_BYTES; its (N, d^2) rows once took ten times the stack's bytes
+        # _STACK_BYTES, and tested in slices of a chunk whose temporaries hold
+        # _ROW_BYTES; its (N, d^2) rows once took ten times the stack's bytes
         ops = OperatorSet(tuple(random_hermitian(6, rng) for _ in range(3)))
         states = [maximally_mixed(6)] + [random_density(6, 1 + k % 6, rng) for k in range(399)]
         stack = density_stack([r.matrix for r in states])
@@ -1084,6 +1085,7 @@ class TestBoundWYDStack:
             warnings.simplefilter("always")
             whole = bound_wyd(ops, stack, 0.3)
             monkeypatch.setattr(bounds, "_STACK_BYTES", 2**16)  # 19 chunks of 22 states
+            monkeypatch.setattr(bounds, "_ROW_BYTES", 2**14)  # slices of 2 states
             peak = _traced_peak(lambda: bound_wyd(ops, stack, 0.3))
             chunked = bound_wyd(ops, stack, 0.3)
         assert [w.category for w in caught] == [NoFeasibleChiWarning] * 3  # one per call
