@@ -1,11 +1,17 @@
 """Command-line front end.
 
-Problem files are JSON: matrices are row-major arrays-of-arrays whose
-entries are numbers or [re, im] pairs; a qubit state may be given as
-``{"bloch": [x, y, z]}``.  Unknown fields are rejected.  Exit codes:
-0 ok, 2 parse error, 3 validation error, 4 property/bound violation.
-``SKEWBOUND_TOL`` overrides the residual tolerance.  Parsed problems are
-cached per file content and tolerance override for the last 32 files.
+Problem files are JSON objects whose fields are those of :class:`ProblemFile`,
+:class:`Params` and :class:`~skewbound.linalg.Tolerances`; unknown fields are
+rejected.  Matrices are row-major arrays-of-arrays whose entries are numbers
+or [re, im] pairs; a qubit state may be given as ``{"bloch": [x, y, z]}``.
+
+:func:`main` applies each given flag over its ``params`` field (``--s``,
+``--nu``, ``--seed``, and ``--grid`` over ``grid_points``, where 0 keeps the
+file's) before a ``cmd_*`` function runs, and heads the fields that function
+returns with ``command`` and ``report_version``.  Exit codes: 0 ok, 2 parse
+error, 3 validation error, 4 property/bound violation.  ``SKEWBOUND_TOL``
+overrides the residual tolerance.  Parsed problems are cached per file
+content and tolerance override for the last 32 files.
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ import os
 import sys
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import bounds, channels, linalg, moments, qubit, sweeps, weakvalue
-from .errors import DomainError, SkewboundError
+from .errors import DimensionMismatch, DomainError, SkewboundError
 from .linalg import DensityOperator, Tolerances
 
 EXIT_OK = 0
@@ -125,20 +131,6 @@ def _entrywise_matrix(obj, name) -> np.ndarray:
     return M
 
 
-_KNOWN_TOP = {"version", "rho", "operators", "channels", "params"}
-_KNOWN_PARAMS = {
-    "s",
-    "nu",
-    "grid_points",
-    "seed",
-    "tolerances",
-    "dims",
-    "ops_a",
-    "ops_b",
-}
-_KNOWN_TOLS = {"tol_herm", "tol_trace", "tol_psd", "tol_recon", "tol_residual"}
-
-
 @dataclass
 class Params:
     s: float = 0.5
@@ -183,12 +175,17 @@ def _number(x, field: str, kind=float):
         raise ParseError(f"{field} must be {what}, got {x!r}") from exc
 
 
+def _check_fields(obj: dict, cls, what: str) -> None:
+    """ParseError unless every key of ``obj`` is a field of the dataclass ``cls``."""
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ParseError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 def _parse_params(obj) -> Params:
     if not isinstance(obj, dict):
         raise ParseError("params must be an object")
-    unknown = set(obj) - _KNOWN_PARAMS
-    if unknown:
-        raise ParseError(f"unknown params fields: {sorted(unknown)}")
+    _check_fields(obj, Params, "params")
     p = Params()
     if "s" in obj:
         p.s = _number(obj["s"], "params.s")
@@ -212,9 +209,7 @@ def _parse_params(obj) -> Params:
         tobj = obj["tolerances"]
         if not isinstance(tobj, dict):
             raise ParseError("params.tolerances must be an object")
-        unknown = set(tobj) - _KNOWN_TOLS
-        if unknown:
-            raise ParseError(f"unknown tolerance fields: {sorted(unknown)}")
+        _check_fields(tobj, Tolerances, "tolerance")
         p.tolerances = Tolerances(
             **{k: _number(v, f"params.tolerances.{k}") for k, v in tobj.items()}
         )
@@ -257,9 +252,7 @@ def _parse_problem(data: bytes, path: str, tol_override: Optional[float]) -> Pro
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
-    unknown = set(raw) - _KNOWN_TOP
-    if unknown:
-        raise ParseError(f"unknown top-level fields: {sorted(unknown)}")
+    _check_fields(raw, ProblemFile, "top-level")
     version = _number(raw.get("version", 1), "version", int)
     params = _parse_params(raw.get("params", {}))
     if tol_override is not None:
@@ -365,20 +358,18 @@ def _need(cond, msg):
 def cmd_moments(pf: ProblemFile, args) -> tuple:
     _need(pf.rho is not None, "moments needs a rho")
     _need(pf.operators, "moments needs at least one operator")
-    tol = pf.params.tolerances
-    s = args.s if args.s is not None else pf.params.s
-    nus = args.nu if args.nu is not None else pf.params.nu
+    p = pf.params
     table = {}
     for name, A in pf.operators.items():
         row = {
-            "std_dev": moments.std_dev(A, pf.rho, tol),
-            f"skew_s={_fmt(s)}": moments.wyd_skew(A, pf.rho, s, tol),
+            "std_dev": moments.std_dev(A, pf.rho, p.tolerances),
+            f"skew_s={_fmt(p.s)}": moments.wyd_skew(A, pf.rho, p.s, p.tolerances),
         }
-        for nu in nus:
+        for nu in p.nu:
             key = "nu=-inf" if math.isinf(nu) else f"nu={_fmt(nu)}"
-            row[f"gen_skew_{key}"] = moments.gen_skew(A, pf.rho, nu, tol)
+            row[f"gen_skew_{key}"] = moments.gen_skew(A, pf.rho, nu, p.tolerances)
         table[name] = row
-    return EXIT_OK, {"command": "moments", "report_version": REPORT_VERSION, "operators": table}
+    return EXIT_OK, {"operators": table}
 
 
 def _bound_report(sb: bounds.SpectralBound) -> dict:
@@ -422,45 +413,32 @@ def _run_oracle(report: dict, ops: bounds.OperatorSet, s: float, samples: int, s
 def cmd_bound(pf: ProblemFile, args) -> tuple:
     _need(pf.rho is not None, "bound needs a rho")
     _need(pf.operators, "bound needs at least one operator")
-    tol = pf.params.tolerances
+    p = pf.params
     ops = bounds.OperatorSet(tuple(pf.operators.values()))
-    s = args.s if args.s is not None else pf.params.s
-    report = {
-        "command": "bound",
-        "report_version": REPORT_VERSION,
-        "s": s,
-        **_bound_report(_bound(ops, pf.rho, s)),
-    }
+    report = {"s": p.s, **_bound_report(_bound(ops, pf.rho, p.s))}
     code = EXIT_OK
     if args.alpha_scan:
-        grid = args.grid or pf.params.grid_points
-        report["alpha_scan"] = bounds.tighten_alpha_scan(ops, grid)
-        report["alpha_scan_plain"] = bounds.pure_variance_bound(ops, grid)
+        report["alpha_scan"] = bounds.tighten_alpha_scan(ops, p.grid_points)
+        report["alpha_scan_plain"] = bounds.pure_variance_bound(ops, p.grid_points)
     if args.oracle:
-        seed = args.seed if args.seed is not None else pf.params.seed
-        code = _run_oracle(report, ops, s, args.oracle, seed, tol)
+        code = _run_oracle(report, ops, p.s, args.oracle, p.seed, p.tolerances)
     return code, report
 
 
 def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
     _need(pf.channels, "channel-bound needs at least one channel")
     _need(pf.rho is not None, "channel-bound needs a rho")
-    tol = pf.params.tolerances
+    p = pf.params
     chs = list(pf.channels.values())
     kset = channels.pooled_set(chs)
-    report = {
-        "command": "channel-bound",
-        "report_version": REPORT_VERSION,
-        **_bound_report(bounds.bound_wy(kset, pf.rho)),
-    }
-    skews = {ch.label or f"channel{i}": channels.channel_skew(ch, pf.rho, tol)
+    report = _bound_report(bounds.bound_wy(kset, pf.rho))
+    skews = {ch.label or f"channel{i}": channels.channel_skew(ch, pf.rho, p.tolerances)
              for i, ch in enumerate(chs)}
     report["channel_skew"] = skews
     report["skew_sum"] = sum(skews.values())
     code = EXIT_OK
     if args.oracle:
-        seed = args.seed if args.seed is not None else pf.params.seed
-        code = _run_oracle(report, kset, 0.5, args.oracle, seed, tol)
+        code = _run_oracle(report, kset, 0.5, args.oracle, p.seed, p.tolerances)
     return code, report
 
 
@@ -472,27 +450,25 @@ def cmd_witness(pf: ProblemFile, args) -> tuple:
         _need(name in pf.operators, f"witness references unknown operator {name!r}")
     setA = bounds.OperatorSet(tuple(pf.operators[n] for n in p.ops_a))
     setB = bounds.OperatorSet(tuple(pf.operators[n] for n in p.ops_b))
-    grid = args.grid or p.grid_points
-    res = bounds.separability_witness(setA, setB, pf.rho, grid, p.tolerances)
-    return EXIT_OK, {
-        "command": "witness",
-        "report_version": REPORT_VERSION,
-        "lhs": res.lhs,
-        "threshold": res.threshold,
-        "violated": res.violated,
-    }
+    if p.dims is not None and (p.dims != [setA.dim, setB.dim]
+                               or p.dims[0] * p.dims[1] != pf.rho.dim):
+        raise DimensionMismatch(
+            f"params.dims {p.dims} do not fit a state of dim {pf.rho.dim} "
+            f"with ops_a of dim {setA.dim} and ops_b of dim {setB.dim}")
+    res = bounds.separability_witness(setA, setB, pf.rho, p.grid_points, p.tolerances)
+    return EXIT_OK, {"lhs": res.lhs, "threshold": res.threshold, "violated": res.violated}
 
 
 def cmd_weakvalue(pf: ProblemFile, args) -> tuple:
     _need(pf.rho is not None, "weakvalue needs a rho")
     _need(pf.operators, "weakvalue needs at least one operator")
-    tol = pf.params.tolerances
-    s = args.s if args.s is not None else pf.params.s
+    p = pf.params
+    tol = p.tolerances
     table = {}
     code = EXIT_OK
     for name, A in pf.operators.items():
-        rec = weakvalue.reconstruct_skew(A, pf.rho, s, tol=tol)
-        ref = moments.wyd_skew(A, pf.rho, s, tol)
+        rec = weakvalue.reconstruct_skew(A, pf.rho, p.s, tol=tol)
+        ref = moments.wyd_skew(A, pf.rho, p.s, tol)
         row = {
             "reconstructed": rec.value,
             "reference": ref,
@@ -503,12 +479,7 @@ def cmd_weakvalue(pf: ProblemFile, args) -> tuple:
             row["violation"] = True
             code = EXIT_VIOLATION
         table[name] = row
-    return code, {
-        "command": "weakvalue",
-        "report_version": REPORT_VERSION,
-        "s": s,
-        "operators": table,
-    }
+    return code, {"s": p.s, "operators": table}
 
 
 def cmd_verify(pf: ProblemFile, args) -> tuple:
@@ -520,8 +491,6 @@ def cmd_verify(pf: ProblemFile, args) -> tuple:
     ok = worst_overall is not None and worst_overall < tol.tol_residual
     code = EXIT_OK if ok else EXIT_VIOLATION
     return code, {
-        "command": "verify",
-        "report_version": REPORT_VERSION,
         "seeds": args.seeds,
         "tol_residual": tol.tol_residual,
         "max_residual": worst_overall,
@@ -549,41 +518,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Skew-information uncertainty quantities and spectral bounds.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, oracle=False):
+    flags = {  # main applies --s, --nu, --seed and --grid over their params fields
+        "--oracle": dict(type=_count(0), default=0, metavar="N"),
+        "--seed": dict(type=int),
+        "--s": dict(type=float),
+        "--nu": dict(type=lambda v: [_parse_nu_value(x) for x in v.split(",")], metavar="LIST"),
+        "--alpha-scan": dict(action="store_true"),
+        "--grid": dict(type=_count(0), default=0),
+        "--suite": dict(choices=(*sweeps.SUITES, "all"), default="all"),
+        "--seeds": dict(type=_count(1), default=50),
+    }
+    for command, about, names in (
+        ("moments", "standard deviation and skew informations", ("--s", "--nu")),
+        ("bound", "spectral lower bound for an operator set",
+         ("--oracle", "--seed", "--s", "--alpha-scan", "--grid")),
+        ("channel-bound", "bound for pooled channel coherences", ("--oracle", "--seed")),
+        ("witness", "variance-based entanglement witness", ("--grid",)),
+        ("weakvalue", "weak-value reconstruction of skew information", ("--s",)),
+        ("verify", "run residual sweeps", ("--suite", "--seeds")),
+    ):
+        p = sub.add_parser(command, help=about)
         p.add_argument("file", help="problem file (path or bundled name)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        if oracle:
-            p.add_argument("--oracle", type=_count(0), default=0, metavar="N")
-            p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("moments", help="standard deviation and skew informations")
-    common(p)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--nu", type=lambda v: [_parse_nu_value(x) for x in v.split(",")],
-                   default=None, metavar="LIST")
-
-    p = sub.add_parser("bound", help="spectral lower bound for an operator set")
-    common(p, oracle=True)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--alpha-scan", action="store_true")
-    p.add_argument("--grid", type=_count(0), default=0)
-
-    p = sub.add_parser("channel-bound", help="bound for pooled channel coherences")
-    common(p, oracle=True)
-
-    p = sub.add_parser("witness", help="variance-based entanglement witness")
-    common(p)
-    p.add_argument("--grid", type=_count(0), default=0)
-
-    p = sub.add_parser("weakvalue", help="weak-value reconstruction of skew information")
-    common(p)
-    p.add_argument("--s", type=float, default=None)
-
-    p = sub.add_parser("verify", help="run residual sweeps")
-    common(p)
-    p.add_argument("--suite", choices=(*sweeps.SUITES, "all"), default="all")
-    p.add_argument("--seeds", type=_count(1), default=50)
+        for name in names:
+            p.add_argument(name, **flags[name])
     return ap
 
 
@@ -609,15 +567,22 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         pf = load_problem(args.file, tol_override)
+        p = pf.params
+        for name in ("s", "nu", "seed"):  # a given flag overrides, 0 included
+            if getattr(args, name, None) is not None:
+                setattr(p, name, getattr(args, name))
+        if getattr(args, "grid", 0):  # --grid 0 keeps the file's grid_points
+            p.grid_points = args.grid
         # an overflow shows as the non-finite report field checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            code, report = _DISPATCH[args.command](pf, args)
+            code, body = _DISPATCH[args.command](pf, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SkewboundError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    report = {"command": args.command, "report_version": REPORT_VERSION, **body}
     bad = _non_finite(report)
     if bad is not None:
         print(f"validation error: report field {bad} is not finite", file=sys.stderr)

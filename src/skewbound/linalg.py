@@ -74,9 +74,9 @@ class Tolerances:
     tol_residual: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tol_herm", "tol_trace", "tol_psd", "tol_recon", "tol_residual"):
-            if not getattr(self, name) >= 0:  # NaN fails every comparison
-                raise DomainError(f"{name} must be nonnegative")
+        for f in dataclasses.fields(self):
+            if not getattr(self, f.name) >= 0:  # NaN fails every comparison
+                raise DomainError(f"{f.name} must be nonnegative")
 
 
 DEFAULT_TOL = Tolerances()

@@ -1,7 +1,7 @@
 import json
 import re
 import shlex
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -610,6 +610,20 @@ class TestGoldenReports:
 
 
 class TestFormats:
+    @pytest.mark.parametrize("argv", [
+        ("moments", "example4"),
+        ("bound", "example2"),
+        ("channel-bound", "example3"),
+        ("witness", "singlet_witness"),
+        ("weakvalue", "example1_spinhalf"),
+        ("verify", "example1_spinhalf", "--suite", "qubit", "--seeds", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_report_starts_with_command_and_version(self, capsys, argv):
+        _, text, _ = run(capsys, *argv)
+        assert text.splitlines()[:2] == [f"command = {argv[0]}", "report_version = 2"]
+        _, rows, _ = run(capsys, *argv, "--format", "csv")
+        assert rows.splitlines()[:3] == ["key,value", f"command,{argv[0]}", "report_version,2"]
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "bound", "example1_spinhalf", "--format", "csv")
         assert code == EXIT_OK
@@ -708,6 +722,22 @@ class TestCommandPreconditions:
         assert code == EXIT_PARSE
         assert "missing" in err
 
+    @pytest.mark.parametrize("dims, code", [
+        (None, EXIT_OK),
+        ([2, 2], EXIT_OK),
+        ([5, 7], EXIT_VALIDATION),  # neither the state nor the sides
+        ([4, 1], EXIT_VALIDATION),  # the state's dimension, not the sides'
+        ([2, 3], EXIT_VALIDATION),  # side A's dimension, not side B's or the state's
+    ], ids=str)
+    def test_witness_checks_dims(self, capsys, tmp_path, dims, code):
+        obj = json.loads(Path(cli._resolve_path("singlet_witness")).read_text())
+        obj["params"].pop("dims")
+        if dims is not None:
+            obj["params"]["dims"] = dims
+        got, _, err = run(capsys, "witness", write_json(tmp_path, "w.json", obj))
+        assert got == code
+        assert ("params.dims" in err) == (code == EXIT_VALIDATION)
+
     def test_incomplete_channel_is_validation_error(self, capsys, tmp_path):
         path = write_json(tmp_path, "ch.json", {
             "version": 1,
@@ -716,6 +746,65 @@ class TestCommandPreconditions:
         })
         code, _, err = run(capsys, "channel-bound", path)
         assert code == EXIT_VALIDATION
+
+
+class TestFlagsOverFileParams:
+    # every params field away from its default, so that no flag can pass for the file
+    FILE = {
+        "version": 1,
+        "rho": {"bloch": [0.1, 0.0, 0.2]},
+        "operators": {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]},
+        "channels": {"amp": [[[1, 0], [0, 0.8]], [[0, 0.6], [0, 0]]]},
+        "params": {"s": 0.3, "nu": [0, -1], "seed": 5, "grid_points": 51, "dims": [1, 2],
+                   "ops_a": ["X"], "ops_b": ["Z"], "tolerances": {"tol_residual": 1e-7}},
+    }
+
+    def test_file_sets_every_param(self, tmp_path):
+        params = load_problem(write_json(tmp_path, "full.json", self.FILE)).params
+        assert all(getattr(params, f.name) != getattr(cli.Params(), f.name)
+                   for f in fields(cli.Params))
+
+    @pytest.mark.parametrize("argv, changed", [pytest.param(*case, id=case[0]) for case in (
+        ("moments", {}),
+        ("moments --s 0.7", {"s": 0.7}),
+        ("moments --s 0", {"s": 0.0}),
+        ("moments --nu 0,-inf", {"nu": [0.0, float("-inf")]}),
+        ("bound", {}),
+        ("bound --s 0.5", {"s": 0.5}),
+        ("bound --seed 0", {"seed": 0}),
+        ("bound --seed 7", {"seed": 7}),
+        ("bound --grid 0", {}),
+        ("bound --grid 11", {"grid_points": 11}),
+        ("bound --s 0.2 --seed 0 --grid 9", {"s": 0.2, "seed": 0, "grid_points": 9}),
+        ("channel-bound", {}),
+        ("channel-bound --seed 0", {"seed": 0}),
+        ("witness", {}),
+        ("witness --grid 0", {}),
+        ("witness --grid 7", {"grid_points": 7}),
+        ("weakvalue", {}),
+        ("weakvalue --s 0.5", {"s": 0.5}),
+        ("verify", {}),
+    )])
+    def test_command_sees_the_file_params_under_its_flags(self, capsys, monkeypatch, tmp_path,
+                                                          argv, changed):
+        path = write_json(tmp_path, "full.json", self.FILE)
+        seen = []
+
+        def command(pf, args):
+            seen.append(pf.params)
+            return EXIT_OK, {}
+
+        name, *flags = argv.split()
+        monkeypatch.setitem(cli._DISPATCH, name, command)
+        code, _, err = run(capsys, name, path, *flags)
+        assert code == EXIT_OK, err
+        assert seen == [replace(load_problem(path).params, **changed)]
+
+    def test_seed_zero_reaches_the_oracle(self, capsys, tmp_path):
+        path = write_json(tmp_path, "full.json", self.FILE)
+        absent, five, zero = (run(capsys, "bound", path, "--oracle", "20", *seed)
+                              for seed in ((), ("--seed", "5"), ("--seed", "0")))
+        assert absent == five != zero
 
 
 class TestParserFuzz:

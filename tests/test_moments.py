@@ -10,6 +10,7 @@ from skewbound import (
     DomainError,
     MeanOrder,
     density,
+    density_stack,
     fisher_information,
     gen_skew,
     generalized_mean,
@@ -114,6 +115,12 @@ class TestWydSkewKernel:
         for f in (lambda A: wyd_skew(A, RHO37, 0.3), lambda A: gen_skew(A, RHO37, -1.0)):
             with pytest.raises(DimensionMismatch):
                 f(np.eye(3))
+
+    def test_rho_by_keyword(self, rng):
+        A = random_operator(3, rng)
+        stack = density_stack([random_density(3, r, rng).matrix for r in (1, 2, 3)])
+        for rho in (random_density(3, 2, rng), stack):
+            assert np.array_equal(wyd_skew(A, rho=rho, s=0.3), wyd_skew(A, rho, 0.3))
 
     def test_one_case_per_state(self, rng):
         # a single state takes one operator and one s; a stack of them would
