@@ -61,17 +61,20 @@ from .linalg import (
     DensityStack,
     Tolerances,
     _ginibre_states,
+    _powers,
     as_operator,
     density_stack,
     matrix_power,
+    rowwise,
 )
 from .moments import (
     MeanOrder,
+    _mean_weights,
+    _skew_kernel,
+    _wyd_weights,
     as_mean_order,
-    gen_skew,
     hermitian_split,
     variance,
-    wyd_skew,
 )
 
 __all__ = [
@@ -130,6 +133,9 @@ class SpectralData:
     kernel: np.ndarray
     epsilon1_multiplicity: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "_kernel_h", self.kernel.conj().T)  # conjugated once
+
     @property
     def kernel_dim(self) -> int:
         return self.kernel.shape[1]
@@ -137,16 +143,19 @@ class SpectralData:
     def kernel_weight(self, phi: np.ndarray):
         """||P_ker phi||^2 of a unit vector, or of each row of a stack of
         them, capped at 1."""
-        overlaps = (self.kernel.conj().T @ phi[..., None])[..., 0]
-        return np.minimum(np.sum(np.abs(overlaps) ** 2, axis=-1), 1.0)
+        overlaps = (self._kernel_h @ phi[..., None])[..., 0]
+        return np.minimum((np.abs(overlaps) ** 2).sum(axis=-1), 1.0)
 
 
 @dataclass(eq=False)
 class _SetRecord:
     """State-independent results shared by every OperatorSet of one content: its
-    components, spectral data and alpha-scan floors by (pairing, grid_points)."""
+    components with S = sum_C C^2 and vec(I)/sqrt(d) (for :func:`bound_wyd`),
+    spectral data and alpha-scan floors by (pairing, grid_points)."""
 
     components: Optional[np.ndarray] = None
+    square_sum: Optional[np.ndarray] = None
+    identity_row: Optional[np.ndarray] = None
     spectrum: Optional[SpectralData] = None
     scans: dict = field(default_factory=dict)
 
@@ -219,6 +228,8 @@ class OperatorSet:
                     if not np.max(np.abs(C)) <= _ZERO_CUTOFF:
                         comps.append(C)
             record.components = _read_only(np.array(comps, dtype=complex).reshape(-1, d, d))
+            record.square_sum = _square_sum(record.components)
+            record.identity_row = np.eye(d).ravel() / math.sqrt(d)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_record", record)
@@ -572,9 +583,8 @@ def _square_sum(Cs: np.ndarray) -> np.ndarray:
 def _apply_h_tot(oset: OperatorSet, X: np.ndarray) -> np.ndarray:
     """H_tot vec(X) = vec(sum_C [C, [C, X]]/2) = vec((S X + X S)/2 - sum_C C X C),
     applied to the d x d matrix X, or to each matrix of a stack, in O(K d^3)."""
-    Cs = oset.components()
-    S = _square_sum(Cs)
-    HX = (S @ X + X @ S) / 2 - sum(C @ X @ C for C in Cs)
+    S = oset._record.square_sum
+    HX = (S @ X + X @ S) / 2 - sum(C @ X @ C for C in oset.components())
     return HX.reshape(X.shape[:-2] + (-1,))
 
 
@@ -645,60 +655,85 @@ _CHI_OVERLAP_FLOOR = 1e-14
 
 
 def _dot(u: np.ndarray, v: np.ndarray):
-    """<u|v> of each pair of rows, one BLAS dot per row as np.vdot takes it."""
-    return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
+    """sum_i u_i v_i of each pair of rows, one BLAS dot per row (<u|v> as
+    np.vdot takes it is _dot(u.conj(), v))."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _norm(v: np.ndarray):
-    """||v|| of each row, from the BLAS dots np.linalg.norm takes on one vector."""
-    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
+    """||v|| of each row, from the BLAS dots np.linalg.norm takes on one vector
+    (of the real and of the imaginary parts, in one call)."""
+    parts = v.view(float).reshape(v.shape + (2,)).swapaxes(-1, -2)
+    sq = _dot(parts, parts)
+    return np.sqrt(sq[..., 0] + sq[..., 1])
 
 
-def _feasible_f(chi, ref1, ref2):
-    """(f(tau1, tau2), feasible) of each row's reference state, f = 0 where
+def _feasible_f(chi, refs):
+    """(f(tau1, tau2), feasible) of each row's reference state chi against
+    the pair (ref1, ref2) on the second-to-last axis of ``refs``, f = 0 where
     infeasible and f > 0 where feasible.
 
     The minimal feasible tau_i is the Gram-Schmidt residual
     ||ref_i - <chi|ref_i> chi|| / |<chi|ref_i>| (= sqrt(1/|<chi|ref_i>|^2 - 1)
     for unit vectors, without its cancellation near overlap 1); f decreases
     in each argument on the feasible region, so the minimal pair maximizes f.
+    Both overlaps come from one call, and both residuals in one buffer.
     """
-    o1, o2 = _dot(chi, ref1), _dot(chi, ref2)
-    a1, a2 = np.abs(o1), np.abs(o2)
-    ok = (a1 ** 2 >= _CHI_OVERLAP_FLOOR) & (a2 ** 2 >= _CHI_OVERLAP_FLOOR)
-    t1 = _norm(ref1 - o1[..., None] * chi) / np.where(ok, a1, 1.0)  # no 0/0 where infeasible
-    t2 = _norm(ref2 - o2[..., None] * chi) / np.where(ok, a2, 1.0)
-    ok &= t1 * t2 < 1.0
-    return np.where(ok, (1.0 - t1 * t2) / ((1.0 + t1 * t1) * (1.0 + t2 * t2)), 0.0), ok
+    o = _dot(chi.conj()[..., None, :], refs)
+    a = np.abs(o)
+    ok = a ** 2 >= _CHI_OVERLAP_FLOOR
+    ok = ok[..., 0] & ok[..., 1]
+    r = o[..., 0, None] * chi
+    t1 = _norm(np.subtract(refs[..., 0, :], r, out=r)) / np.where(ok, a[..., 0], 1.0)  # no 0/0
+    np.multiply(o[..., 1, None], chi, out=r)
+    t2 = _norm(np.subtract(refs[..., 1, :], r, out=r)) / np.where(ok, a[..., 1], 1.0)
+    tt = t1 * t2
+    ok &= tt < 1.0
+    return np.where(ok, (1.0 - tt) / ((1.0 + t1 * t1) * (1.0 + t2 * t2)), 0.0), ok
 
 
-def _wyd_rows(oset: OperatorSet, spec: SpectralData, rho, s: float, extra: list):
-    """(bound, feasible) of :func:`bound_wyd` at each state of the stack ``rho``."""
-    d = rho.dim
-    emb = embedding(rho, s)
-    theta = np.sqrt(emb.norms[0] * emb.norms[1])
-    # the candidates chi, written in place: ref1 of the two branches (the unit
-    # embeddings), ref2 of the two branches, vec(I)/sqrt(d) and the extra ones
-    chi = np.empty((5 + len(extra), len(rho), d * d), dtype=complex)
-    phis, phi1s = _unit(emb.phi_s, emb.norms[0], chi[0]), _unit(emb.phi_1ms, emb.norms[1], chi[1])
+def _in_slices(f, n: int, per: int) -> tuple:
+    """The arrays of f(i, i + per) for i in range(0, n, per), each joined
+    along its last axis (no copy for one slice)."""
+    parts = [f(i, i + per) for i in range(0, n, per)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
+
+
+def _wyd_rows(oset: OperatorSet, spec: SpectralData, rho, s: float, extra: np.ndarray):
+    """(bound, feasible, ||P_ker vec(sqrt(rho))||^2) of :func:`bound_wyd` at
+    each state of the stack ``rho``."""
+    n, d, w = len(rho), rho.dim, rho.eigenvalues
+    # rho^(1/2), rho^s and rho^(1-s) from one stacked power, and their squared
+    # norms Tr rho, Tr rho^2s and Tr rho^(2-2s)
+    P = _powers(rho, np.array([[0.5], [s], [1 - s]]))
+    norms = np.array([w.sum(axis=-1), (w ** (2 * s)).sum(axis=-1),
+                      (w ** (2 * (1 - s))).sum(axis=-1)])
+    # row 0 is the unit vec(sqrt(rho)); from row 1 on, the candidates chi,
+    # written in place: ref1 of the two branches (the unit embeddings), ref2
+    # of the two branches, vec(I)/sqrt(d) and the extra ones
+    rows = np.empty((6 + len(extra), n, d * d), dtype=complex)
+    chi = rows[1:]
+    _unit(P.reshape(3, n, -1), norms, out=rows[:3])
+    weights = spec.kernel_weight(rows[:3])
     # ref2 is H_tot phi_(1-s) or H_tot phi_s normalized, its factor
     # ||(1 - P_ker) phi|| of the other unit embedding, since ||H phi|| >= eps1
     # ||(1 - P_ker) phi|| for a unit vector phi; a vanishing H_tot phi gives
     # ref2 = 0, which no chi overlaps
-    fac = []
-    Hvs = _apply_h_tot(oset, np.stack([emb.phi_1ms, emb.phi_s]).reshape(2, -1, d, d))
-    for phi, Hv, ref2 in zip((phi1s, phis), Hvs, chi[2:4]):
-        n = _norm(Hv)
-        np.divide(Hv, np.where(n > 1e-12, n, np.inf)[..., None], out=ref2)
-        fac.append(np.sqrt(1.0 - spec.kernel_weight(phi)))
-    chi[4:] = np.array([np.eye(d).ravel() / math.sqrt(d), *extra])[:, None]
+    Hv = _apply_h_tot(oset, P[2:0:-1])
+    Hn = _norm(Hv)
+    np.divide(Hv, np.where(Hn > 1e-12, Hn, np.inf)[..., None], out=chi[2:4])
+    fac = np.sqrt(1.0 - weights[2:0:-1])
+    chi[4], chi[5:] = oset._record.identity_row, extra[:, None]
     # every candidate (axis 0) against both branches (axis 1) in one pass per
-    # slice of states whose (candidates, 2, states, d^2) temporaries hold _ROW_BYTES
+    # slice of states whose (candidates, 2, states, d^2) temporaries hold
+    # _ROW_BYTES; refs[b, i] is the pair (ref1, ref2) of branch b at state i
+    refs = chi[:4].reshape(2, 2, n, -1).transpose(1, 2, 0, 3)
     per = max(1, _ROW_BYTES // (32 * len(chi) * d * d))
-    f, ok = (np.concatenate(x, axis=-1) for x in zip(*(_feasible_f(
-        chi[:, None, i:i + per], chi[:2, i:i + per], chi[2:4, i:i + per]) for i in range(0, len(rho), per))))
-    best = np.maximum(0.0, f * np.stack(fac) * theta * spec.epsilon1)
-    return best.reshape(-1, len(rho)).max(axis=0), ok.reshape(-1, len(rho)).any(axis=0)
+    f, ok = _in_slices(lambda i, j: _feasible_f(chi[:, None, i:j], refs[:, i:j]), n, per)
+    best = np.maximum(0.0, f * fac * np.sqrt(norms[1] * norms[2]) * spec.epsilon1)
+    return best.reshape(-1, n).max(axis=0), ok.reshape(-1, n).any(axis=0), weights[0]
 
 
 def bound_wyd(
@@ -717,8 +752,9 @@ def bound_wyd(
     for which every candidate is infeasible gets bound 0, with one warning
     per call.  H_tot vec(rho^s) and H_tot vec(rho^(1-s)) are applied as maps
     on d x d matrices, so only the set's spectral data are needed on the
-    doubled space.  A DensityStack gets its bounds from stacked evaluations
-    of chunks of states, each bound equal to the state's own.
+    doubled space; S = sum_C C^2, vec(I)/sqrt(d) and the conjugated kernel
+    are built once per set.  A DensityStack gets its bounds from a few
+    stacked calls per chunk of states, each bound equal to the state's own.
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -735,22 +771,25 @@ def bound_wyd(
         if n == 0:
             raise DomainError("chi candidate is the zero vector")
         extra.append(v / n)
+    extra = np.array(extra, dtype=complex).reshape(-1, d * d)
     spec = _spectral(oset, rho)
     stack = rho if isinstance(rho, DensityStack) else DensityStack(
         rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
     # chunks of n states whose candidate rows, one (n, d^2) array for each
     # of the 5 default and the extra candidates, hold _STACK_BYTES at most
     per = max(1, _STACK_BYTES // (16 * d * d * (5 + len(extra))))
-    best, feasible = (np.concatenate(x) for x in zip(*(_wyd_rows(oset, spec, DensityStack(*(
-        a[i:i + per] for a in (stack.matrix, stack.eigenvalues, stack.eigenvectors))), s, extra)
-        for i in range(0, len(stack), per))))
-    if not np.all(feasible):
+    best, feasible, ov2 = _in_slices(lambda i, j: _wyd_rows(oset, spec, DensityStack(
+        stack.matrix[i:j], stack.eigenvalues[i:j], stack.eigenvectors[i:j]), s, extra),
+        len(stack), per)
+    if not feasible.all():
         warnings.warn(
             "no feasible reference state for some state; reporting bound 0 there",
             NoFeasibleChiWarning,
             stacklevel=2,
         )
-    return _result(spec, best if stack is rho else best[0], _half_weight(spec, rho))
+    if stack is not rho:
+        best, ov2 = best[0], ov2[0]
+    return _result(spec, best, ov2)
 
 
 def tighten_alpha_scan(
@@ -831,19 +870,24 @@ def pure_variance_bound(ops, grid_points: int = 201) -> float:
     return tighten_alpha_scan(ops, grid_points=grid_points, pairing="plain")
 
 
-def _sum_value(ops, rho, s_or_order, tol):
+@rowwise
+def _sum_value(rows, ops, rho, s_or_order, tol):
+    """sum_k of each operator's skew: ``wyd_skew`` at a float s in (0, 1),
+    ``gen_skew`` at any other float, a MeanOrder or a list of one order per
+    operator.  One ``_skew_kernel`` call takes all K operators, with the bits,
+    checks and errors of the K calls summed in order."""
     oset = _as_set(ops)
+    eigs, what = rho.eigenvalues, "generalized skew"
     if isinstance(s_or_order, (list, tuple)):
         orders = [as_mean_order(o) for o in s_or_order]
         if len(orders) != len(oset.operators):
             raise DomainError("need one mean order per operator")
-        return sum(gen_skew(A, rho, o, tol) for A, o in zip(oset.operators, orders))
-    if isinstance(s_or_order, MeanOrder):
-        return sum(gen_skew(A, rho, s_or_order, tol) for A in oset.operators)
-    s = float(s_or_order)
-    if 0 < s < 1:
-        return sum(wyd_skew(A, rho, s, tol) for A in oset.operators)
-    return sum(gen_skew(A, rho, as_mean_order(s), tol) for A in oset.operators)
+        W = np.stack([_mean_weights(eigs, o, tol.tol_psd) for o in orders])
+    elif isinstance(s_or_order, MeanOrder) or not 0 < float(s_or_order) < 1:
+        W = _mean_weights(eigs, as_mean_order(s_or_order), tol.tol_psd)
+    else:
+        W, what = _wyd_weights(eigs, float(s_or_order)), "skew information"
+    return sum(_skew_kernel(rows, np.array(oset.operators)[:, None], rho, W, what, tol))
 
 
 def sample_stacks(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):
@@ -897,7 +941,7 @@ def empirical_minimum(
     float or MeanOrder the generalized family, a list one order per operator.
     States come from :func:`sample_stacks`, so the result is deterministic
     for a fixed seed; each stack's skew sums come from one stacked kernel
-    evaluation per operator, equal to the per-state values.
+    evaluation of all operators, equal to the per-state values.
     """
     sums = _sampled_sums(ops, s_or_order, samples, seed, ranks, tol)
     return min(float(np.min(t)) for _, t in sums)

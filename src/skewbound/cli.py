@@ -253,7 +253,9 @@ def _parse_problem(data: bytes, path: str, tol_override: Optional[float]) -> Pro
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
     _check_fields(raw, ProblemFile, "top-level")
-    version = _number(raw.get("version", 1), "version", int)
+    version = raw.get("version", 1)
+    if isinstance(version, bool) or version != 1:  # the only format there is
+        raise ParseError(f"version must be 1, got {version!r}")
     params = _parse_params(raw.get("params", {}))
     if tol_override is not None:
         params.tolerances = replace(params.tolerances, tol_residual=tol_override)
@@ -289,7 +291,7 @@ def _parse_problem(data: bytes, path: str, tol_override: Optional[float]) -> Pro
             )
             chans[name] = channels.KrausChannel(kraus=kraus, label=name, tol=tol)
     return ProblemFile(
-        version=version, rho=rho, operators=operators, channels=chans, params=params
+        version=1, rho=rho, operators=operators, channels=chans, params=params
     )
 
 
@@ -502,6 +504,14 @@ def cmd_verify(pf: ProblemFile, args) -> tuple:
 # ---------------------------------------------------------------- main
 
 
+def _nu_list(text: str) -> list:
+    """argparse type of ``--nu``: comma-separated mean orders; a bad one exits 2."""
+    try:
+        return [_parse_nu_value(x) for x in text.split(",")]
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _count(least: int):
     """argparse type: an integer of at least ``least``; anything else exits 2."""
     def integer(text: str) -> int:  # argparse names it in "invalid integer value"
@@ -522,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle": dict(type=_count(0), default=0, metavar="N"),
         "--seed": dict(type=int),
         "--s": dict(type=float),
-        "--nu": dict(type=lambda v: [_parse_nu_value(x) for x in v.split(",")], metavar="LIST"),
+        "--nu": dict(type=_nu_list, metavar="LIST"),
         "--alpha-scan": dict(action="store_true"),
         "--grid": dict(type=_count(0), default=0),
         "--suite": dict(choices=(*sweeps.SUITES, "all"), default="all"),

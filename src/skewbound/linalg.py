@@ -112,7 +112,7 @@ def _dagger(A: np.ndarray) -> np.ndarray:
 
 def _trace(A: np.ndarray):
     """Tr A of a matrix, or of each matrix of a stack."""
-    return np.trace(A, axis1=-2, axis2=-1)
+    return A.trace(axis1=-2, axis2=-1)
 
 
 def _check_hermitian(A: np.ndarray, tol: Tolerances) -> None:
@@ -120,8 +120,8 @@ def _check_hermitian(A: np.ndarray, tol: Tolerances) -> None:
     max|M - M^dag| at most tol_herm * max(1, max|M|); the first failing matrix
     is reported.  The limit is relative above unit scale because rounding
     leaves a defect proportional to the entries."""
-    defect = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    limit = tol.tol_herm * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    defect = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    limit = tol.tol_herm * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     bad = np.flatnonzero(defect > limit)
     if bad.size:
         i = bad[0]
@@ -219,17 +219,17 @@ def _validated(A: np.ndarray, tol: Tolerances):
     the decomposition reconstructs each input, with one stacked ``eigh``; a
     failed check reports the worst state's value.
     """
-    err = np.max(np.abs(np.trace(A, axis1=-2, axis2=-1) - 1))
+    err = np.abs(_trace(A) - 1).max()
     if err > tol.tol_trace:
         raise StateValidationError(f"|Tr rho - 1| = {err:.3e} > {tol.tol_trace:.3e}")
     _check_hermitian(A, tol)
     w, V = _eigh(A)
-    low = np.min(w[:, 0])
+    low = w[:, 0].min()
     if low < -tol.tol_psd:
         raise StateValidationError(f"negative eigenvalue {low:.3e} below -{tol.tol_psd:.3e}")
-    w = np.clip(w, 0.0, 1.0)
+    w = w.clip(0.0, 1.0)
     w[w <= tol.tol_psd] = 0.0
-    defect = np.max(np.abs(A - (V * w[:, None, :]) @ V.conj().swapaxes(-1, -2)))
+    defect = np.abs(A - (V * w[:, None, :]) @ V.conj().swapaxes(-1, -2)).max()
     if defect > tol.tol_recon:
         raise StateValidationError(f"reconstruction defect {defect:.3e} > {tol.tol_recon:.3e}")
     return w, V
@@ -254,7 +254,7 @@ def density_stack(matrices, tol: Tolerances = DEFAULT_TOL) -> DensityStack:
     A = np.asarray(matrices, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise StateValidationError("matrix contains non-finite entries")
     w, V = _validated(A, tol)
     return DensityStack(matrix=A, eigenvalues=w, eigenvectors=V)
@@ -281,7 +281,12 @@ def matrix_power(rho: DensityOperator, s: float) -> np.ndarray:
     Hermitian and PSD by construction.  A :class:`DensityStack` gives the
     stack of powers, with one s for all or one per state.
     """
-    w = _power(np.where(rho.eigenvalues > 0, rho.eigenvalues, 0.0), _exponents(s, closed=True))
+    return _powers(rho, _exponents(s, closed=True))
+
+
+def _powers(rho, s: np.ndarray) -> np.ndarray:
+    """:func:`matrix_power` at checked exponents; s of shape (k, 1) gives k powers."""
+    w = _power(np.where(rho.eigenvalues > 0, rho.eigenvalues, 0.0), s)
     V = rho.eigenvectors
     return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
@@ -298,9 +303,10 @@ def _exponents(s, closed: bool = False):
 
 def _power(w: np.ndarray, s) -> np.ndarray:
     """w ** s for a (..., d) stack of spectra and one s for all or per
-    spectrum, each entry as numpy's power by a float s gives it (s = 1/2 is
-    sqrt): the exponents are spread to w's shape, so that one power loop
-    takes every entry and each spectrum gets the powers it gets alone."""
+    spectrum, or a stack of those, each entry as numpy's power by a float s
+    gives it (s = 1/2 is sqrt): the exponents are spread to w's shape, so
+    that one power loop takes every entry and each spectrum gets the powers
+    it gets alone."""
     e = np.zeros_like(w) + np.asarray(s)[..., None]
     return np.where(e == 0.5, np.sqrt(w), w ** e)
 
@@ -316,13 +322,18 @@ class _Rows:
 
     def reject(self, bad, error, message: str, value=None) -> None:
         """Fail the states where ``bad``; ``message`` formats the state's
-        entry of ``value`` into its ``{}``, if given."""
-        _one_case_per_state(bad, len(self.ok))
-        new = np.flatnonzero(self.ok & bad)
-        if new.size and (self.first is None or new[0] < self.first[0]):
-            i = new[0]
-            self.first = (i, error(message if value is None else message.format(value[i])))
-        self.ok &= ~bad
+        entry of ``value`` into its ``{}``, if given.  ``bad`` and ``value``
+        may lead with an axis of K operators, checked in turn as K calls."""
+        n = len(self.ok)
+        _one_case_per_state(bad.T, n)
+        checks = bad.reshape(-1, n)
+        new = np.flatnonzero(self.ok & checks)
+        if new.size:  # else every failing state has failed before
+            k, i = divmod(int(new[0]), n)
+            if self.first is None or i < self.first[0]:
+                message = message if value is None else message.format(value.reshape(-1, n)[k, i])
+                self.first = (i, error(message))
+            self.ok &= ~checks.any(axis=0)
 
 
 def _one_case_per_state(x: np.ndarray, n: int) -> None:
@@ -429,14 +440,22 @@ def _haar_unitaries(raw: np.ndarray) -> np.ndarray:
 def _ginibre_states(raws) -> np.ndarray:
     """(N, d, d) unvalidated Hilbert-Schmidt states G G^dag / Tr of the Ginibre
     matrices G of N raw draws (2, d, rank), any ranks; the states of one rank
-    are built as one stack."""
+    are built as one stack, with no regrouping when there is one rank."""
+    ranks = [raw.shape[-1] for raw in raws]
+    if min(ranks) == max(ranks):
+        return _hilbert_schmidt(np.array(raws))
     M = np.empty((len(raws),) + raws[0].shape[1:2] * 2, dtype=complex)
-    for r in {raw.shape[-1] for raw in raws}:
-        at = [i for i, raw in enumerate(raws) if raw.shape[-1] == r]
-        G = _ginibre(np.array([raws[i] for i in at]))
-        S = G @ _dagger(G)
-        M[at] = S / _trace(S).real[..., None, None]
+    for r in set(ranks):
+        at = [i for i, rank in enumerate(ranks) if rank == r]
+        M[at] = _hilbert_schmidt(np.array([raws[i] for i in at]))
     return M
+
+
+def _hilbert_schmidt(raw: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr of the Ginibre matrices G of raw normals (..., 2, d, rank)."""
+    G = _ginibre(raw)
+    S = G @ _dagger(G)
+    return S / _trace(S).real[..., None, None]
 
 
 def random_density(dim: int, rank: int, seed) -> DensityOperator:

@@ -140,14 +140,19 @@ def _skew_kernel(rows, A, rho, W: np.ndarray, what: str, tol: Tolerances):
     and A~ = A in the eigenbasis of rho, for each state of the stack ``rho``
     and its (N, d, d) weights.
 
+    ``A`` is one operator, one per state, or K operators as (K, 1, d, d),
+    with weights shared or (K, N, d, d); K operators give (K, N) values, each
+    from the products and sums of its own evaluation, checked in order.
+
     :func:`wyd_skew` and :func:`gen_skew` differ only in the symmetric
     eigenvalue weighting W; for symmetric W,
     (1/2) sum_ij W_ij (|<i|A^dag|j>|^2 + |<i|A|j>|^2) = sum_ij W_ij |A~_ij|^2.
     """
     A = _operators(A, rho.dim)
-    quad = 0.5 * _trace((_dagger(A) @ A + A @ _dagger(A)) @ rho.matrix).real
+    Ah = _dagger(A)
+    quad = 0.5 * _trace((Ah @ A + A @ Ah) @ rho.matrix).real
     V = rho.eigenvectors
-    val = quad - np.sum(W * np.abs(_dagger(V) @ A @ V) ** 2, axis=(-2, -1))
+    val = quad - (W * np.abs(_dagger(V) @ A @ V) ** 2).sum(axis=(-2, -1))
     rows.reject(val < -tol.tol_residual, NegativeRadicand,
                 f"{what} {{:.3e}} < -{tol.tol_residual:.3e}", val)
     return np.maximum(val, 0.0)
@@ -162,10 +167,16 @@ def wyd_skew(rows, A, rho: DensityOperator, s, tol: Tolerances = DEFAULT_TOL):
     which is 0 on pairs touching a zero eigenvalue (0**s = 0).  A stack
     takes one s for all states or one per state.
     """
-    s = _exponents(s)
-    p, q = _power(rho.eigenvalues, s), _power(rho.eigenvalues, 1 - s)
-    W = (_outer(p, q) + _outer(q, p)) / 2
+    W = _wyd_weights(rho.eigenvalues, _exponents(s))
     return _skew_kernel(rows, A, rho, W, "skew information", tol)
+
+
+def _wyd_weights(eigs: np.ndarray, s) -> np.ndarray:
+    """W_ij = (l_i^s l_j^(1-s) + l_i^(1-s) l_j^s)/2 of :func:`wyd_skew` for a
+    stack of spectra, with one checked s for all or one per spectrum."""
+    p, q = _power(eigs, np.array([s, 1 - s]).reshape(2, -1))
+    pq = _outer(p, q)
+    return (pq + pq.swapaxes(-1, -2)) / 2
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:

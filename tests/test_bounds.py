@@ -37,9 +37,10 @@ from skewbound import (
     wyd_skew,
 )
 from conftest import SX, SZ, four_3x3_ops, four_qubit_ops, spin_ops
-from skewbound import bounds
+from skewbound import bounds, linalg
 from skewbound.bounds import _feasible_f
-from skewbound.errors import NoFeasibleChiWarning
+from skewbound.errors import NegativeRadicand, NoFeasibleChiWarning
+from skewbound.linalg import DensityStack
 
 RHO37 = density(np.diag([0.3, 0.7]))
 
@@ -955,7 +956,7 @@ class TestBoundWYD:
             n = int(rng.integers(2, 7)) ** 2
             chi, ref2 = (random_pure_vector(n, rng) for _ in range(2))
             want = abs(np.vdot(chi, ref2)) ** 2
-            f, ok = _feasible_f(chi, chi, ref2)
+            f, ok = _feasible_f(chi, _pair(chi, ref2))
             assert ok
             assert f == pytest.approx(want, rel=1e-12)
 
@@ -968,6 +969,11 @@ class TestBoundWYD:
             bound_wyd(spin_ops(0.5), RHO37, 0.3, chi_candidates=[np.ones(3)])
         with pytest.raises(DomainError):
             bound_wyd(spin_ops(0.5), RHO37, 0.3, chi_candidates=[np.zeros(4)])
+
+
+def _pair(ref1, ref2):
+    """The refs argument of _feasible_f: ref1 and ref2 on the second-to-last axis."""
+    return np.stack([ref1, ref2], axis=-2)
 
 
 def _feasible_f_one(chi, ref1, ref2):
@@ -1291,6 +1297,94 @@ class TestEmpiricalMinimum:
         assert got < 0.01
 
 
+class TestStackedSums:
+    """The oracle's skew sum of K operators comes from one ``_skew_kernel``
+    call per stack, and equals the sum of the K per-operator calls bit for
+    bit, their errors included."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _kernel=bounds._skew_kernel):
+            calls.append(args[1].shape)
+            return _kernel(*args)
+
+        monkeypatch.setattr(bounds, "_skew_kernel", counted)
+        return calls
+
+    @staticmethod
+    def _families(ops, tol):
+        """(s_or_order, each operator's own call) of every family the sum takes."""
+        orders = [0.0, -2.0, float("-inf")]
+        return [
+            (0.3, lambda A, rho, k: wyd_skew(A, rho, 0.3, tol)),
+            (0.5, lambda A, rho, k: wyd_skew(A, rho, 0.5, tol)),
+            (-1.0, lambda A, rho, k: gen_skew(A, rho, -1.0, tol)),
+            (orders, lambda A, rho, k: gen_skew(A, rho, orders[k], tol)),
+        ]
+
+    @pytest.mark.parametrize("kind", ["hermitian", "ginibre"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 24])
+    def test_matches_per_operator_sums(self, kernel_calls, kind, d):
+        rng = np.random.default_rng(d)
+        make = random_hermitian if kind == "hermitian" else random_operator
+        ops = OperatorSet(tuple(make(d, rng) for _ in range(3)))
+        tol = Tolerances()
+        for n in (1, 20, 100):
+            (stack,) = bounds.sample_stacks(d, n, seed=n)
+            for family, alone in self._families(ops, tol):
+                want = sum(alone(A, stack, k) for k, A in enumerate(ops.operators))
+                kernel_calls.clear()
+                got = bounds._sum_value(ops, stack, family, tol)
+                assert kernel_calls == [(3, 1, d, d)]
+                assert got.tobytes() == want.tobytes()
+            rho = next(iter(stack))
+            got = bounds._sum_value(ops, rho, 0.3, tol)
+            assert got == sum(wyd_skew(A, rho, 0.3, tol) for A in ops.operators)
+
+    def test_first_failing_operator_names_the_error(self, kernel_calls):
+        # unvalidated states whose eigenvalues disagree with their matrices:
+        # for diagonal A the radicand is sum_j (M_jj - l_j) |a_j|^2, so state 0
+        # fails the third operator alone and state 1 the second alone; the
+        # second operator's call raises first, at state 1
+        ops = OperatorSet((np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        M = np.array([np.eye(2) / 2] * 2, dtype=complex)
+        stack = DensityStack(M, np.array([[0.5, 1.5], [1.5, 0.5]]), np.array([np.eye(2)] * 2))
+        tol = Tolerances()
+        messages = []
+        for family, alone in self._families(ops, tol):
+            for rho in (stack, *stack):
+                with pytest.raises(NegativeRadicand) as want:
+                    sum(alone(A, rho, k) for k, A in enumerate(ops.operators))
+                kernel_calls.clear()
+                with pytest.raises(NegativeRadicand) as got:
+                    bounds._sum_value(ops, rho, family, tol)
+                assert len(kernel_calls) == 1
+                assert str(got.value) == str(want.value)
+                messages.append(str(got.value))
+        assert messages[:3] == ["state 1: skew information -1.000e+00 < -1.000e-08"] + [
+            "skew information -1.000e+00 < -1.000e-08"] * 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 24])
+    def test_one_state_draw(self, d):
+        # sample_stacks(d, 1, seed) is the Hilbert-Schmidt state of its one
+        # draw, built without grouping by rank, bit for bit as the grouped
+        # construction of a mixed-rank stack builds it
+        for seed in range(6):
+            (stack,) = bounds.sample_stacks(d, 1, seed)
+            rng = np.random.default_rng(seed)
+            raw = rng.normal(size=(2, d, 1 + int(rng.integers(d))))
+            G = linalg._ginibre(raw[None])  # the states of each rank, scattered into place
+            S = G @ linalg._dagger(G)
+            grouped = np.empty((1, d, d), dtype=complex)
+            grouped[[0]] = S / linalg._trace(S).real[..., None, None]
+            assert linalg._hilbert_schmidt(raw[None]).tobytes() == grouped.tobytes()
+            alone = density_stack(grouped)
+            for field in ("matrix", "eigenvalues", "eigenvectors"):
+                assert getattr(stack, field).tobytes() == getattr(alone, field).tobytes()
+
+
 class TestWitness:
     def _singlet(self):
         v = np.zeros(4, dtype=complex)
@@ -1368,6 +1462,29 @@ class TestGoodnessInterval:
             assert lo - 1e-9 <= emp <= hi_min + 1e-9
 
 
+class TestWYDSetPieces:
+    def test_built_once_per_set(self, monkeypatch, rng):
+        # S = sum C^2 and vec(I)/sqrt(d) come with the components, and the
+        # kernel is conjugated once with the spectral data; bound_wyd builds
+        # none of them and still matches the reference loop
+        d = 5
+        oset = OperatorSet(tuple(random_operator(d, rng) for _ in range(2)))
+        record = oset._record
+        assert record.square_sum.tobytes() == bounds._square_sum(oset.components()).tobytes()
+        assert record.identity_row.tobytes() == (np.eye(d).ravel() / math.sqrt(d)).tobytes()
+        spec = oset.spectral()
+        assert spec._kernel_h.tobytes() == spec.kernel.conj().T.tobytes()
+        states = [random_density(d, r, rng) for r in range(1, d + 1)]
+        want = [_bound_wyd_loop(oset, rho, 0.3) for rho in states]
+        monkeypatch.setattr(bounds, "_square_sum", lambda Cs: pytest.fail("S built again"))
+        stack = bound_wyd(oset, density_stack([rho.matrix for rho in states]), 0.3)
+        for rho, (bound, hi), got in zip(states, want, stack.bound):
+            one = bound_wyd(oset, rho, 0.3)
+            assert abs(one.bound - bound) <= 1e-15 * abs(bound)
+            assert one.bound == got
+            assert one.interval == (0.0, hi)
+
+
 class TestReverseCauchySchwarz:
     def test_feasibility_rule(self, rng):
         d = 3
@@ -1376,7 +1493,7 @@ class TestReverseCauchySchwarz:
         ref2 = np.zeros(d * d, dtype=complex)
         ref2[1] = 1.0
         # chi aligned with ref1: tau1 = 0, always feasible, f = 1/(1+tau2^2)
-        f, ok = _feasible_f(ref1, ref1, ref1)
+        f, ok = _feasible_f(ref1, _pair(ref1, ref1))
         assert ok
         assert f == pytest.approx(1.0, abs=1e-12)
         # chi nearly orthogonal to both references: tau1*tau2 >= 1, discarded
@@ -1384,14 +1501,14 @@ class TestReverseCauchySchwarz:
         near[2] = 1.0
         near[0] = near[1] = 1e-3
         near /= np.linalg.norm(near)
-        assert _feasible_f(near, ref1, ref2) == (0.0, False)
+        assert _feasible_f(near, _pair(ref1, ref2)) == (0.0, False)
         # exactly orthogonal: overlap floor triggers, discarded
         orth = np.zeros(d * d, dtype=complex)
         orth[2] = 1.0
-        assert _feasible_f(orth, ref1, ref2) == (0.0, False)
+        assert _feasible_f(orth, _pair(ref1, ref2)) == (0.0, False)
         # the rows of a stack get the same rule, row by row
         chis = np.stack([ref1, near, orth])
-        f, ok = _feasible_f(chis, np.stack([ref1] * 3), np.stack([ref1, ref2, ref2]))
+        f, ok = _feasible_f(chis, _pair(np.stack([ref1] * 3), np.stack([ref1, ref2, ref2])))
         assert ok.tolist() == [True, False, False]
         assert f[0] == pytest.approx(1.0, abs=1e-12)
         assert f[1:].tolist() == [0.0, 0.0]

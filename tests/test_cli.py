@@ -222,6 +222,36 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert err.startswith("parse error: ")
 
+    @pytest.mark.parametrize("version", [2, 99, 0, -1, 1.5, "1", True, None])
+    def test_unknown_version_is_2(self, capsys, tmp_path, version):
+        path = write_json(tmp_path, "v.json", {
+            "version": version, "rho": [[0.5, 0], [0, 0.5]], "operators": {"Z": [[1, 0], [0, -1]]},
+        })
+        code, out, err = run(capsys, "moments", path)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"parse error: version must be 1, got {version!r}\n"
+
+    @pytest.mark.parametrize("version", [1, 1.0, "absent"])
+    def test_version_1_is_read(self, capsys, tmp_path, version):
+        content = {"rho": [[0.5, 0], [0, 0.5]], "operators": {"Z": [[1, 0], [0, -1]]}}
+        if version != "absent":
+            content["version"] = version
+        code, _, _ = run(capsys, "moments", write_json(tmp_path, "v.json", content))
+        assert code == EXIT_OK
+        assert load_problem(str(tmp_path / "v.json")).version == 1
+
+    @pytest.mark.parametrize("value", ["foo", "0,foo", "1e", ""])
+    def test_bad_nu_flag_is_2(self, capsys, value):
+        # as a bad --seed: argparse's usage and one error line, exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "example4", "--nu", value])
+        assert exc.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: skewbound moments")
+        last = err.splitlines()[-1]
+        assert last.startswith("skewbound moments: error: argument --nu: bad nu value ")
+
 
     @pytest.mark.parametrize("text, message", [
         (json.dumps([[10**400, 0], [0, 1]]), "entry at row 0, col 0 is too large"),
