@@ -81,6 +81,11 @@ def as_mean_order(order) -> MeanOrder:
 # second-order expansion around the geometric mean.
 _NU_SERIES_CUTOFF = 1e-6
 
+# largest (k, N, d, d) complex product of one _skew_kernel block of operators:
+# past it, the temporaries of K operators on a large stack outgrow the L2 cache,
+# and whether malloc hands them out already mapped depends on earlier calls
+_BLOCK_BYTES = 2**18
+
 
 def generalized_mean(x: float, y: float, order) -> float:
     """Power mean m_nu(x, y) of two positive numbers with equal weights.
@@ -142,20 +147,32 @@ def _skew_kernel(rows, A, rho, W: np.ndarray, what: str, tol: Tolerances):
 
     ``A`` is one operator, one per state, or K operators as (K, 1, d, d),
     with weights shared or (K, N, d, d); K operators give (K, N) values, each
-    from the products and sums of its own evaluation, checked in order.
+    from the products and sums of its own evaluation, checked in order.  The
+    K operators go in blocks whose (k, N, d, d) products hold _BLOCK_BYTES,
+    so a large stack's temporaries stay those of one operator.
 
     :func:`wyd_skew` and :func:`gen_skew` differ only in the symmetric
     eigenvalue weighting W; for symmetric W,
     (1/2) sum_ij W_ij (|<i|A^dag|j>|^2 + |<i|A|j>|^2) = sum_ij W_ij |A~_ij|^2.
     """
     A = _operators(A, rho.dim)
-    Ah = _dagger(A)
-    quad = 0.5 * _trace((Ah @ A + A @ Ah) @ rho.matrix).real
-    V = rho.eigenvectors
-    val = quad - (W * np.abs(_dagger(V) @ A @ V) ** 2).sum(axis=(-2, -1))
+    per = max(1, _BLOCK_BYTES // (16 * rho.matrix.size))
+    if A.ndim < 4 or len(A) <= per:
+        val = _skew_values(A, rho, W)
+    else:
+        val = np.concatenate([_skew_values(A[i:i + per], rho, W[i:i + per] if W.ndim == 4 else W)
+                              for i in range(0, len(A), per)])
     rows.reject(val < -tol.tol_residual, NegativeRadicand,
                 f"{what} {{:.3e}} < -{tol.tol_residual:.3e}", val)
     return np.maximum(val, 0.0)
+
+
+def _skew_values(A, rho, W: np.ndarray) -> np.ndarray:
+    """The unchecked values of :func:`_skew_kernel`."""
+    Ah = _dagger(A)
+    quad = 0.5 * _trace((Ah @ A + A @ Ah) @ rho.matrix).real
+    V = rho.eigenvectors
+    return quad - (W * np.abs(_dagger(V) @ A @ V) ** 2).sum(axis=(-2, -1))
 
 
 @rowwise

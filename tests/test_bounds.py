@@ -37,7 +37,7 @@ from skewbound import (
     wyd_skew,
 )
 from conftest import SX, SZ, four_3x3_ops, four_qubit_ops, spin_ops
-from skewbound import bounds, linalg
+from skewbound import bounds, linalg, moments
 from skewbound.bounds import _feasible_f
 from skewbound.errors import NegativeRadicand, NoFeasibleChiWarning
 from skewbound.linalg import DensityStack
@@ -1343,11 +1343,37 @@ class TestStackedSums:
             got = bounds._sum_value(ops, rho, 0.3, tol)
             assert got == sum(wyd_skew(A, rho, 0.3, tol) for A in ops.operators)
 
-    def test_first_failing_operator_names_the_error(self, kernel_calls):
+    @pytest.mark.parametrize("n, blocks", [(1, [3]), (4, [3]), (20, [1, 1, 1]), (5, [2, 1])])
+    def test_operator_blocks_hold_block_bytes(self, monkeypatch, n, blocks):
+        # the kernel takes the K operators in blocks whose (k, N, d, d)
+        # products hold _BLOCK_BYTES (256 KiB: 28 states of one operator at
+        # d = 24), each (operator, state) value the one of its own call
+        sizes = []
+
+        def spied(A, *args, _values=moments._skew_values):
+            sizes.append(A.shape[:-2])
+            return _values(A, *args)
+
+        monkeypatch.setattr(moments, "_skew_values", spied)
+        if n == 5:
+            monkeypatch.setattr(moments, "_BLOCK_BYTES", 16 * 24 * 24 * 5 * 2)
+        rng = np.random.default_rng(n)
+        ops = OperatorSet(tuple(random_hermitian(24, rng) for _ in range(3)))
+        (stack,) = bounds.sample_stacks(24, n, seed=n)
+        tol = Tolerances()
+        got = bounds._sum_value(ops, stack, 0.3, tol)
+        assert sizes == [(k, 1) for k in blocks]
+        want = sum(wyd_skew(A, stack, 0.3, tol) for A in ops.operators)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [moments._BLOCK_BYTES, 1])
+    def test_first_failing_operator_names_the_error(self, monkeypatch, kernel_calls, block_bytes):
         # unvalidated states whose eigenvalues disagree with their matrices:
         # for diagonal A the radicand is sum_j (M_jj - l_j) |a_j|^2, so state 0
         # fails the third operator alone and state 1 the second alone; the
-        # second operator's call raises first, at state 1
+        # second operator's call raises first, at state 1, whether the kernel
+        # takes the operators in one block or one by one
+        monkeypatch.setattr(moments, "_BLOCK_BYTES", block_bytes)
         ops = OperatorSet((np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         M = np.array([np.eye(2) / 2] * 2, dtype=complex)
         stack = DensityStack(M, np.array([[0.5, 1.5], [1.5, 0.5]]), np.array([np.eye(2)] * 2))
