@@ -70,6 +70,7 @@ from .linalg import (
 from .moments import (
     MeanOrder,
     _mean_weights,
+    _quad_factor,
     _skew_kernel,
     _wyd_weights,
     as_mean_order,
@@ -151,11 +152,14 @@ class SpectralData:
 class _SetRecord:
     """State-independent results shared by every OperatorSet of one content: its
     components with S = sum_C C^2 and vec(I)/sqrt(d) (for :func:`bound_wyd`),
-    spectral data and alpha-scan floors by (pairing, grid_points)."""
+    the (K, 1, d, d) operators with their A^dag A + A A^dag (for
+    :func:`_sum_value`, built on its first call), spectral data and alpha-scan
+    floors by (pairing, grid_points)."""
 
     components: Optional[np.ndarray] = None
     square_sum: Optional[np.ndarray] = None
     identity_row: Optional[np.ndarray] = None
+    skew_terms: Optional[tuple] = None
     spectrum: Optional[SpectralData] = None
     scans: dict = field(default_factory=dict)
 
@@ -186,7 +190,10 @@ def _most_recent(cache: OrderedDict, key, make):
 
 
 def _read_only(A: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``A`` that cannot be written to."""
+    """``A`` as a C-contiguous array that cannot be written to: ``A`` itself if
+    it is one that owns its memory (as a loaded problem's arrays are), else a copy."""
+    if A.flags.c_contiguous and A.flags.owndata and not A.flags.writeable:
+        return A
     A = np.array(A, order="C")
     A.flags.writeable = False
     return A
@@ -196,8 +203,9 @@ def _read_only(A: np.ndarray) -> np.ndarray:
 class OperatorSet:
     """Same-dimension operators and the split components of their ``H_tot``.
 
-    The set holds read-only copies of the operators, so a caller who later
-    writes to an array passed in changes nothing here.  Its
+    The set holds read-only copies of the operators (a read-only array that
+    owns its memory is kept as it is), so a caller who later writes to an
+    array passed in changes nothing here.  Its
     :meth:`components`, stacked once, its spectral data and its alpha-scan
     floors are cached per operator content, process-wide, for the last 32 sets: the
     set is keyed by a blake2b digest of its operators, and every set of equal
@@ -546,8 +554,10 @@ class SpectralBound:
     """Result of a spectral lower bound on a sum of skew informations.
 
     ``interval`` is [0, epsilonK (1 - ||P_ker phi||^2)] at phi = vec(sqrt(rho)),
-    which encloses the symmetric skew sum at this state.  For a DensityStack
-    ``bound`` and the upper end of ``interval`` hold one entry per state.
+    which encloses the symmetric skew sum at this state.  ``feasible`` tells
+    whether :func:`bound_wyd` found a feasible reference state (else its
+    bound is 0); :func:`bound_wy` needs none.  For a DensityStack ``bound``,
+    the upper end of ``interval`` and ``feasible`` hold one entry per state.
     """
 
     epsilon1: float
@@ -555,13 +565,18 @@ class SpectralBound:
     bound: float
     kernel_dim: int
     interval: tuple
+    feasible: object = True
+
+
+def _check_s(s: float) -> None:
+    if not 0 < s < 1:
+        raise DomainError(f"s must lie in (0, 1), got {s}")
 
 
 def embedding(rho: DensityOperator, s: float) -> EmbeddingVectors:
     """Row-major vec(rho^s) = sum_i lambda_i^s |i>|i*>, and vec(rho^(1-s)); a
     DensityStack gives one row and one pair of norms per state."""
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0, 1), got {s}")
+    _check_s(s)
     w = rho.eigenvalues
     norms = (np.sum(w ** (2 * s), axis=-1), np.sum(w ** (2 * (1 - s)), axis=-1))
     vecs = w.shape[:-1] + (-1,)
@@ -625,13 +640,14 @@ def _half_weight(spec: SpectralData, rho: DensityOperator):
     return spec.kernel_weight(_unit(phi, np.sum(rho.eigenvalues, axis=-1)))
 
 
-def _result(spec: SpectralData, bound, ov2) -> SpectralBound:
+def _result(spec: SpectralData, bound, ov2, feasible=True) -> SpectralBound:
     return SpectralBound(
         epsilon1=spec.epsilon1,
         epsilonK=spec.epsilonK,
         bound=np.maximum(bound, 0.0),
         kernel_dim=spec.kernel_dim,
         interval=(0.0, np.maximum(spec.epsilonK * (1.0 - ov2), 0.0)),
+        feasible=feasible,
     )
 
 
@@ -756,8 +772,7 @@ def bound_wyd(
     are built once per set.  A DensityStack gets its bounds from a few
     stacked calls per chunk of states, each bound equal to the state's own.
     """
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0, 1), got {s}")
+    _check_s(s)
     if abs(s - 0.5) < 1e-12:
         raise DomainError("s = 1/2 has an exact spectral bound; use bound_wy")
     oset = _as_set(ops)
@@ -788,8 +803,8 @@ def bound_wyd(
             stacklevel=2,
         )
     if stack is not rho:
-        best, ov2 = best[0], ov2[0]
-    return _result(spec, best, ov2)
+        best, feasible, ov2 = best[0], feasible[0], ov2[0]
+    return _result(spec, best, ov2, feasible)
 
 
 def tighten_alpha_scan(
@@ -875,9 +890,10 @@ def _sum_value(rows, ops, rho, s_or_order, tol):
     """sum_k of each operator's skew: ``wyd_skew`` at a float s in (0, 1),
     ``gen_skew`` at any other float, a MeanOrder or a list of one order per
     operator.  One ``_skew_kernel`` call takes all K operators, with the bits,
-    checks and errors of the K calls summed in order."""
+    checks and errors of the K calls summed in order; their (K, 1, d, d)
+    stack and quadratic factors are built on the set's first call."""
     oset = _as_set(ops)
-    eigs, what = rho.eigenvalues, "generalized skew"
+    record, eigs, what = oset._record, rho.eigenvalues, "generalized skew"
     if isinstance(s_or_order, (list, tuple)):
         orders = [as_mean_order(o) for o in s_or_order]
         if len(orders) != len(oset.operators):
@@ -887,7 +903,11 @@ def _sum_value(rows, ops, rho, s_or_order, tol):
         W = _mean_weights(eigs, as_mean_order(s_or_order), tol.tol_psd)
     else:
         W, what = _wyd_weights(eigs, float(s_or_order)), "skew information"
-    return sum(_skew_kernel(rows, np.array(oset.operators)[:, None], rho, W, what, tol))
+    if record.skew_terms is None:
+        A = np.array(oset.operators)[:, None]
+        record.skew_terms = (A, _quad_factor(A))
+    A, Q = record.skew_terms
+    return sum(_skew_kernel(rows, A, rho, W, what, tol, Q))
 
 
 def sample_stacks(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):

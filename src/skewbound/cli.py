@@ -11,13 +11,12 @@ file's) before a ``cmd_*`` function runs, and heads the fields that function
 returns with ``command`` and ``report_version``.  Exit codes: 0 ok, 2 parse
 error, 3 validation error, 4 property/bound violation.  ``SKEWBOUND_TOL``
 overrides the residual tolerance.  Parsed problems are cached per file
-content and tolerance override for the last 32 files.
+content and tolerance override for the last 32 files, and shared read-only.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import functools
 import hashlib
@@ -25,6 +24,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import bounds, channels, linalg, moments, qubit, sweeps, weakvalue
 from .errors import DimensionMismatch, DomainError, SkewboundError
-from .linalg import DensityOperator, Tolerances
+from .linalg import DensityOperator, DensityStack, Tolerances
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -92,7 +92,8 @@ def _regular_matrix(obj) -> Optional[np.ndarray]:
     except OverflowError:  # an integer beyond the float range
         return None
     n = len(obj)
-    return M.view(complex).reshape(n, n) if pairs else M.reshape(n, n).astype(complex)
+    # a matrix of its own memory, which an OperatorSet can keep without a copy
+    return M.view(complex).reshape(n, n).copy() if pairs else M.reshape(n, n).astype(complex)
 
 
 # A finite entry above this overflows A^dag A; no density matrix has one.
@@ -150,6 +151,18 @@ class ProblemFile:
     operators: dict
     channels: dict
     params: Params
+    # pooled -> (operators, their OperatorSet), shared by every load of one parse
+    _sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def operator_set(self, pooled: bool = False) -> bounds.OperatorSet:
+        """The operators, or all channels' Kraus operators if ``pooled``, as one
+        set, made on first use and kept while they are the same arrays."""
+        ops = (tuple(K for ch in self.channels.values() for K in ch.kraus) if pooled
+               else tuple(self.operators.values()))
+        kept = self._sets.get(pooled)
+        if not (kept and len(kept[0]) == len(ops) and all(map(operator.is_, kept[0], ops))):
+            kept = self._sets[pooled] = (ops, bounds.OperatorSet(ops))
+        return kept[1]
 
 
 def _parse_nu_value(x) -> float:
@@ -176,8 +189,8 @@ def _number(x, field: str, kind=float):
 
 
 def _check_fields(obj: dict, cls, what: str) -> None:
-    """ParseError unless every key of ``obj`` is a field of the dataclass ``cls``."""
-    unknown = set(obj) - {f.name for f in fields(cls)}
+    """ParseError unless every key of ``obj`` is an init field of the dataclass ``cls``."""
+    unknown = set(obj) - {f.name for f in fields(cls) if f.init}
     if unknown:
         raise ParseError(f"unknown {what} fields: {sorted(unknown)}")
 
@@ -226,22 +239,32 @@ def _resolve_path(path: str) -> str:
     raise ParseError(f"file not found: {path}")
 
 
-_problems = OrderedDict()  # (blake2b digest of the file's bytes, tol_override) -> ProblemFile
+_problems = OrderedDict()  # (sha256 digest of the file's bytes, tol_override) -> ProblemFile
 
 
 def load_problem(path: str, tol_override: Optional[float] = None) -> ProblemFile:
     """Parse and validate a problem file; ParseError vs SkewboundError
-    distinguish malformed input from well-formed but invalid physics.  Each
-    call returns its own copy of the cached parse; errors are not cached."""
+    distinguish malformed input from well-formed but invalid physics.
+
+    The parse is cached by the sha256 digest of the file's bytes and the
+    tolerance override; errors are not cached.  Every load of one parse
+    shares its read-only arrays, state, channels and operator sets (built on
+    first use, see :meth:`ProblemFile.operator_set`), and gets its own
+    ProblemFile, dicts and Params, lists included."""
     real = _resolve_path(path)
     try:
         with open(real, "rb") as fh:
             data = fh.read()
     except OSError as exc:  # a directory, no permission
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    key = (hashlib.blake2b(data, digest_size=32).digest(), tol_override)
-    return copy.deepcopy(bounds._most_recent(
-        _problems, key, lambda: _parse_problem(data, path, tol_override)))
+    key = (hashlib.sha256(data).digest(), tol_override)
+    parse = bounds._most_recent(_problems, key, lambda: _parse_problem(data, path, tol_override))
+    p = parse.params
+    pf = replace(parse, operators=dict(parse.operators), channels=dict(parse.channels),
+                 params=replace(p, **{k: list(v) for k, v in vars(p).items()
+                                      if isinstance(v, list)}))
+    pf._sets = parse._sets
+    return pf
 
 
 def _parse_problem(data: bytes, path: str, tol_override: Optional[float]) -> ProblemFile:
@@ -290,6 +313,9 @@ def _parse_problem(data: bytes, path: str, tol_override: Optional[float]) -> Pro
                 _parse_matrix(K, f"{name}[{i}]") for i, K in enumerate(obj)
             )
             chans[name] = channels.KrausChannel(kraus=kraus, label=name, tol=tol)
+    states = () if rho is None else (rho.matrix, rho.eigenvalues, rho.eigenvectors)
+    for M in (*states, *operators.values(), *(K for ch in chans.values() for K in ch.kraus)):
+        M.flags.writeable = False  # every load shares them
     return ProblemFile(
         version=1, rho=rho, operators=operators, channels=chans, params=params
     )
@@ -361,26 +387,21 @@ def cmd_moments(pf: ProblemFile, args) -> tuple:
     _need(pf.rho is not None, "moments needs a rho")
     _need(pf.operators, "moments needs at least one operator")
     p = pf.params
-    table = {}
-    for name, A in pf.operators.items():
-        row = {
-            "std_dev": moments.std_dev(A, pf.rho, p.tolerances),
-            f"skew_s={_fmt(p.s)}": moments.wyd_skew(A, pf.rho, p.s, p.tolerances),
-        }
-        for nu in p.nu:
-            key = "nu=-inf" if math.isinf(nu) else f"nu={_fmt(nu)}"
-            row[f"gen_skew_{key}"] = moments.gen_skew(A, pf.rho, nu, p.tolerances)
-        table[name] = row
+    keys = ["std_dev", f"skew_s={_fmt(p.s)}"] + [
+        "gen_skew_nu=-inf" if math.isinf(nu) else f"gen_skew_nu={_fmt(nu)}" for nu in p.nu]
+    table = {name: dict(zip(keys, moments._moment_row(A, pf.rho, p.s, p.nu, p.tolerances)))
+             for name, A in pf.operators.items()}
     return EXIT_OK, {"operators": table}
 
 
 def _bound_report(sb: bounds.SpectralBound) -> dict:
+    """The fields of row 0 of a stacked bound."""
     return {
         "epsilon1": sb.epsilon1,
         "epsilonK": sb.epsilonK,
-        "bound": sb.bound,
+        "bound": sb.bound[0],
         "kernel_dim": sb.kernel_dim,
-        "interval": [sb.interval[0], sb.interval[1]],
+        "interval": [sb.interval[0], sb.interval[1][0]],
     }
 
 
@@ -391,57 +412,69 @@ def _bound(ops: bounds.OperatorSet, rho, s: float) -> bounds.SpectralBound:
     return bounds.bound_wyd(ops, rho, s)
 
 
-def _run_oracle(report: dict, ops: bounds.OperatorSet, s: float, samples: int, seed,
-                tol: Tolerances) -> int:
-    """Record, over the stacks and skew sums of ``bounds``' sampling oracle
-    (those ``empirical_minimum`` takes), the smallest skew sum of ``ops`` at
-    ``s`` and the smallest margin over the reported bound, one stacked
-    ``_bound`` per stack of samples; a negative margin is a build bug."""
+def _joined(rho: DensityOperator, rhos: Optional[DensityStack]) -> DensityStack:
+    """The DensityStack of ``rho`` followed by the states of ``rhos``, if any."""
+    parts = [(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])]
+    if rhos is not None:
+        parts.append((rhos.matrix, rhos.eigenvalues, rhos.eigenvectors))
+    return DensityStack(*map(np.concatenate, zip(*parts)))
+
+
+def _run_oracle(ops: bounds.OperatorSet, rho, s: float, samples: int, seed,
+                tol: Tolerances) -> tuple:
+    """(exit code, the bound fields at ``rho``, the oracle fields).
+
+    ``rho`` rides as row 0 of the first stack of ``bounds``' sampling oracle
+    (alone without samples), so each stack takes one stacked ``_bound``, and
+    only ``rho`` may warn that no reference state was feasible.  Over the
+    stacks and skew sums that ``empirical_minimum`` takes, the oracle records
+    the smallest skew sum of ``ops`` at ``s`` and the smallest margin over
+    each sample's bound; a negative margin is a build bug."""
     lowest = margin = math.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for rhos, t in bounds._sampled_sums(ops, s, samples, seed, tol=tol):
+    for k, rhos in enumerate(bounds.sample_stacks(ops.dim, samples, seed) if samples else [None]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sb = _bound(ops, _joined(rho, rhos) if k == 0 else rhos, s)
+        if k == 0:
+            fields = _bound_report(sb)
+            if caught and not sb.feasible[0]:  # the bound's warning, shown for rho only
+                warnings.warn(caught[0].message, stacklevel=2)
+        if rhos is not None:  # the samples' bounds are the last rows
+            t = bounds._sum_value(ops, rhos, s, tol)
             lowest = min(lowest, float(np.min(t)))
-            margin = min(margin, float(np.min(t - _bound(ops, rhos, s).bound)))
-    report["oracle_min"] = lowest
-    report["oracle_samples"] = samples
-    report["oracle_margin_min"] = margin
+            margin = min(margin, float(np.min(t - sb.bound[-len(rhos):])))
+    oracle = {"oracle_min": lowest, "oracle_samples": samples, "oracle_margin_min": margin}
     if margin < -tol.tol_residual:
-        report["oracle_violation"] = True
-        return EXIT_VIOLATION
-    return EXIT_OK
+        return EXIT_VIOLATION, fields, {**oracle, "oracle_violation": True}
+    return EXIT_OK, fields, oracle if samples else {}
 
 
 def cmd_bound(pf: ProblemFile, args) -> tuple:
     _need(pf.rho is not None, "bound needs a rho")
     _need(pf.operators, "bound needs at least one operator")
     p = pf.params
-    ops = bounds.OperatorSet(tuple(pf.operators.values()))
-    report = {"s": p.s, **_bound_report(_bound(ops, pf.rho, p.s))}
-    code = EXIT_OK
+    ops = pf.operator_set()
+    if abs(p.s - 0.5) >= 1e-12:  # the checks of _bound, before any state is drawn
+        bounds._check_s(p.s)
+    bounds._spectral(ops, pf.rho)
+    scan = {}
     if args.alpha_scan:
-        report["alpha_scan"] = bounds.tighten_alpha_scan(ops, p.grid_points)
-        report["alpha_scan_plain"] = bounds.pure_variance_bound(ops, p.grid_points)
-    if args.oracle:
-        code = _run_oracle(report, ops, p.s, args.oracle, p.seed, p.tolerances)
-    return code, report
+        scan["alpha_scan"] = bounds.tighten_alpha_scan(ops, p.grid_points)
+        scan["alpha_scan_plain"] = bounds.pure_variance_bound(ops, p.grid_points)
+    code, fields, oracle = _run_oracle(ops, pf.rho, p.s, args.oracle, p.seed, p.tolerances)
+    return code, {"s": p.s, **fields, **scan, **oracle}
 
 
 def cmd_channel_bound(pf: ProblemFile, args) -> tuple:
     _need(pf.channels, "channel-bound needs at least one channel")
     _need(pf.rho is not None, "channel-bound needs a rho")
     p = pf.params
-    chs = list(pf.channels.values())
-    kset = channels.pooled_set(chs)
-    report = _bound_report(bounds.bound_wy(kset, pf.rho))
+    kset = pf.operator_set(pooled=True)
+    bounds._spectral(kset, pf.rho)  # the dimension check of the bound, before the skews
     skews = {ch.label or f"channel{i}": channels.channel_skew(ch, pf.rho, p.tolerances)
-             for i, ch in enumerate(chs)}
-    report["channel_skew"] = skews
-    report["skew_sum"] = sum(skews.values())
-    code = EXIT_OK
-    if args.oracle:
-        code = _run_oracle(report, kset, 0.5, args.oracle, p.seed, p.tolerances)
-    return code, report
+             for i, ch in enumerate(pf.channels.values())}
+    code, fields, oracle = _run_oracle(kset, pf.rho, 0.5, args.oracle, p.seed, p.tolerances)
+    return code, {**fields, "channel_skew": skews, "skew_sum": sum(skews.values()), **oracle}
 
 
 def cmd_witness(pf: ProblemFile, args) -> tuple:
@@ -526,6 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="skewbound",
         description="Skew-information uncertainty quantities and spectral bounds.",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
     flags = {  # main applies --s, --nu, --seed and --grid over their params fields
@@ -547,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("weakvalue", "weak-value reconstruction of skew information", ("--s",)),
         ("verify", "run residual sweeps", ("--suite", "--seeds")),
     ):
-        p = sub.add_parser(command, help=about)
+        p = sub.add_parser(command, help=about, allow_abbrev=False)
         p.add_argument("file", help="problem file (path or bundled name)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         for name in names:

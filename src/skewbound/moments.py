@@ -48,14 +48,6 @@ class MeanOrder:
             raise DomainError(f"mean order must be <= 0, got {self.nu}")
 
     @classmethod
-    def zero(cls) -> "MeanOrder":
-        return cls(0.0)
-
-    @classmethod
-    def minus_infinity(cls) -> "MeanOrder":
-        return cls(float("-inf"))
-
-    @classmethod
     def finite(cls, nu: float) -> "MeanOrder":
         if not (nu < 0 and math.isfinite(nu)):
             raise DomainError(f"finite order must be strictly negative, got {nu}")
@@ -127,11 +119,8 @@ def variance(rows, A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     """Symmetrized variance Tr[rho (A^dag A + A A^dag)/2] - |Tr(A rho)|^2."""
     A = _operators(A, rho.dim)
     r = rho.matrix
-    quad = 0.5 * _trace((_dagger(A) @ A + A @ _dagger(A)) @ r).real
-    v = quad - np.abs(_trace(A @ r)) ** 2
-    rows.reject(v < -tol.tol_residual, NegativeRadicand,
-                f"variance radicand {{:.3e}} < -{tol.tol_residual:.3e}", v)
-    return np.maximum(v, 0.0)
+    v = 0.5 * _trace(_quad_factor(A) @ r).real - np.abs(_trace(A @ r)) ** 2
+    return _checked(rows, v, "variance radicand", tol)
 
 
 @rowwise
@@ -140,10 +129,25 @@ def std_dev(rows, A, rho: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     return np.sqrt(variance.core(rows, A, rho, tol))
 
 
-def _skew_kernel(rows, A, rho, W: np.ndarray, what: str, tol: Tolerances):
-    """quad - sum_ij W_ij |A~_ij|^2, with quad = Tr[rho (A^dag A + A A^dag)/2]
-    and A~ = A in the eigenbasis of rho, for each state of the stack ``rho``
-    and its (N, d, d) weights.
+def _quad_factor(A: np.ndarray) -> np.ndarray:
+    """A^dag A + A A^dag of a matrix or of each matrix of a stack."""
+    Ah = _dagger(A)
+    return Ah @ A + A @ Ah
+
+
+def _checked(rows, val, what: str, tol: Tolerances):
+    """``val`` clipped at 0, failing as NegativeRadicand the states where it
+    lies below -tol_residual (on each of a leading axis of K operators in turn)."""
+    rows.reject(val < -tol.tol_residual, NegativeRadicand,
+                f"{what} {{:.3e}} < -{tol.tol_residual:.3e}", val)
+    return np.maximum(val, 0.0)
+
+
+def _skew_kernel(rows, A, rho, W: np.ndarray, what: str, tol: Tolerances, Q=None):
+    """quad - sum_ij W_ij |A~_ij|^2, with quad = Tr[rho Q]/2 for the quadratic
+    factor Q = A^dag A + A A^dag (formed here unless given) and A~ = A in the
+    eigenbasis of rho, for each state of the stack ``rho`` and its (N, d, d)
+    weights.
 
     ``A`` is one operator, one per state, or K operators as (K, 1, d, d),
     with weights shared or (K, N, d, d); K operators give (K, N) values, each
@@ -156,23 +160,39 @@ def _skew_kernel(rows, A, rho, W: np.ndarray, what: str, tol: Tolerances):
     (1/2) sum_ij W_ij (|<i|A^dag|j>|^2 + |<i|A|j>|^2) = sum_ij W_ij |A~_ij|^2.
     """
     A = _operators(A, rho.dim)
+    Q = _quad_factor(A) if Q is None else Q
     per = max(1, _BLOCK_BYTES // (16 * rho.matrix.size))
     if A.ndim < 4 or len(A) <= per:
-        val = _skew_values(A, rho, W)
+        val = _skew_values(A, Q, rho, W)
     else:
-        val = np.concatenate([_skew_values(A[i:i + per], rho, W[i:i + per] if W.ndim == 4 else W)
+        val = np.concatenate([_skew_values(A[i:i + per], Q[i:i + per], rho,
+                                           W[i:i + per] if W.ndim == 4 else W)
                               for i in range(0, len(A), per)])
-    rows.reject(val < -tol.tol_residual, NegativeRadicand,
-                f"{what} {{:.3e}} < -{tol.tol_residual:.3e}", val)
-    return np.maximum(val, 0.0)
+    return _checked(rows, val, what, tol)
 
 
-def _skew_values(A, rho, W: np.ndarray) -> np.ndarray:
+def _skew_values(A, Q, rho, W: np.ndarray) -> np.ndarray:
     """The unchecked values of :func:`_skew_kernel`."""
-    Ah = _dagger(A)
-    quad = 0.5 * _trace((Ah @ A + A @ Ah) @ rho.matrix).real
+    quad = 0.5 * _trace(Q @ rho.matrix).real
     V = rho.eigenvectors
     return quad - (W * np.abs(_dagger(V) @ A @ V) ** 2).sum(axis=(-2, -1))
+
+
+@rowwise
+def _moment_row(rows, A, rho: DensityOperator, s, orders, tol: Tolerances = DEFAULT_TOL):
+    """std_dev, wyd_skew at s and gen_skew at each order of ``orders``, on the
+    last axis, each with the bits and the first error of its own call; they
+    share one Tr[rho (A^dag A + A A^dag)]/2, Tr(A rho) and |V^dag A V|^2."""
+    A, r, V, eigs = _operators(A, rho.dim), rho.matrix, rho.eigenvectors, rho.eigenvalues
+    quad = 0.5 * _trace(_quad_factor(A) @ r).real
+    out = [np.sqrt(_checked(rows, quad - np.abs(_trace(A @ r)) ** 2, "variance radicand", tol))]
+    sandwich = np.abs(_dagger(V) @ A @ V) ** 2
+    for o in [None, *orders]:
+        if rows.first is None:  # else a failed check raises before the next call's weights
+            W, what = ((_wyd_weights(eigs, _exponents(s)), "skew information") if o is None
+                       else (_mean_weights(eigs, o, tol.tol_psd), "generalized skew"))
+            out.append(_checked(rows, quad - (W * sandwich).sum(axis=(-2, -1)), what, tol))
+    return np.stack(out, axis=-1)
 
 
 @rowwise

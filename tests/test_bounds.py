@@ -1343,6 +1343,27 @@ class TestStackedSums:
             got = bounds._sum_value(ops, rho, 0.3, tol)
             assert got == sum(wyd_skew(A, rho, 0.3, tol) for A in ops.operators)
 
+    def test_kernel_terms_built_once_per_set(self, monkeypatch):
+        # the (K, 1, d, d) operators and their A^dag A + A A^dag live on the
+        # set's record: built on the first sum, reused by every later one and
+        # by every set of equal content
+        shapes = []
+
+        def spied(A, _factor=bounds._quad_factor):
+            shapes.append(A.shape)
+            return _factor(A)
+
+        monkeypatch.setattr(bounds, "_quad_factor", spied)
+        rng = np.random.default_rng(3)
+        ops = OperatorSet(tuple(random_operator(5, rng) for _ in range(3)))
+        tol = Tolerances()
+        for n in (1, 20, 20):
+            (stack,) = bounds.sample_stacks(5, n, seed=n)
+            got = bounds._sum_value(OperatorSet(ops.operators), stack, 0.3, tol)
+            assert got.tobytes() == sum(wyd_skew(A, stack, 0.3, tol)
+                                        for A in ops.operators).tobytes()
+        assert shapes == [(3, 1, 5, 5)]
+
     @pytest.mark.parametrize("n, blocks", [(1, [3]), (4, [3]), (20, [1, 1, 1]), (5, [2, 1])])
     def test_operator_blocks_hold_block_bytes(self, monkeypatch, n, blocks):
         # the kernel takes the K operators in blocks whose (k, N, d, d)

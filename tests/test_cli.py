@@ -1,6 +1,8 @@
 import json
+import operator
 import re
 import shlex
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from skewbound.cli import (
     load_problem,
     main,
 )
+from conftest import spin_ops
 from test_sweeps import residuals
 
 
@@ -341,6 +344,23 @@ class TestExitCodes:
         assert rows and all(row["violation"] is True and row["abs_error"] > 1e-8
                             for row in rows)
 
+    @pytest.mark.parametrize("argv", [
+        ("channel-bound", "example3", "--s", "3", "--oracle", "10"),  # --s for --seed
+        ("bound", "example2", "--alpha"),
+        ("bound", "example2", "--ora", "5"),
+        ("verify", "example1_spinhalf", "--seed", "5"),  # --seed for --seeds
+        ("moments", "example4", "--form", "json"),
+    ])
+    def test_abbreviated_flag_is_2(self, capsys, argv):
+        # a flag is given whole: argparse's prefix matching would take --s for
+        # --seed where the command has no --s
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {argv[2]}" in captured.err
+
     def test_samples_param_is_unknown(self, capsys, tmp_path):
         # the oracle sample count is the --oracle flag; a file cannot set it
         path = write_json(tmp_path, "samples.json", {
@@ -449,11 +469,15 @@ class TestProblemCache:
         assert len(decodes) == 2
 
     def test_writes_to_a_result_change_no_later_load(self, tmp_path):
+        # the arrays of a parse are shared and read-only; its dicts and params
+        # are each load's own
         path = self.problem(tmp_path)
         for _ in range(2):  # the miss's result, then a hit's
             pf = load_problem(path)
-            pf.rho.matrix[0, 0] = pf.rho.eigenvalues[0] = 9
-            pf.operators["A"][0, 0] = 9
+            for M in (pf.rho.matrix, pf.rho.eigenvalues, pf.rho.eigenvectors,
+                      pf.operators["A"]):
+                with pytest.raises(ValueError, match="read-only"):
+                    M.flat[0] = 9
             pf.operators["B"] = np.eye(2)
             pf.params.s = 0.1
             pf.params.nu.append(2.0)
@@ -461,6 +485,54 @@ class TestProblemCache:
         assert pf.rho.matrix[0, 0] == 0.25 and pf.rho.eigenvalues[0] == 0.25
         assert pf.operators["A"][0, 0] == 0 and set(pf.operators) == {"A"}
         assert (pf.params.s, pf.params.nu) == (0.5, [-1.0])
+
+    def test_operator_set_keeps_the_parse_arrays(self, tmp_path):
+        # a parse's matrices own their memory and are read-only, so its set
+        # keeps them without a copy; a read-only view of writable memory is
+        # still copied
+        pairs = write_json(tmp_path, "pairs.json", {
+            "rho": self.RHO, "operators": {"Y": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]]}})
+        for path in ("example2", self.problem(tmp_path), pairs):  # mixed, numbers, pairs
+            pf = load_problem(path)
+            assert all(map(operator.is_, pf.operator_set().operators, pf.operators.values()))
+        A = np.eye(2, dtype=complex)
+        view = A[:]
+        view.flags.writeable = False
+        ops = bounds.OperatorSet((view,))
+        A[0, 0] = 9
+        assert ops.operators[0][0, 0] == 1
+
+    def test_kraus_operators_are_read_only(self):
+        pf = load_problem("example3")
+        for ch in pf.channels.values():
+            assert not any(K.flags.writeable for K in ch.kraus)
+
+    @pytest.mark.parametrize("command, pooled", [("bound", False), ("channel-bound", True)])
+    def test_operator_set_built_on_first_use_and_shared(self, capsys, monkeypatch, command,
+                                                        pooled):
+        # no set at parse time (the load stays cheap); the first command builds
+        # it, and every later load of the parse reuses that one set
+        built = []
+        real = bounds.OperatorSet.__post_init__
+        monkeypatch.setattr(bounds.OperatorSet, "__post_init__",
+                            lambda self: built.append(1) or real(self))
+        name = "example2" if command == "bound" else "example3"
+        first = load_problem(name)
+        assert built == []
+        for _ in range(2):
+            assert run(capsys, command, name, "--oracle", "5")[0] == EXIT_OK
+        assert built == [1]
+        assert load_problem(name).operator_set(pooled) is first.operator_set(pooled)
+        # a load whose operators are no longer those of the parse gets its own set
+        pf = load_problem(name)
+        if pooled:
+            ch = next(iter(pf.channels.values()))
+            pf.channels["copy"] = type(ch)(kraus=tuple(np.array(K) for K in ch.kraus))
+        else:
+            pf.operators["extra"] = np.eye(pf.rho.dim)
+        ops = pf.operator_set(pooled)
+        assert len(ops.operators) == len(first.operator_set(pooled).operators) + (
+            len(ch.kraus) if pooled else 1)
 
     def test_parse_errors_are_not_cached(self, tmp_path, decodes):
         from skewbound.cli import ParseError
@@ -617,8 +689,8 @@ class TestGoldenReports:
             ["_h_tot_form", "h_tot"] if "--alpha-scan" in argv else [])
 
     def test_oracle_one_bound_wyd_per_stack(self, capsys, monkeypatch):
-        # one path for every s: the report's state and each sample stack get
-        # one bound_wyd call each, none per sample
+        # one path for every s: the report's state rides as row 0 of the first
+        # sample stack, and each stack gets one bound_wyd call, none per sample
         calls = []
 
         def counted(ops, rho, *args, _bound=bounds.bound_wyd, **kwargs):
@@ -626,10 +698,96 @@ class TestGoldenReports:
             return _bound(ops, rho, *args, **kwargs)
 
         monkeypatch.setattr(bounds, "bound_wyd", counted)
-        code, _, _ = run(capsys, "bound", "example1_spin1", "--s", "0.3", "--oracle", "60")
-        assert code == EXIT_OK
         seed = load_problem("example1_spin1").params.seed
-        assert calls == [None] + [len(st) for st in bounds.sample_stacks(3, 60, seed)]
+        for stack_bytes in (bounds._STACK_BYTES, 16 * 9 * 25):  # one stack, or 25 states each
+            monkeypatch.setattr(bounds, "_STACK_BYTES", stack_bytes)
+            calls.clear()
+            code, _, _ = run(capsys, "bound", "example1_spin1", "--s", "0.3", "--oracle", "60")
+            assert code == EXIT_OK
+            sizes = [len(st) for st in bounds.sample_stacks(3, 60, seed)]
+            assert calls == [sizes[0] + 1] + sizes[1:]
+        calls.clear()
+        assert run(capsys, "bound", "example1_spin1", "--s", "0.3")[0] == EXIT_OK
+        assert calls == [1]
+
+    ONE_PASS = [pytest.param(argv, n, id=f"{' '.join(argv)} --oracle {n}")
+                for n in ("1", "20", "300")
+                for argv in (("bound", "example2", "--s", "0.3"),
+                             ("bound", "example1_spin1", "--s", "0.5"),
+                             ("bound", "example4", "--s", "0.7"),
+                             ("channel-bound", "example3"))]
+
+    @pytest.mark.parametrize("argv, n", ONE_PASS)
+    def test_reported_bound_is_that_without_oracle(self, capsys, monkeypatch, argv, n):
+        # the report's state gets its bound in the first sample stack's one
+        # bound evaluation, bit for bit the bound of the call without --oracle
+        evaluations = []
+        for name in ("_wyd_rows", "_half_weight"):  # bound_wyd's per chunk, bound_wy's
+            monkeypatch.setattr(bounds, name, lambda *a, _f=getattr(bounds, name):
+                                evaluations.append(1) or _f(*a))
+        code, out, _ = run(capsys, *argv, "--format", "json", "--oracle", n, "--seed", "7")
+        assert code == EXIT_OK
+        assert len(evaluations) == 1
+        alone = json.loads(run(capsys, *argv, "--format", "json")[1])
+        with_oracle = json.loads(out)
+        assert {k: with_oracle[k] for k in alone} == alone
+
+    @pytest.mark.parametrize("argv, n", ONE_PASS)
+    def test_oracle_fields_are_those_of_the_sampling_oracle(self, capsys, argv, n):
+        # oracle_min and oracle_margin_min equal those of a direct loop over
+        # bounds' sampling oracle and one stacked bound per stack
+        code, out, _ = run(capsys, *argv, "--format", "json", "--oracle", n, "--seed", "7")
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        pf = load_problem(argv[1])
+        s = float(argv[3]) if argv[0] == "bound" else 0.5
+        ops = pf.operator_set(pooled=argv[0] == "channel-bound")
+        lowest = margin = float("inf")
+        for rhos, t in bounds._sampled_sums(ops, s, int(n), 7, tol=pf.params.tolerances):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sb = bounds.bound_wy(ops, rhos) if s == 0.5 else bounds.bound_wyd(ops, rhos, s)
+            lowest = min(lowest, float(np.min(t)))
+            margin = min(margin, float(np.min(t - sb.bound)))
+        assert (rep["oracle_min"], rep["oracle_samples"], rep["oracle_margin_min"]) == (
+            lowest, int(n), margin)
+
+    def test_s_is_checked_before_any_sample(self, capsys):
+        # s = 1.5 fails as the bound's own check, before the skew sums (whose
+        # mean order it would be), the alpha scan (--grid 1 fails there) and
+        # the draw (a negative seed fails there)
+        for argv in (("--oracle", "5"), ("--oracle", "5", "--alpha-scan", "--grid", "1"),
+                     ("--oracle", "5", "--seed", "-1"), ()):
+            code, out, err = run(capsys, "bound", "example1_spinhalf", "--s", "1.5", *argv)
+            assert (code, out, err) == (
+                EXIT_VALIDATION, "", "validation error: s must lie in (0, 1), got 1.5\n")
+
+    @pytest.mark.parametrize("oracle", [(), ("--oracle", "1"), ("--oracle", "30")])
+    def test_warning_at_the_reported_state_only(self, capsys, monkeypatch, tmp_path, oracle):
+        # I/d has no feasible reference state: its one warning is shown
+        mixed = write_json(tmp_path, "mixed.json", {
+            "rho": (np.eye(3) / 3).tolist(),
+            "operators": {f"S{k}": [[[x.real, x.imag] for x in row] for row in M]
+                          for k, M in enumerate(spin_ops(1))}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "bound", mixed, "--s", "0.3", "--format", "json", *oracle)
+        assert code == EXIT_OK and json.loads(out)["bound"] == 0.0
+        assert [w.category for w in caught] == [bounds.NoFeasibleChiWarning]
+        # samples without a feasible reference state show none
+        real = bounds.bound_wyd
+
+        def samples_infeasible(ops, rho, s):
+            sb = real(ops, rho, s)
+            warnings.warn("some sample", bounds.NoFeasibleChiWarning)
+            return replace(sb, feasible=sb.feasible & (np.arange(len(rho)) == 0))
+
+        monkeypatch.setattr(bounds, "bound_wyd", samples_infeasible)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, "bound", "example1_spin1", "--s", "0.3", *oracle)
+        assert code == EXIT_OK and caught == []
+
 
     def test_oracle_nonhalf_s(self, capsys):
         code, out, _ = run(capsys, "bound", "example1_spinhalf", "--format", "json",

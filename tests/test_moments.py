@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewbound import (
+    DensityOperator,
     DimensionMismatch,
     DomainError,
     MeanOrder,
@@ -24,6 +25,7 @@ from skewbound import (
     variance,
     wyd_skew,
 )
+from skewbound.linalg import Tolerances
 from conftest import SX, SY, SZ
 
 RHO37 = density(np.diag([0.3, 0.7]))
@@ -336,3 +338,65 @@ class TestStructuralProperties:
                 - gen_skew(sp.a1, rho, order)
                 - gen_skew(sp.a2, rho, order)
             ) < 1e-8
+
+
+class TestMomentRow:
+    """``moments`` reports std_dev, wyd_skew and every gen_skew of one
+    operator from one set of shared terms, each bit for bit as its own call
+    gives it, and with its errors in the order of those calls."""
+
+    ORDERS = [0.0, -1.0, -2.0, float("-inf")]
+
+    @staticmethod
+    def _alone(A, rho, s, orders, tol):
+        return [std_dev(A, rho, tol), wyd_skew(A, rho, s, tol)] + [
+            gen_skew(A, rho, o, tol) for o in orders]
+
+    def test_matches_the_separate_calls(self):
+        from skewbound.moments import _moment_row
+
+        rng = np.random.default_rng(26)
+        tol = Tolerances()
+        for k in range(200):
+            d = int(rng.integers(2, 33))
+            A = random_operator(d, rng) if k % 2 else random_hermitian(d, rng)
+            rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+            got = _moment_row(A, rho, 0.3, self.ORDERS, tol)
+            want = self._alone(A, rho, 0.3, self.ORDERS, tol)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("s, orders, error", [
+        (1.5, [], "variance radicand"),  # the variance fails before s is checked
+        (0.3, [1.0], "skew information"),  # the skew fails before the order is
+        (1.5, [0.0], "s must lie in"),
+        (0.3, [0.0, 2.0], "mean order must be <= 0"),
+    ])
+    def test_first_error_is_that_of_the_separate_calls(self, s, orders, error):
+        # unvalidated states: a negative "eigenvalue" fails the variance of Z,
+        # eigenvalues that disagree with the matrix fail the skew of diag(1, 0)
+        from skewbound.moments import _moment_row
+
+        tol = Tolerances()
+        bad_var = DensityOperator(np.diag([-1.0, 2.0]).astype(complex),
+                                  np.array([0.0, 1.0]), np.eye(2, dtype=complex))
+        bad_skew = DensityOperator(np.eye(2, dtype=complex) / 2,
+                                   np.array([1.5, 0.5]), np.eye(2, dtype=complex))
+        A = SZ if error == "variance radicand" else np.diag([1.0, 0.0])
+        rho = bad_var if error == "variance radicand" else bad_skew
+        if error.startswith(("s must", "mean order")):
+            rho = RHO37
+        with pytest.raises(Exception) as want:
+            self._alone(A, rho, s, orders, tol)
+        with pytest.raises(type(want.value)) as got:
+            _moment_row(A, rho, s, orders, tol)
+        assert str(got.value) == str(want.value)
+        assert error in str(got.value)
+
+    def test_cli_forms_the_quadratic_factor_once_per_operator(self, monkeypatch, capsys):
+        from skewbound import cli, moments
+
+        calls = []
+        real = moments._quad_factor
+        monkeypatch.setattr(moments, "_quad_factor", lambda A: calls.append(1) or real(A))
+        assert cli.main(["moments", "example4", "--nu", "0,-1,-2,-inf"]) == 0
+        assert len(calls) == len(cli.load_problem("example4").operators)
