@@ -209,6 +209,8 @@ def _parse_params(obj) -> Params:
     for key in ("grid_points", "seed"):
         if key in obj:
             setattr(p, key, _number(obj[key], f"params.{key}", int))
+    if p.seed < 0:  # default_rng takes no negative seed
+        raise ParseError(f"params.seed must be at least 0, got {p.seed}")
     if "dims" in obj:
         if not (isinstance(obj["dims"], list) and len(obj["dims"]) == 2):
             raise ParseError("params.dims must be [dA, dB]")
@@ -564,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     flags = {  # main applies --s, --nu, --seed and --grid over their params fields
         "--oracle": dict(type=_count(0), default=0, metavar="N"),
-        "--seed": dict(type=int),
+        "--seed": dict(type=_count(0)),
         "--s": dict(type=float),
         "--nu": dict(type=_nu_list, metavar="LIST"),
         "--alpha-scan": dict(action="store_true"),

@@ -144,6 +144,8 @@ class TestExitCodes:
         ("verify", "example1_spinhalf", "--seeds", "0"),
         ("verify", "example1_spinhalf", "--seeds", "-4"),
         ("bound", "example2", "--oracle", "-3"),
+        ("bound", "example1_spinhalf", "--oracle", "5", "--seed", "-1"),
+        ("channel-bound", "example3", "--oracle", "5", "--seed", "-2"),
         ("channel-bound", "example3", "--oracle", "-1"),
         ("bound", "example2", "--alpha-scan", "--grid", "-5"),
         ("witness", "singlet_witness", "--grid", "-5"),
@@ -224,6 +226,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "moments", path)
         assert code == EXIT_PARSE
         assert err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("argv", ["bound --oracle 5", "moments"])
+    def test_negative_file_seed_is_2(self, capsys, tmp_path, argv):
+        path = write_json(tmp_path, "seed.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]], "operators": {"Z": [[1, 0], [0, -1]]},
+            "params": {"seed": -1},
+        })
+        command, *flags = argv.split()
+        code, out, err = run(capsys, command, path, *flags)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "parse error: params.seed must be at least 0, got -1\n"
 
     @pytest.mark.parametrize("version", [2, 99, 0, -1, 1.5, "1", True, None])
     def test_unknown_version_is_2(self, capsys, tmp_path, version):

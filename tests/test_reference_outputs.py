@@ -83,6 +83,7 @@ CASES = [
     ["bound", "hermitian_d24.json", "--s", "0.3", "--oracle", "3", "--seed", "5", "--format", "json"],
     # errors: the exit code and the message are the output
     ["bound", "example1_spinhalf", "--s", "1.5", "--oracle", "5"],
+    ["bound", "example1_spinhalf", "--oracle", "5", "--seed", "-1"],
     ["channel-bound", "example3", "--s", "3", "--oracle", "10"],
     ["moments", "example4", "--nu", "foo"],
     ["witness", "example2"],
