@@ -78,7 +78,6 @@ from .bounds import (
     h_tot,
     pure_variance_bound,
     sample_stacks,
-    sample_states,
     separability_witness,
     tighten_alpha_scan,
 )

@@ -69,10 +69,9 @@ from .linalg import (
 )
 from .moments import (
     MeanOrder,
-    _mean_weights,
-    _quad_factor,
+    _mean_gaps,
     _skew_kernel,
-    _wyd_weights,
+    _wyd_gaps,
     as_mean_order,
     hermitian_split,
     variance,
@@ -89,7 +88,6 @@ __all__ = [
     "bound_wyd",
     "tighten_alpha_scan",
     "pure_variance_bound",
-    "sample_states",
     "sample_stacks",
     "empirical_minimum",
     "separability_witness",
@@ -152,14 +150,11 @@ class SpectralData:
 class _SetRecord:
     """State-independent results shared by every OperatorSet of one content: its
     components with S = sum_C C^2 and vec(I)/sqrt(d) (for :func:`bound_wyd`),
-    the (K, 1, d, d) operators with their A^dag A + A A^dag (for
-    :func:`_sum_value`, built on its first call), spectral data and alpha-scan
-    floors by (pairing, grid_points)."""
+    spectral data and alpha-scan floors by (pairing, grid_points)."""
 
     components: Optional[np.ndarray] = None
     square_sum: Optional[np.ndarray] = None
     identity_row: Optional[np.ndarray] = None
-    skew_terms: Optional[tuple] = None
     spectrum: Optional[SpectralData] = None
     scans: dict = field(default_factory=dict)
 
@@ -889,25 +884,19 @@ def pure_variance_bound(ops, grid_points: int = 201) -> float:
 def _sum_value(rows, ops, rho, s_or_order, tol):
     """sum_k of each operator's skew: ``wyd_skew`` at a float s in (0, 1),
     ``gen_skew`` at any other float, a MeanOrder or a list of one order per
-    operator.  One ``_skew_kernel`` call takes all K operators, with the bits,
-    checks and errors of the K calls summed in order; their (K, 1, d, d)
-    stack and quadratic factors are built on the set's first call."""
-    oset = _as_set(ops)
-    record, eigs, what = oset._record, rho.eigenvalues, "generalized skew"
+    operator.  One ``_skew_kernel`` call takes all K operators as a
+    (K, 1, d, d) stack, with the bits of the K calls summed in order."""
+    oset, eigs = _as_set(ops), rho.eigenvalues
     if isinstance(s_or_order, (list, tuple)):
         orders = [as_mean_order(o) for o in s_or_order]
         if len(orders) != len(oset.operators):
             raise DomainError("need one mean order per operator")
-        W = np.stack([_mean_weights(eigs, o, tol.tol_psd) for o in orders])
+        G = np.stack([_mean_gaps(eigs, o, tol.tol_psd) for o in orders])
     elif isinstance(s_or_order, MeanOrder) or not 0 < float(s_or_order) < 1:
-        W = _mean_weights(eigs, as_mean_order(s_or_order), tol.tol_psd)
+        G = _mean_gaps(eigs, as_mean_order(s_or_order), tol.tol_psd)
     else:
-        W, what = _wyd_weights(eigs, float(s_or_order)), "skew information"
-    if record.skew_terms is None:
-        A = np.array(oset.operators)[:, None]
-        record.skew_terms = (A, _quad_factor(A))
-    A, Q = record.skew_terms
-    return sum(_skew_kernel(rows, A, rho, W, what, tol, Q))
+        G = _wyd_gaps(eigs, float(s_or_order))
+    return sum(_skew_kernel(np.array(oset.operators)[:, None], rho, G))
 
 
 def sample_stacks(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):
@@ -937,14 +926,6 @@ def sample_stacks(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] =
         ]))
 
     return (draw(min(per, samples - start)) for start in range(0, samples, per))
-
-
-def sample_states(dim: int, samples: int, seed, ranks: Optional[Sequence[int]] = None):
-    """Iterator over the states of :func:`sample_stacks`, one by one: one
-    stream, the same per-state order and stacked validation, so a fixed seed
-    gives the same states, bit for bit, to every caller and to the oracle."""
-    stacks = sample_stacks(dim, samples, seed, ranks)
-    return (rho for stack in stacks for rho in stack)
 
 
 def empirical_minimum(

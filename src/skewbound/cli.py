@@ -391,9 +391,9 @@ def cmd_moments(pf: ProblemFile, args) -> tuple:
     p = pf.params
     keys = ["std_dev", f"skew_s={_fmt(p.s)}"] + [
         "gen_skew_nu=-inf" if math.isinf(nu) else f"gen_skew_nu={_fmt(nu)}" for nu in p.nu]
-    table = {name: dict(zip(keys, moments._moment_row(A, pf.rho, p.s, p.nu, p.tolerances)))
-             for name, A in pf.operators.items()}
-    return EXIT_OK, {"operators": table}
+    table = moments._moment_table(tuple(pf.operators.values()), pf.rho, p.s, p.nu, p.tolerances)
+    return EXIT_OK, {"operators": {name: dict(zip(keys, row))
+                                   for name, row in zip(pf.operators, table)}}
 
 
 def _bound_report(sb: bounds.SpectralBound) -> dict:

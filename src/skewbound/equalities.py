@@ -247,8 +247,8 @@ def _skew_parts(rows, A, B, rho, s, tol):
 
     The commutator less the cross-exchange traces is
     2 sum_ij (p_j - p_i + p_i q_j - q_i p_j) Im(conj(B~_ij) A~_ij), whose cross
-    weight is exactly 0 at s = 1/2, where p and q are equal.  Omega's rho^s
-    part is sum_ij (p_i + p_j)|A~_ij|^2/4I(A) plus the same for B, and the
+    weight is exactly 0 at s = 1/2, where p and q are equal.  Omega is
+    sum_ij (p_i + p_j - l_i - l_j)|A~_ij|^2/4I(A) plus the same for B, and the
     quadratic term is sum_ij |X_ij|^2 p_i (1 - q_j) + |Y_ij|^2 (1 - q_i) p_j
     with X, Y = A~/sqrt(I(A)) +- sign i B~/sqrt(I(B)).
     """
@@ -259,15 +259,15 @@ def _skew_parts(rows, A, B, rho, s, tol):
     lam, V = rho.eigenvalues, rho.eigenvectors
     p, q = _power(lam, s), _power(lam, 1 - np.asarray(s, dtype=float))
     pi, pj, qi, qj = p[..., :, None], p[..., None, :], q[..., :, None], q[..., None, :]
+    li, lj = lam[..., :, None], lam[..., None, :]
     At, Bt = _dagger(V) @ A @ V, _dagger(V) @ B @ V
     ij = (-2, -1)
     raw = 2 * np.sum((pj - pi + pi * qj - qi * pj) * (Bt.conj() * At).imag, axis=ij)
     sign = _pick_sign(raw, tol)
-    # the rho part of Omega is the trace wyd_skew takes, so that its rounding
-    # cancels against I(A) and I(B) in the identity's residual
-    omega = sum((np.sum((pi + pj) * np.abs(Xt) ** 2, axis=ij)
-                 - _trace((_dagger(X) @ X + X @ _dagger(X)) @ rho.matrix).real) / (4 * I)
-                for X, Xt, I in ((A, At, IA), (B, Bt, IB)))
+    # Omega in the eigenbasis wyd_skew takes I(A) and I(B) in, so that its
+    # rounding cancels against theirs in the identity's residual
+    omega = sum(np.sum((pi + pj - li - lj) * np.abs(Xt) ** 2, axis=ij) / (4 * I)
+                for Xt, I in ((At, IA), (Bt, IB)))
     a, b = At / np.sqrt(IA)[..., None, None], Bt / np.sqrt(IB)[..., None, None]
     ib = b * (sign * 1j)[..., None, None]
     quad = np.sum(np.abs(a + ib) ** 2 * pi * (1 - qj) + np.abs(a - ib) ** 2 * (1 - qi) * pj,

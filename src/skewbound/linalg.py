@@ -322,18 +322,13 @@ class _Rows:
 
     def reject(self, bad, error, message: str, value=None) -> None:
         """Fail the states where ``bad``; ``message`` formats the state's
-        entry of ``value`` into its ``{}``, if given.  ``bad`` and ``value``
-        may lead with an axis of K operators, checked in turn as K calls."""
-        n = len(self.ok)
-        _one_case_per_state(bad.T, n)
-        checks = bad.reshape(-1, n)
-        new = np.flatnonzero(self.ok & checks)
-        if new.size:  # else every failing state has failed before
-            k, i = divmod(int(new[0]), n)
-            if self.first is None or i < self.first[0]:
-                message = message if value is None else message.format(value.reshape(-1, n)[k, i])
-                self.first = (i, error(message))
-            self.ok &= ~checks.any(axis=0)
+        entry of ``value`` into its ``{}``, if given."""
+        _one_case_per_state(bad, len(self.ok))
+        new = np.flatnonzero(self.ok & bad)
+        if new.size and (self.first is None or new[0] < self.first[0]):
+            i = new[0]
+            self.first = (i, error(message if value is None else message.format(value[i])))
+        self.ok &= ~bad
 
 
 def _one_case_per_state(x: np.ndarray, n: int) -> None:

@@ -661,7 +661,7 @@ class TestGoldenReports:
         ops = bounds.OperatorSet(tuple(pf.operators.values()))
         assert rep["oracle_min"] == empirical_minimum(ops, float(s), 60, 4, tol=tol)
         margins = []
-        for rho in bounds.sample_states(3, 60, 4):
+        for rho in (rho for stack in bounds.sample_stacks(3, 60, 4) for rho in stack):
             total = sum(wyd_skew(A, rho, float(s), tol) for A in ops.operators)
             sb = (bounds.bound_wy(ops, rho) if s == "0.5"
                   else bounds.bound_wyd(ops, rho, float(s)))
@@ -765,12 +765,15 @@ class TestGoldenReports:
         assert (rep["oracle_min"], rep["oracle_samples"], rep["oracle_margin_min"]) == (
             lowest, int(n), margin)
 
-    def test_s_is_checked_before_any_sample(self, capsys):
+    def test_s_is_checked_before_any_sample(self, capsys, monkeypatch):
         # s = 1.5 fails as the bound's own check, before the skew sums (whose
         # mean order it would be), the alpha scan (--grid 1 fails there) and
-        # the draw (a negative seed fails there)
-        for argv in (("--oracle", "5"), ("--oracle", "5", "--alpha-scan", "--grid", "1"),
-                     ("--oracle", "5", "--seed", "-1"), ()):
+        # the draw (which fails here if reached)
+        def draw(*args):
+            raise AssertionError("drawn before s was checked")
+
+        monkeypatch.setattr(bounds, "sample_stacks", draw)
+        for argv in (("--oracle", "5"), ("--oracle", "5", "--alpha-scan", "--grid", "1"), ()):
             code, out, err = run(capsys, "bound", "example1_spinhalf", "--s", "1.5", *argv)
             assert (code, out, err) == (
                 EXIT_VALIDATION, "", "validation error: s must lie in (0, 1), got 1.5\n")
@@ -880,7 +883,7 @@ class TestVerifyCommand:
         calls = []
 
         def counted(*args, _kernel=moments._skew_kernel):
-            calls.append(args[2].dim)
+            calls.append(args[1].dim)
             return _kernel(*args)
 
         monkeypatch.setattr(moments, "_skew_kernel", counted)

@@ -340,55 +340,61 @@ class TestStructuralProperties:
             ) < 1e-8
 
 
-class TestMomentRow:
-    """``moments`` reports std_dev, wyd_skew and every gen_skew of one
+class TestMomentTable:
+    """``moments`` reports std_dev, wyd_skew and every gen_skew of each
     operator from one set of shared terms, each bit for bit as its own call
     gives it, and with its errors in the order of those calls."""
 
     ORDERS = [0.0, -1.0, -2.0, float("-inf")]
 
     @staticmethod
-    def _alone(A, rho, s, orders, tol):
-        return [std_dev(A, rho, tol), wyd_skew(A, rho, s, tol)] + [
-            gen_skew(A, rho, o, tol) for o in orders]
+    def _alone(ops, rho, s, orders, tol):
+        return [[std_dev(A, rho, tol), wyd_skew(A, rho, s, tol)] + [
+            gen_skew(A, rho, o, tol) for o in orders] for A in ops]
 
     def test_matches_the_separate_calls(self):
-        from skewbound.moments import _moment_row
+        from skewbound.moments import _moment_table
 
         rng = np.random.default_rng(26)
         tol = Tolerances()
-        for k in range(200):
+        for k in range(100):
             d = int(rng.integers(2, 33))
-            A = random_operator(d, rng) if k % 2 else random_hermitian(d, rng)
+            ops = (random_operator(d, rng), random_hermitian(d, rng))[::1 if k % 2 else -1]
             rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-            got = _moment_row(A, rho, 0.3, self.ORDERS, tol)
-            want = self._alone(A, rho, 0.3, self.ORDERS, tol)
+            got = _moment_table(ops, rho, 0.3, self.ORDERS, tol)
+            want = self._alone(ops, rho, 0.3, self.ORDERS, tol)
             assert got.tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize("s, orders, error", [
-        (1.5, [], "variance radicand"),  # the variance fails before s is checked
-        (0.3, [1.0], "skew information"),  # the skew fails before the order is
-        (1.5, [0.0], "s must lie in"),
-        (0.3, [0.0, 2.0], "mean order must be <= 0"),
+    ZERO, P0 = np.zeros((2, 2)), np.diag([1.0, 0.0])
+
+    @pytest.mark.parametrize("s, orders, state, ops, error", [
+        # the variance fails before s is checked
+        (1.5, [], "bad_var", (SZ,), "variance radicand"),
+        # the skews before it fail no check
+        (0.3, [1.0], "bad_skew", (P0,), "mean order must be <= 0"),
+        (1.5, [0.0], "valid", (P0,), "s must lie in"),
+        (0.3, [0.0, 2.0], "valid", (P0,), "mean order must be <= 0"),
+        # the first operator's skews are checked before the second one's variance
+        (1.5, [0.0], "bad_var", (ZERO, SZ), "s must lie in"),
+        (0.3, [0.0], "bad_var", (ZERO, SZ), "variance radicand"),
     ])
-    def test_first_error_is_that_of_the_separate_calls(self, s, orders, error):
-        # unvalidated states: a negative "eigenvalue" fails the variance of Z,
-        # eigenvalues that disagree with the matrix fail the skew of diag(1, 0)
-        from skewbound.moments import _moment_row
+    def test_first_error_is_that_of_the_separate_calls(self, s, orders, state, ops, error):
+        # unvalidated states: a negative "eigenvalue" fails the variance of Z;
+        # eigenvalues that disagree with the matrix fail no skew of diag(1, 0)
+        from skewbound.moments import _moment_table
 
         tol = Tolerances()
-        bad_var = DensityOperator(np.diag([-1.0, 2.0]).astype(complex),
-                                  np.array([0.0, 1.0]), np.eye(2, dtype=complex))
-        bad_skew = DensityOperator(np.eye(2, dtype=complex) / 2,
-                                   np.array([1.5, 0.5]), np.eye(2, dtype=complex))
-        A = SZ if error == "variance radicand" else np.diag([1.0, 0.0])
-        rho = bad_var if error == "variance radicand" else bad_skew
-        if error.startswith(("s must", "mean order")):
-            rho = RHO37
+        rho = {
+            "bad_var": DensityOperator(np.diag([-1.0, 2.0]).astype(complex),
+                                       np.array([0.0, 1.0]), np.eye(2, dtype=complex)),
+            "bad_skew": DensityOperator(np.eye(2, dtype=complex) / 2,
+                                        np.array([1.5, 0.5]), np.eye(2, dtype=complex)),
+            "valid": RHO37,
+        }[state]
         with pytest.raises(Exception) as want:
-            self._alone(A, rho, s, orders, tol)
+            self._alone(ops, rho, s, orders, tol)
         with pytest.raises(type(want.value)) as got:
-            _moment_row(A, rho, s, orders, tol)
+            _moment_table(ops, rho, s, orders, tol)
         assert str(got.value) == str(want.value)
         assert error in str(got.value)
 
@@ -400,3 +406,67 @@ class TestMomentRow:
         monkeypatch.setattr(moments, "_quad_factor", lambda A: calls.append(1) or real(A))
         assert cli.main(["moments", "example4", "--nu", "0,-1,-2,-inf"]) == 0
         assert len(calls) == len(cli.load_problem("example4").operators)
+
+
+class TestAccuracyNearMaximallyMixed:
+    """Skews at rho = I/d + tH/d, down to t = 1e-7, agree within 1e-6 relative
+    with a long-double evaluation on the same eigenpairs: each term of the
+    eigenbasis sum is >= 0 and formed with no subtraction of nearby numbers,
+    so nothing of size ||A||^2/d cancels down to the O(t^2) skew."""
+
+    FAMILIES = [("wyd", 0.3), ("wyd", 0.5), ("gen", 0.0), ("gen", -1.0), ("gen", -2.0),
+                ("gen", float("-inf"))]
+
+    @staticmethod
+    def _gaps(lam, family, x):
+        """G_ij of the family in long double, each from a closed form whose
+        only subtraction is of two eigenvalues or of their powers."""
+        a, b = lam[:, None], lam[None, :]
+        if family == "wyd":
+            s = np.longdouble(x)
+            return (a**s - b**s) * (a ** (1 - s) - b ** (1 - s)) / 2
+        if x == 0:
+            return (np.sqrt(a) - np.sqrt(b)) ** 2 / 2
+        if x == -1:
+            return (a - b) ** 2 / (2 * (a + b))
+        if x == -2:
+            r = np.sqrt(a * a + b * b)
+            return (a - b) ** 2 * ((a + b) ** 2 + 2 * a * b) / (
+                2 * r * ((a + b) * r + 2 * np.sqrt(np.longdouble(2)) * a * b))
+        return np.abs(a - b) / 2
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-5, 1e-7])
+    def test_relative_error_against_long_double(self, t):
+        rng = np.random.default_rng(7)
+        for d in (3, 6):
+            H = random_hermitian(d, rng)
+            H = (H - np.trace(H).real / d * np.eye(d)) / np.abs(np.linalg.eigvalsh(H)).max()
+            rho = density((np.eye(d) + t * H) / d)
+            lam = rho.eigenvalues.astype(np.longdouble)
+            V = rho.eigenvectors.astype(np.clongdouble)
+            for _ in range(5):
+                A = random_operator(d, rng)
+                At = np.abs(V.conj().T @ A.astype(np.clongdouble) @ V) ** 2
+                for family, x in self.FAMILIES:
+                    got = wyd_skew(A, rho, x) if family == "wyd" else gen_skew(A, rho, x)
+                    want = float(np.sum(self._gaps(lam, family, x) * At))
+                    assert abs(got - want) <= 1e-6 * want, (d, family, x, got, want)
+
+    def test_states_that_disagree_with_their_spectra_give_skews_of_at_least_0(self):
+        # unvalidated states whose eigenvalues are not those of their matrices
+        # (skews read only the eigenpairs, so no such state can fail a check)
+        rng = np.random.default_rng(11)
+        states = [DensityOperator(np.eye(2, dtype=complex) / 2, np.array([1.5, 0.5]),
+                                  np.eye(2, dtype=complex))]
+        for d in (2, 3, 5):
+            for _ in range(10):
+                w = np.sort(rng.dirichlet(np.ones(d)) * rng.uniform(0.5, 2))
+                V = random_density(d, d, rng).eigenvectors
+                states.append(DensityOperator(random_density(d, d, rng).matrix, w, V))
+        for rho in states:
+            diagonal = [np.diag(np.eye(rho.dim)[k]) for k in range(rho.dim)]
+            for A in (random_operator(rho.dim, rng), *diagonal):
+                for s in (0.3, 0.5):
+                    assert wyd_skew(A, rho, s) >= 0
+                for order in (0.0, -1.0, -2.0, float("-inf")):
+                    assert gen_skew(A, rho, order) >= 0

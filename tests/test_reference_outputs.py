@@ -168,22 +168,21 @@ def test_reports_match_the_references():
     assert [r["argv"] for r in refs] == CASES, "regenerate the references (see the module doc)"
     bad = []
     for want in refs:
-        got = run(want["argv"])
+        got, case = run(want["argv"]), []
         for key in ("exit", "stderr", "warnings"):
             g, w = got[key], want[key]
             if key == "stderr":  # above the error, argparse's usage wraps to the terminal
                 g, w = g.splitlines()[-1:], w.splitlines()[-1:]
             if g != w:
-                bad.append(f"{key} {g!r} != {w!r}")
+                case.append(f"{key} {g!r} != {w!r}")
         g, w = _report(got), _report(want)
         if isinstance(w, dict) and isinstance(g, dict):
-            bad += list(_mismatches(g, w))
+            case += _mismatches(g, w)
         elif isinstance(w, list) and isinstance(g, list):
-            bad += list(_printed_mismatches(g, w))
+            case += _printed_mismatches(g, w)
         elif g != w:
-            bad.append(f"report {g!r} != {w!r}")
-        bad = [m if m.startswith("skewbound") else f"skewbound {' '.join(want['argv'])}: {m}"
-               for m in bad]
+            case.append(f"report {g!r} != {w!r}")
+        bad += [f"skewbound {' '.join(want['argv'])}: {m}" for m in case]
     assert not bad, "\n".join(bad)
 
 
