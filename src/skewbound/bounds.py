@@ -150,7 +150,7 @@ class SpectralData:
 class _SetRecord:
     """State-independent results shared by every OperatorSet of one content: its
     components with S = sum_C C^2 and vec(I)/sqrt(d) (for :func:`bound_wyd`),
-    spectral data and alpha-scan floors by (pairing, grid_points)."""
+    spectral data and alpha-scan floors by pairing."""
 
     components: Optional[np.ndarray] = None
     square_sum: Optional[np.ndarray] = None
@@ -802,41 +802,33 @@ def bound_wyd(
     return _result(spec, best, ov2, feasible)
 
 
-def tighten_alpha_scan(
-    ops,
-    grid_points: int = 201,
-    pairing: str = "transpose",
-) -> float:
+def tighten_alpha_scan(ops, pairing: str = "transpose") -> float:
     """Pure-state variance floor from shifted-operator ground eigenvalues.
 
     For each component C of the set and shift alpha in its eigenvalue range the
     operator ``H_tot + (C - alpha) (x) (C - alpha)^T`` (transpose pairing; the
     plain pairing drops the transpose) is PSD, and its ground eigenvalue
     bounds the pure-state variance sum on the slice <C> = alpha.  Minimizing
-    over the grid and maximizing over components tightens the plain ground
-    eigenvalue.  The grid is a documented approximation of the continuum
-    minimum.
+    over alpha and maximizing over components tightens the plain ground
+    eigenvalue.  Each minimum is certified by :func:`_scan_floor`: the floor
+    lies below the continuum minimum, by at most 1e-12 max(1, |floor|) and
+    twice the eigensolver's backward error, so it is a lower bound.
 
     The shifted operator is A - alpha B + alpha^2 I with A - H_tot the map
     X -> C X C and B the map X -> C X + X C, built once per component from
-    their terms by the pairing's builder; the grid goes to stacked
-    ``eigvalsh`` calls of at most ``_STACK_BYTES`` (16 MB) each.  The
-    transpose pairing builds real forms (``H_tot``'s too) and starts from 0,
-    the ground eigenvalue of ``H_tot`` (vec(I) is in its kernel).  The plain
-    pairing does not preserve Hermiticity; it builds complex matrices, its
-    own ``H_tot`` too, and starts from that one's ground eigenvalue.  Floors
-    are cached per operator content, process-wide, for the last 32 sets, and
-    per (pairing, grid_points).
+    their terms by the pairing's builder.  The transpose pairing builds real
+    forms (``H_tot``'s too) and starts from 0, the ground eigenvalue of
+    ``H_tot`` (vec(I) is in its kernel).  The plain pairing does not preserve
+    Hermiticity; it builds complex matrices, its own ``H_tot`` too, and
+    starts from that one's ground eigenvalue.  Floors are cached per operator
+    content, process-wide, for the last 32 sets, and per pairing.
     """
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2")
     if pairing not in ("transpose", "plain"):
         raise DomainError(f"unknown pairing {pairing!r}")
     oset = _as_set(ops)
     scans = oset._record.scans
-    key = (pairing, grid_points)
-    if key in scans:
-        return scans[key]
+    if pairing in scans:
+        return scans[pairing]
     if pairing == "transpose":
         H, best, form = _h_tot_form(oset.components()), 0.0, _sandwich_form
     else:
@@ -845,39 +837,61 @@ def tighten_alpha_scan(
     I = np.eye(oset.dim)
     for C in oset.components():
         evs = np.linalg.eigvalsh(C)
-        lo, hi = float(evs[0]), float(evs[-1])
         A = form(C[None], C[None], [1.0])
         B = form(np.stack([C, I]), np.stack([I, C]), [1.0, 1.0])
         A += H
-        best = max(best, _scan_floor(A, B, np.linspace(lo, hi, grid_points)))
+        best = max(best, _scan_floor(A, B, float(evs[0]), float(evs[-1])))
         del A, B  # the next component's are not built beside them
-    scans[key] = best
+    scans[pairing] = best
     return best
 
 
-def _scan_floor(A: np.ndarray, B: np.ndarray, alphas: np.ndarray) -> float:
-    """min over alphas of the ground eigenvalue of A - alpha B + alpha^2 I."""
-    n = A.shape[0]
-    diag = np.arange(n)
+def _scan_floor(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> float:
+    """Lower bound on the min over alpha in [lo, hi] of f(alpha) + alpha^2, f(alpha)
+    the ground eigenvalue of A - alpha B.  f is concave (a minimum of affine
+    maps), so it lies above the chord between two evaluated shifts, whose sum
+    with alpha^2 has a closed-form minimum on the segment; each f is first
+    lowered by eigvalsh's backward error n u max|lambda|, so the chords lie
+    below the exact f.  From 17 even shifts, each round bisects every segment
+    whose minimum lies below the least evaluated f + alpha^2 by more than
+    1e-12 max(1, |least|) plus twice the largest backward error; the shifted
+    matrices go to stacked ``eigvalsh`` calls of at most ``_STACK_BYTES``
+    (16 MB) each.  The least segment minimum is returned."""
     per = max(1, _STACK_BYTES // A.nbytes)
-    floor = math.inf
-    for start in range(0, alphas.size, per):
-        a = alphas[start:start + per, None, None]
-        M = a * B
-        np.subtract(A, M, out=M)
-        M[:, diag, diag] += a[:, :, 0] ** 2
-        floor = min(floor, float(np.linalg.eigvalsh(M)[:, 0].min()))
-    return floor
+
+    def ground(alphas):  # f and its backward error at each alpha
+        ends = []
+        for start in range(0, alphas.size, per):
+            M = alphas[start:start + per, None, None] * B
+            np.subtract(A, M, out=M)
+            ends.append(np.linalg.eigvalsh(M)[:, [0, -1]])
+        w = np.concatenate(ends)
+        return w[:, 0], len(A) * np.finfo(float).eps / 2 * np.abs(w).max(axis=1)
+
+    alphas = np.linspace(lo, hi, 17)
+    f, err = ground(alphas)
+    while True:
+        g, a, b = f - err, alphas[:-1], alphas[1:]
+        slope = np.diff(g) / (b - a)
+        x = np.clip(-slope / 2, a, b)  # where chord + alpha^2 is least
+        floors = g[:-1] + slope * (x - a) + x * x
+        best = float(np.min(f + alphas ** 2))
+        split = floors < best - 1e-12 * max(1.0, abs(best)) - 2 * err.max()
+        if not split.any():
+            return float(floors.min())
+        mids = (a[split] + b[split]) / 2
+        at, (fm, em) = np.flatnonzero(split) + 1, ground(mids)
+        alphas, f, err = (np.insert(v, at, w) for v, w in ((alphas, mids), (f, fm), (err, em)))
 
 
-def pure_variance_bound(ops, grid_points: int = 201) -> float:
+def pure_variance_bound(ops) -> float:
     """State-independent floor of sum_k <dA_k>^2 over pure states.
 
     Uses the plain-pairing machinery (valid for the unconjugated doubling
     |psi>|psi>), whose scan is frequently tighter than the transpose form for
     pure-state variance sums.
     """
-    return tighten_alpha_scan(ops, grid_points=grid_points, pairing="plain")
+    return tighten_alpha_scan(ops, pairing="plain")
 
 
 @rowwise
@@ -967,7 +981,6 @@ def separability_witness(
     opsA,
     opsB,
     rho_AB: DensityOperator,
-    grid_points: int = 201,
     tol: Tolerances = DEFAULT_TOL,
 ) -> WitnessResult:
     """Variance-sum entanglement witness on a bipartite state.
@@ -988,7 +1001,7 @@ def separability_witness(
     for A, B in zip(setA.operators, setB.operators):
         joint = np.kron(A, IB) + np.kron(IA, B)
         lhs += variance(joint, rho_AB, tol)
-    threshold = pure_variance_bound(setA, grid_points) + pure_variance_bound(setB, grid_points)
+    threshold = pure_variance_bound(setA) + pure_variance_bound(setB)
     return WitnessResult(
         lhs=float(lhs),
         threshold=float(threshold),

@@ -6,12 +6,12 @@ rejected.  Matrices are row-major arrays-of-arrays whose entries are numbers
 or [re, im] pairs; a qubit state may be given as ``{"bloch": [x, y, z]}``.
 
 :func:`main` applies each given flag over its ``params`` field (``--s``,
-``--nu``, ``--seed``, and ``--grid`` over ``grid_points``, where 0 keeps the
-file's) before a ``cmd_*`` function runs, and heads the fields that function
-returns with ``command`` and ``report_version``.  Exit codes: 0 ok, 2 parse
-error, 3 validation error, 4 property/bound violation.  ``SKEWBOUND_TOL``
-overrides the residual tolerance.  Parsed problems are cached per file
-content and tolerance override for the last 32 files, and shared read-only.
+``--nu`` and ``--seed``) before a ``cmd_*`` function runs, and heads the
+fields that function returns with ``command`` and ``report_version``.  Exit
+codes: 0 ok, 2 parse error, 3 validation error, 4 property/bound violation.
+``SKEWBOUND_TOL`` overrides the residual tolerance.  Parsed problems are
+cached per file content and tolerance override for the last 32 files, and
+shared read-only.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ def _entrywise_matrix(obj, name) -> np.ndarray:
 class Params:
     s: float = 0.5
     nu: list = field(default_factory=list)
-    grid_points: int = 201
     seed: int = 0
     dims: Optional[list] = None
     ops_a: Optional[list] = None
@@ -206,9 +205,8 @@ def _parse_params(obj) -> Params:
         if not isinstance(obj["nu"], list):
             raise ParseError("params.nu must be an array")
         p.nu = [_parse_nu_value(x) for x in obj["nu"]]
-    for key in ("grid_points", "seed"):
-        if key in obj:
-            setattr(p, key, _number(obj[key], f"params.{key}", int))
+    if "seed" in obj:
+        p.seed = _number(obj["seed"], "params.seed", int)
     if p.seed < 0:  # default_rng takes no negative seed
         raise ParseError(f"params.seed must be at least 0, got {p.seed}")
     if "dims" in obj:
@@ -429,11 +427,12 @@ def _run_oracle(ops: bounds.OperatorSet, rho, s: float, samples: int, seed,
     ``rho`` rides as row 0 of the first stack of ``bounds``' sampling oracle
     (alone without samples), so each stack takes one stacked ``_bound``, and
     only ``rho`` may warn that no reference state was feasible.  Over the
-    stacks and skew sums that ``empirical_minimum`` takes, the oracle records
-    the smallest skew sum of ``ops`` at ``s`` and the smallest margin over
-    each sample's bound; a negative margin is a build bug."""
+    stacks and skew sums of ``empirical_minimum``'s ``_sampled_sums``, the
+    oracle records the smallest skew sum of ``ops`` at ``s`` and the smallest
+    margin over each sample's bound; a negative margin is a build bug."""
     lowest = margin = math.inf
-    for k, rhos in enumerate(bounds.sample_stacks(ops.dim, samples, seed) if samples else [None]):
+    stacks = bounds._sampled_sums(ops, s, samples, seed, tol=tol) if samples else [(None, None)]
+    for k, (rhos, t) in enumerate(stacks):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             sb = _bound(ops, _joined(rho, rhos) if k == 0 else rhos, s)
@@ -442,7 +441,6 @@ def _run_oracle(ops: bounds.OperatorSet, rho, s: float, samples: int, seed,
             if caught and not sb.feasible[0]:  # the bound's warning, shown for rho only
                 warnings.warn(caught[0].message, stacklevel=2)
         if rhos is not None:  # the samples' bounds are the last rows
-            t = bounds._sum_value(ops, rhos, s, tol)
             lowest = min(lowest, float(np.min(t)))
             margin = min(margin, float(np.min(t - sb.bound[-len(rhos):])))
     oracle = {"oracle_min": lowest, "oracle_samples": samples, "oracle_margin_min": margin}
@@ -461,8 +459,8 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
     bounds._spectral(ops, pf.rho)
     scan = {}
     if args.alpha_scan:
-        scan["alpha_scan"] = bounds.tighten_alpha_scan(ops, p.grid_points)
-        scan["alpha_scan_plain"] = bounds.pure_variance_bound(ops, p.grid_points)
+        scan["alpha_scan"] = bounds.tighten_alpha_scan(ops)
+        scan["alpha_scan_plain"] = bounds.pure_variance_bound(ops)
     code, fields, oracle = _run_oracle(ops, pf.rho, p.s, args.oracle, p.seed, p.tolerances)
     return code, {"s": p.s, **fields, **scan, **oracle}
 
@@ -492,7 +490,7 @@ def cmd_witness(pf: ProblemFile, args) -> tuple:
         raise DimensionMismatch(
             f"params.dims {p.dims} do not fit a state of dim {pf.rho.dim} "
             f"with ops_a of dim {setA.dim} and ops_b of dim {setB.dim}")
-    res = bounds.separability_witness(setA, setB, pf.rho, p.grid_points, p.tolerances)
+    res = bounds.separability_witness(setA, setB, pf.rho, p.tolerances)
     return EXIT_OK, {"lhs": res.lhs, "threshold": res.threshold, "violated": res.violated}
 
 
@@ -564,22 +562,21 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    flags = {  # main applies --s, --nu, --seed and --grid over their params fields
+    flags = {  # main applies --s, --nu and --seed over their params fields
         "--oracle": dict(type=_count(0), default=0, metavar="N"),
         "--seed": dict(type=_count(0)),
         "--s": dict(type=float),
         "--nu": dict(type=_nu_list, metavar="LIST"),
         "--alpha-scan": dict(action="store_true"),
-        "--grid": dict(type=_count(0), default=0),
         "--suite": dict(choices=(*sweeps.SUITES, "all"), default="all"),
         "--seeds": dict(type=_count(1), default=50),
     }
     for command, about, names in (
         ("moments", "standard deviation and skew informations", ("--s", "--nu")),
         ("bound", "spectral lower bound for an operator set",
-         ("--oracle", "--seed", "--s", "--alpha-scan", "--grid")),
+         ("--oracle", "--seed", "--s", "--alpha-scan")),
         ("channel-bound", "bound for pooled channel coherences", ("--oracle", "--seed")),
-        ("witness", "variance-based entanglement witness", ("--grid",)),
+        ("witness", "variance-based entanglement witness", ()),
         ("weakvalue", "weak-value reconstruction of skew information", ("--s",)),
         ("verify", "run residual sweeps", ("--suite", "--seeds")),
     ):
@@ -617,8 +614,6 @@ def main(argv=None) -> int:
         for name in ("s", "nu", "seed"):  # a given flag overrides, 0 included
             if getattr(args, name, None) is not None:
                 setattr(p, name, getattr(args, name))
-        if getattr(args, "grid", 0):  # --grid 0 keeps the file's grid_points
-            p.grid_points = args.grid
         # an overflow shows as the non-finite report field checked below
         with np.errstate(over="ignore", invalid="ignore"):
             code, body = _DISPATCH[args.command](pf, args)

@@ -30,10 +30,10 @@ import numpy as np
 
 from .errors import DegenerateDenominator, ZeroDeviation, ZeroSkew
 from .linalg import (
-    DEFAULT_TOL, DensityOperator, Tolerances, _dagger, _operators, _power, _trace,
+    DEFAULT_TOL, DensityOperator, Tolerances, _dagger, _exponents, _operators, _power, _trace,
     matrix_power, require_hermitian, rowwise,
 )
-from .moments import std_dev, variance, wyd_skew
+from .moments import _wyd_gaps, std_dev, variance, wyd_skew
 
 __all__ = [
     "EqualityReport",
@@ -253,15 +253,16 @@ def _skew_parts(rows, A, B, rho, s, tol):
     with X, Y = A~/sqrt(I(A)) +- sign i B~/sqrt(I(B)).
     """
     A, B = _operator_pair(A, B, rho)
-    IA, IB = wyd_skew.core(rows, A, rho, s, tol), wyd_skew.core(rows, B, rho, s, tol)
+    lam, V = rho.eigenvalues, rho.eigenvectors
+    At, Bt = _dagger(V) @ A @ V, _dagger(V) @ B @ V
+    # I(A) and I(B) as wyd_skew sums them, from the sandwiches formed here
+    G, ij = _wyd_gaps(lam, _exponents(s)), (-2, -1)
+    IA, IB = np.sum(G * np.abs(At) ** 2, axis=ij), np.sum(G * np.abs(Bt) ** 2, axis=ij)
     rows.reject((IA <= tol.tol_residual) | (IB <= tol.tol_residual), ZeroSkew,
                 "skew product equality needs nonzero skew informations")
-    lam, V = rho.eigenvalues, rho.eigenvectors
     p, q = _power(lam, s), _power(lam, 1 - np.asarray(s, dtype=float))
     pi, pj, qi, qj = p[..., :, None], p[..., None, :], q[..., :, None], q[..., None, :]
     li, lj = lam[..., :, None], lam[..., None, :]
-    At, Bt = _dagger(V) @ A @ V, _dagger(V) @ B @ V
-    ij = (-2, -1)
     raw = 2 * np.sum((pj - pi + pi * qj - qi * pj) * (Bt.conj() * At).imag, axis=ij)
     sign = _pick_sign(raw, tol)
     # Omega in the eigenbasis wyd_skew takes I(A) and I(B) in, so that its

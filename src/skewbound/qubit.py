@@ -21,7 +21,7 @@ from .linalg import (
     DEFAULT_TOL, DensityOperator, Tolerances, _operators, _trace, as_operator, density,
     density_stack, rowwise,
 )
-from .moments import _mean_weights, fisher_information, gen_skew, variance
+from .moments import _mean_gaps, fisher_information, gen_skew, variance
 
 __all__ = [
     "PAULI_X",
@@ -105,11 +105,12 @@ def _check_qubit(rho: DensityOperator):
 
 @rowwise
 def qubit_bracket(rows, rho: DensityOperator, order, tol: Tolerances = DEFAULT_TOL):
-    """State factor 1 - 2 m_nu(l1, l2); equals 1 on pure states, where the
-    zero-eigenvalue rule collapses the mean to 0.  A stack takes one order
-    for all states or an array of one per state."""
+    """State factor 1 - 2 m_nu(l1, l2) as l1 + l2 - 2 m_nu = 2 G_12, the gap of
+    :func:`~skewbound.moments.gen_skew`, formed with no subtraction; 1 on pure
+    states, where G_12 = (l1 + l2)/2.  A stack takes one order for all states
+    or an array of one per state."""
     _check_qubit(rho)
-    return 1.0 - 2.0 * _mean_weights(rho.eigenvalues, order, tol.tol_psd)[:, 0, 1]
+    return 2.0 * _mean_gaps(rho.eigenvalues, order, tol.tol_psd)[:, 0, 1]
 
 
 def _strictly_mixed_bracket(rows, rho, order, tol):
@@ -181,7 +182,6 @@ def skew_variance_mix_check(
     var_ops,
     rho: DensityOperator,
     lower_bound: Optional[float] = None,
-    grid_points: int = 201,
     tol: Tolerances = DEFAULT_TOL,
 ):
     """Mixed skew/variance sum against a pure-state floor.
@@ -199,7 +199,7 @@ def skew_variance_mix_check(
         lhs += variance(om, rho, tol)
         combined.append(om)
     if lower_bound is None:
-        lower_bound = pure_variance_bound(OperatorSet(tuple(combined)), grid_points)
+        lower_bound = pure_variance_bound(OperatorSet(tuple(combined)))
     return lhs, lower_bound
 
 

@@ -31,7 +31,7 @@ def test_criterion_1_four_operator_example():
     t0 = time.perf_counter()
     ops = sb.OperatorSet(four_3x3_ops())
     bound = sb.bound_wy(ops, sb.pure_state([1, 0, 0]))
-    scan = sb.tighten_alpha_scan(ops, 201)
+    scan = sb.tighten_alpha_scan(ops)
     oracle = sb.empirical_minimum(ops, 0.5, 5000, seed=101, ranks=[1])
     elapsed = time.perf_counter() - t0
     ok = (
@@ -100,7 +100,7 @@ def test_criterion_3_damping_channels():
 def test_criterion_4_qubit_order_family():
     ops = sb.OperatorSet(four_qubit_ops())
     sbnd = sb.bound_wy(ops, RHO37)  # every generalized skew dominates the symmetric one
-    floor = sb.pure_variance_bound(ops, 201)
+    floor = sb.pure_variance_bound(ops)
     targets = {0.0: 0.1834, -1.0: 0.3515, -2.0: 0.4835, float("-inf"): 0.8788}
     ok = abs(sbnd.bound - 0.1921) <= 1e-3
     details = [f"spectral={sbnd.bound:.5f}"]

@@ -36,7 +36,7 @@ from skewbound import (
     wyd_skew,
 )
 from conftest import SX, SZ, four_3x3_ops, four_qubit_ops, spin_ops
-from skewbound import bounds, linalg, moments
+from skewbound import bounds, cli, linalg, moments
 from skewbound.bounds import _feasible_f
 from skewbound.errors import NoFeasibleChiWarning
 from skewbound.linalg import DensityStack
@@ -744,7 +744,7 @@ class TestRealForm:
         # eigvalsh's copy of it
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "_STACK_BYTES", real_bytes)
-            assert _traced_peak(lambda: tighten_alpha_scan(oset, 5)) < 6 * real_bytes
+            assert _traced_peak(lambda: tighten_alpha_scan(oset)) < 6 * real_bytes
 
 
 def _count_h_tot(monkeypatch):
@@ -777,7 +777,7 @@ class TestSetCache:
         # keeps nothing of it: no attribute is set after the set is built
         oset = OperatorSet(tuple(ops))
         before = dict(vars(oset))
-        tighten_alpha_scan(oset, 21)
+        tighten_alpha_scan(oset)
         assert builds == [1]
         assert oset.spectral().kernel.shape == (9, 1)
         assert vars(oset).keys() == before.keys()
@@ -788,18 +788,18 @@ class TestSetCache:
         original = (A.copy(), B.copy())
         oset = OperatorSet((A, B))
         A[0, 1] += 1.0  # before anything is computed
-        spec, floor = oset.spectral(), tighten_alpha_scan(oset, 21)
+        spec, floor = oset.spectral(), tighten_alpha_scan(oset)
         B[2, 2] -= 2.0  # after
         again = OperatorSet(original)
         assert again == oset
         assert again.spectral() is spec
-        assert tighten_alpha_scan(again, 21) == floor
+        assert tighten_alpha_scan(again) == floor
         bounds._records.clear()
         fresh = OperatorSet(original)
         assert fresh.spectral() is not spec
         assert fresh.spectral().epsilon1 == spec.epsilon1
         np.testing.assert_array_equal(fresh.spectral().kernel, spec.kernel)
-        assert tighten_alpha_scan(fresh, 21) == floor
+        assert tighten_alpha_scan(fresh) == floor
         for M, want in zip(oset.operators, original):
             np.testing.assert_array_equal(M, want)
         with pytest.raises(ValueError):
@@ -868,7 +868,7 @@ class TestSetCache:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 wyd = bound_wyd(ops, rho, 0.3)
-            scans = (tighten_alpha_scan(ops, 11), tighten_alpha_scan(ops, 11, "plain"))
+            scans = (tighten_alpha_scan(ops), tighten_alpha_scan(ops, "plain"))
             return [(b.epsilon1, b.epsilonK, b.kernel_dim, float(b.bound), float(b.interval[1]))
                     for b in (wy, wyd)] + [scans]
 
@@ -1100,21 +1100,44 @@ class TestBoundWYDStack:
 
 
 def _scan_loop(oset, grid_points, pairing):
-    """The alpha scan one grid point at a time: the ground eigenvalue of
-    H_tot + (C - alpha) (x) (C - alpha)^p from its own complex eigvalsh."""
+    """The alpha scan one grid point at a time, from the ground eigenvalues
+    lambda(alpha) of H_tot + (C - alpha) (x) (C - alpha)^p, each from its own
+    complex eigvalsh: (lower, upper) with upper the least lambda on the grid
+    and lower the least minimum over segments of chord + alpha^2, the chord
+    that of the concave lambda - alpha^2, each taken per component and
+    maximized over components."""
     H = h_tot(oset, pairing=pairing)
-    best = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
+    lower = upper = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
     I = np.eye(oset.dim)
     for C in oset.components():
         evs = np.linalg.eigvalsh(C)
-        if evs[-1] - evs[0] < 1e-14:
-            continue
-        worst = math.inf
-        for alpha in np.linspace(evs[0], evs[-1], grid_points):
+        alphas = np.linspace(evs[0], evs[-1], grid_points)
+        lam = []
+        for alpha in alphas:
             Ca = C - alpha * I
             shift = np.kron(Ca, Ca.T if pairing == "transpose" else Ca)
-            worst = min(worst, float(np.linalg.eigvalsh(H + shift)[0]))
-        best = max(best, worst)
+            lam.append(float(np.linalg.eigvalsh(H + shift)[0]))
+        f, chords = np.array(lam) - alphas**2, []
+        for a, b, fa, fb in zip(alphas, alphas[1:], f, f[1:]):
+            slope = (fb - fa) / (b - a)
+            x = min(max(-slope / 2, a), b)
+            chords.append(fa + slope * (x - a) + x * x)
+        lower, upper = max(lower, min(chords)), max(upper, min(lam))
+    return lower, upper
+
+
+def _grid_floor(oset, pairing, grid_points):
+    """The least ground eigenvalue of H_tot + (C - alpha) (x) (C - alpha)^p
+    over an even grid of alpha, maximized over components: an upper bound on
+    the continuum floor."""
+    H = h_tot(oset, pairing=pairing)
+    d, best = oset.dim, max(float(np.linalg.eigvalsh(H)[0]), 0.0)
+    for C in oset.components():
+        evs = np.linalg.eigvalsh(C)
+        Ca = C - np.linspace(evs[0], evs[-1], grid_points)[:, None, None] * np.eye(d)
+        Cp = Ca.transpose(0, 2, 1) if pairing == "transpose" else Ca
+        shift = np.einsum("nab,ncd->nacbd", Ca, Cp).reshape(-1, d * d, d * d)
+        best = max(best, float(np.linalg.eigvalsh(H + shift)[:, 0].min()))
     return best
 
 
@@ -1134,15 +1157,36 @@ class TestAlphaScan:
         rng = np.random.default_rng(seed)
         make = random_hermitian if kind == "hermitian" else random_operator
         ops = [make(d, rng) for _ in range(n_ops)]
-        want = _scan_loop(OperatorSet(tuple(ops)), grid_points, pairing)
+        lower, upper = _scan_loop(OperatorSet(tuple(ops)), grid_points, pairing)
         # stacks of per_stack real (or half as many complex) d^2 x d^2 matrices,
-        # so the grid crosses stack boundaries
-        # examples may repeat a set and grid with another per_stack: scan afresh
+        # so the bisection rounds cross stack boundaries
+        # examples may repeat a set with another per_stack: scan afresh
         bounds._records.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "_STACK_BYTES", per_stack * d**4 * 8)
-            got = tighten_alpha_scan(OperatorSet(tuple(ops)), grid_points, pairing)
-        assert got == pytest.approx(want, rel=0, abs=1e-12 * max(1.0, abs(want)))
+            got = tighten_alpha_scan(OperatorSet(tuple(ops)), pairing)
+        # above the grid's own certified bound, and below its least value
+        assert got >= lower - 1e-12 * max(1.0, abs(lower))
+        assert got <= upper + 1e-12 * max(1.0, abs(upper))
+
+    @pytest.mark.parametrize("pairing", ["transpose", "plain"])
+    def test_example2_floor_below_fine_grid(self, pairing):
+        # a grid's least value lies above the continuum minimum; the
+        # certified floor does not
+        ops = cli.load_problem("example2").operator_set()
+        assert tighten_alpha_scan(ops, pairing) <= _grid_floor(ops, pairing, 4001)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "ginibre"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_floor_below_pure_state_variances(self, d, kind):
+        rng = np.random.default_rng(100 * d + (kind == "ginibre"))
+        make = random_hermitian if kind == "hermitian" else random_operator
+        ops = OperatorSet(tuple(make(d, rng) for _ in range(3)))
+        states = density_stack([np.outer(v, v.conj())
+                                for v in (random_pure_vector(d, rng) for _ in range(200))])
+        total = sum(variance(A, states) for A in ops.operators)
+        for pairing in ("transpose", "plain"):
+            assert np.all(tighten_alpha_scan(ops, pairing) <= total)
 
     def test_spin_half_transpose(self):
         assert tighten_alpha_scan(spin_ops(0.5)) == pytest.approx(0.25, abs=1e-10)
@@ -1173,19 +1217,17 @@ class TestAlphaScan:
         monkeypatch.setattr("skewbound.bounds.h_tot",
                             lambda *a, **k: calls.append(1) or h_tot(*a, **k))
         ops = OperatorSet(spin_ops(1))
-        assert pure_variance_bound(ops, 21) == pure_variance_bound(ops, 21)
-        # one scan per grid; a fresh set of equal content reuses it
-        floor = pure_variance_bound(ops, 31)
-        assert pure_variance_bound(spin_ops(1), 31) == floor
-        assert len(calls) == 2
+        # one scan per set; a fresh set of equal content reuses it
+        floor = pure_variance_bound(ops)
+        assert pure_variance_bound(ops) == floor
+        assert pure_variance_bound(spin_ops(1)) == floor
+        assert len(calls) == 1
         # and it equals a scan made after the cache is cleared
         bounds._records.clear()
-        assert pure_variance_bound(spin_ops(1), 31) == floor
-        assert len(calls) == 3
+        assert pure_variance_bound(spin_ops(1)) == floor
+        assert len(calls) == 2
 
-    def test_grid_domain(self):
-        with pytest.raises(DomainError):
-            tighten_alpha_scan(spin_ops(0.5), grid_points=1)
+    def test_pairing_domain(self):
         with pytest.raises(DomainError):
             tighten_alpha_scan(spin_ops(0.5), pairing="bogus")
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from skewbound import (
-    DensityStack, bounds, cli, empirical_minimum, moments, sweeps, weakvalue, wyd_skew)
+    DensityStack, bounds, cli, empirical_minimum, equalities, moments, sweeps, weakvalue,
+    wyd_skew)
 from skewbound.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -147,14 +148,32 @@ class TestExitCodes:
         ("bound", "example1_spinhalf", "--oracle", "5", "--seed", "-1"),
         ("channel-bound", "example3", "--oracle", "5", "--seed", "-2"),
         ("channel-bound", "example3", "--oracle", "-1"),
-        ("bound", "example2", "--alpha-scan", "--grid", "-5"),
-        ("witness", "singlet_witness", "--grid", "-5"),
     ], ids=" ".join)
     def test_bad_count_flag_is_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == EXIT_PARSE
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "example2", "--alpha-scan", "--grid", "5"),
+        ("witness", "singlet_witness", "--grid", "5"),
+    ], ids=" ".join)
+    def test_grid_flag_is_gone(self, capsys, argv):
+        # the scans find their own shifts: there is no grid to set
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --grid 5" in capsys.readouterr().err
+
+    def test_grid_points_field_is_unknown(self, capsys, tmp_path):
+        path = write_json(tmp_path, "grid.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]],
+            "operators": {"Z": [[1, 0], [0, -1]]}, "params": {"grid_points": 201},
+        })
+        code, _, err = run(capsys, "bound", path, "--alpha-scan")
+        assert code == EXIT_PARSE
+        assert "unknown params fields: ['grid_points']" in err
 
     @pytest.mark.parametrize("bad", [
         ("verify", "example1_spinhalf", "--seeds", "0"),
@@ -208,7 +227,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("fields", [
         {"version": "x"},
         {"params": {"s": "half"}},
-        {"params": {"grid_points": "many"}},
         {"params": {"seed": [1]}},
         {"params": {"dims": ["a", 2]}},
         {"params": {"tolerances": {"tol_herm": "tiny"}}},
@@ -585,9 +603,12 @@ class TestGoldenReports:
 
     def test_example2_bound(self, capsys):
         rep = self._json_report(capsys, "bound", "example2", "--alpha-scan")
-        assert rep["epsilon1"] == pytest.approx(2.32339, abs=1e-4)
-        assert rep["bound"] == pytest.approx(1.5489, abs=1e-3)
+        assert rep["epsilon1"] == pytest.approx(2.323391113, abs=1e-9)
+        assert rep["bound"] == pytest.approx(1.548927409, abs=1e-9)
         assert rep["alpha_scan"] <= 1.5489 + 1e-6
+        # the certified floors, below the continuum minima by less than 1e-11
+        assert rep["alpha_scan"] == pytest.approx(1.2914769009, abs=1e-9)
+        assert rep["alpha_scan_plain"] == pytest.approx(1.3993169584, abs=1e-9)
 
     def test_example1_files(self, capsys):
         rep = self._json_report(capsys, "bound", "example1_spinhalf")
@@ -767,13 +788,13 @@ class TestGoldenReports:
 
     def test_s_is_checked_before_any_sample(self, capsys, monkeypatch):
         # s = 1.5 fails as the bound's own check, before the skew sums (whose
-        # mean order it would be), the alpha scan (--grid 1 fails there) and
-        # the draw (which fails here if reached)
+        # mean order it would be), the alpha scan and the draw (which fails
+        # here if reached)
         def draw(*args):
             raise AssertionError("drawn before s was checked")
 
         monkeypatch.setattr(bounds, "sample_stacks", draw)
-        for argv in (("--oracle", "5"), ("--oracle", "5", "--alpha-scan", "--grid", "1"), ()):
+        for argv in (("--oracle", "5"), ("--oracle", "5", "--alpha-scan"), ()):
             code, out, err = run(capsys, "bound", "example1_spinhalf", "--s", "1.5", *argv)
             assert (code, out, err) == (
                 EXIT_VALIDATION, "", "validation error: s must lie in (0, 1), got 1.5\n")
@@ -876,17 +897,26 @@ class TestVerifyCommand:
         assert rep["pass"] is False and rep["max_residual"] is None
         assert rep["suites"]["equalities"] == {"max_residual": None, "worst_case": "sum seed=1"}
 
-    @pytest.mark.parametrize("suite", ["equalities", "qubit", "weakvalue"])
-    def test_one_evaluation_per_dimension_group(self, capsys, monkeypatch, suite):
-        # the cases of one dimension share each skew kernel call: the count
+    @pytest.mark.parametrize("suite, module, name, dim", [
+        # equalities' skew informations are sums over the sandwiches it forms
+        # itself, with the gaps of one call per identity
+        pytest.param("equalities", equalities, "_wyd_gaps", lambda eigs, s: eigs.shape[-1],
+                     id="equalities"),
+        pytest.param("qubit", moments, "_skew_kernel", lambda A, rho, G: rho.dim, id="qubit"),
+        pytest.param("weakvalue", moments, "_skew_kernel", lambda A, rho, G: rho.dim,
+                     id="weakvalue"),
+    ])
+    def test_one_evaluation_per_dimension_group(self, capsys, monkeypatch, suite, module,
+                                                name, dim):
+        # the cases of one dimension share each skew evaluation: the count
         # follows the dimension groups, not the seeds
         calls = []
 
-        def counted(*args, _kernel=moments._skew_kernel):
-            calls.append(args[1].dim)
-            return _kernel(*args)
+        def counted(*args, _real=getattr(module, name)):
+            calls.append(dim(*args))
+            return _real(*args)
 
-        monkeypatch.setattr(moments, "_skew_kernel", counted)
+        monkeypatch.setattr(module, name, counted)
         offset, draw, build, _ = sweeps.SUITES[suite]
         per_group = []
         for seeds in (4, 40):
@@ -959,7 +989,7 @@ class TestFlagsOverFileParams:
         "rho": {"bloch": [0.1, 0.0, 0.2]},
         "operators": {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]},
         "channels": {"amp": [[[1, 0], [0, 0.8]], [[0, 0.6], [0, 0]]]},
-        "params": {"s": 0.3, "nu": [0, -1], "seed": 5, "grid_points": 51, "dims": [1, 2],
+        "params": {"s": 0.3, "nu": [0, -1], "seed": 5, "dims": [1, 2],
                    "ops_a": ["X"], "ops_b": ["Z"], "tolerances": {"tol_residual": 1e-7}},
     }
 
@@ -977,14 +1007,10 @@ class TestFlagsOverFileParams:
         ("bound --s 0.5", {"s": 0.5}),
         ("bound --seed 0", {"seed": 0}),
         ("bound --seed 7", {"seed": 7}),
-        ("bound --grid 0", {}),
-        ("bound --grid 11", {"grid_points": 11}),
-        ("bound --s 0.2 --seed 0 --grid 9", {"s": 0.2, "seed": 0, "grid_points": 9}),
+        ("bound --s 0.2 --seed 0", {"s": 0.2, "seed": 0}),
         ("channel-bound", {}),
         ("channel-bound --seed 0", {"seed": 0}),
         ("witness", {}),
-        ("witness --grid 0", {}),
-        ("witness --grid 7", {"grid_points": 7}),
         ("weakvalue", {}),
         ("weakvalue --s 0.5", {"s": 0.5}),
         ("verify", {}),

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from skewbound import (
     mixed_triple_equalities,
     orthogonal_triple_skew_equality,
     pure_state,
+    qubit_bracket,
     qubit_gen_skew_closed,
     random_operator,
     scaled_skew_sum,
@@ -77,6 +79,24 @@ class TestClosedForm:
         got = qubit_gen_skew_closed(SX, RHO37, float("-inf"))
         # bracket (1 - 2*0.3) times unit eigenvector variance
         assert got == pytest.approx(0.4, abs=1e-10)
+
+    @pytest.mark.parametrize("order", [0.0, -1.0, float("-inf")])
+    @pytest.mark.parametrize("t", [1e-5, 1e-7])
+    def test_bracket_near_the_maximally_mixed_state(self, t, order):
+        # l1 + l2 - 2 m_nu on the stored eigenvalues, to 50 digits: 1 - 2 m_nu
+        # would cancel all but about |log10 t^2| of its digits
+        rho = density(np.diag([1 + t, 1 - t]) / 2)
+        x, y = (Decimal(float(v)) for v in rho.eigenvalues)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            if order == 0.0:
+                m = (x * y).sqrt()
+            elif order == -1.0:
+                m = 2 * x * y / (x + y)
+            else:
+                m = min(x, y)
+            want = float(x + y - 2 * m)
+        assert qubit_bracket(rho, order) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_pure_state_gives_variance(self, rng):
         psi = pure_state(np.array([1, 1j]) / math.sqrt(2))

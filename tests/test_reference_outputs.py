@@ -72,7 +72,7 @@ CASES = [
         ["moments", f"{name}.json", "--s", "0.3", "--nu", "0,-0.5,-1,-2,-inf", "--format", "json"],
         ["bound", f"{name}.json", "--oracle", "20", "--seed", "7", "--format", "json"],
         ["bound", f"{name}.json", "--s", "0.3", "--oracle", "20", "--seed", "7", "--format", "json"],
-        ["bound", f"{name}.json", "--alpha-scan", "--grid", "41", "--format", "json"],
+        ["bound", f"{name}.json", "--alpha-scan", "--format", "json"],
         ["weakvalue", f"{name}.json", "--s", "0.3", "--format", "json"],
     )),
     ["moments", "hermitian_d8.json", "--format", "text"],
