@@ -810,9 +810,9 @@ def tighten_alpha_scan(ops, pairing: str = "transpose") -> float:
     plain pairing drops the transpose) is PSD, and its ground eigenvalue
     bounds the pure-state variance sum on the slice <C> = alpha.  Minimizing
     over alpha and maximizing over components tightens the plain ground
-    eigenvalue.  Each minimum is certified by :func:`_scan_floor`: the floor
-    lies below the continuum minimum, by at most 1e-12 max(1, |floor|) and
-    twice the eigensolver's backward error, so it is a lower bound.
+    eigenvalue.  Each minimum is certified by :func:`_scan_floor`, which a
+    component leaves early once its least value is within the slack of the
+    floor before it; the floor is a lower bound, within that slack.
 
     The shifted operator is A - alpha B + alpha^2 I with A - H_tot the map
     X -> C X C and B the map X -> C X + X C, built once per component from
@@ -840,23 +840,23 @@ def tighten_alpha_scan(ops, pairing: str = "transpose") -> float:
         A = form(C[None], C[None], [1.0])
         B = form(np.stack([C, I]), np.stack([I, C]), [1.0, 1.0])
         A += H
-        best = max(best, _scan_floor(A, B, float(evs[0]), float(evs[-1])))
+        best = max(best, _scan_floor(A, B, float(evs[0]), float(evs[-1]), best))
         del A, B  # the next component's are not built beside them
     scans[pairing] = best
     return best
 
 
-def _scan_floor(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> float:
+def _scan_floor(A: np.ndarray, B: np.ndarray, lo: float, hi: float, beat: float) -> float:
     """Lower bound on the min over alpha in [lo, hi] of f(alpha) + alpha^2, f(alpha)
-    the ground eigenvalue of A - alpha B.  f is concave (a minimum of affine
-    maps), so it lies above the chord between two evaluated shifts, whose sum
-    with alpha^2 has a closed-form minimum on the segment; each f is first
-    lowered by eigvalsh's backward error n u max|lambda|, so the chords lie
-    below the exact f.  From 17 even shifts, each round bisects every segment
-    whose minimum lies below the least evaluated f + alpha^2 by more than
-    1e-12 max(1, |least|) plus twice the largest backward error; the shifted
-    matrices go to stacked ``eigvalsh`` calls of at most ``_STACK_BYTES``
-    (16 MB) each.  The least segment minimum is returned."""
+    the ground eigenvalue of A - alpha B, within the slack of that min unless it
+    is first seen within the slack of ``beat``.  f is concave (a minimum of
+    affine maps), so it lies above the chord between two evaluated shifts, whose
+    sum with alpha^2 has a closed-form least value on the segment; each f is
+    lowered by eigvalsh's backward error n u max|lambda| first.  From 17 even
+    shifts, each round bisects every segment whose least value lies below the
+    least evaluated f + alpha^2 by more than the slack, 1e-10 of the largest
+    first value (free of units) plus twice the largest backward error, in
+    stacked ``eigvalsh`` calls of at most ``_STACK_BYTES`` each."""
     per = max(1, _STACK_BYTES // A.nbytes)
 
     def ground(alphas):  # f and its backward error at each alpha
@@ -869,19 +869,20 @@ def _scan_floor(A: np.ndarray, B: np.ndarray, lo: float, hi: float) -> float:
         return w[:, 0], len(A) * np.finfo(float).eps / 2 * np.abs(w).max(axis=1)
 
     alphas = np.linspace(lo, hi, 17)
-    f, err = ground(alphas)
+    pts = np.stack([alphas, *ground(alphas)])  # rows alpha, f, backward error
+    scale = 1e-10 * float(np.abs(pts[1] + alphas ** 2).max())
     while True:
+        alphas, f, err = pts
         g, a, b = f - err, alphas[:-1], alphas[1:]
         slope = np.diff(g) / (b - a)
         x = np.clip(-slope / 2, a, b)  # where chord + alpha^2 is least
         floors = g[:-1] + slope * (x - a) + x * x
-        best = float(np.min(f + alphas ** 2))
-        split = floors < best - 1e-12 * max(1.0, abs(best)) - 2 * err.max()
-        if not split.any():
+        best, slack = float(np.min(f + alphas ** 2)), scale + 2 * err.max()
+        split = floors < best - slack
+        if best <= beat + slack or not split.any():
             return float(floors.min())
         mids = (a[split] + b[split]) / 2
-        at, (fm, em) = np.flatnonzero(split) + 1, ground(mids)
-        alphas, f, err = (np.insert(v, at, w) for v, w in ((alphas, mids), (f, fm), (err, em)))
+        pts = np.insert(pts, np.flatnonzero(split) + 1, np.stack([mids, *ground(mids)]), axis=1)
 
 
 def pure_variance_bound(ops) -> float:

@@ -1102,12 +1102,13 @@ class TestBoundWYDStack:
 def _scan_loop(oset, grid_points, pairing):
     """The alpha scan one grid point at a time, from the ground eigenvalues
     lambda(alpha) of H_tot + (C - alpha) (x) (C - alpha)^p, each from its own
-    complex eigvalsh: (lower, upper) with upper the least lambda on the grid
-    and lower the least minimum over segments of chord + alpha^2, the chord
-    that of the concave lambda - alpha^2, each taken per component and
-    maximized over components."""
+    complex eigvalsh: (lower, upper, top) with upper the least lambda on the
+    grid, lower the least minimum over segments of chord + alpha^2, the chord
+    that of the concave lambda - alpha^2, and top the largest lambda on the
+    grid, each taken per component and maximized over components."""
     H = h_tot(oset, pairing=pairing)
     lower = upper = max(float(np.linalg.eigvalsh(H)[0]), 0.0)
+    top = 0.0
     I = np.eye(oset.dim)
     for C in oset.components():
         evs = np.linalg.eigvalsh(C)
@@ -1123,22 +1124,8 @@ def _scan_loop(oset, grid_points, pairing):
             x = min(max(-slope / 2, a), b)
             chords.append(fa + slope * (x - a) + x * x)
         lower, upper = max(lower, min(chords)), max(upper, min(lam))
-    return lower, upper
-
-
-def _grid_floor(oset, pairing, grid_points):
-    """The least ground eigenvalue of H_tot + (C - alpha) (x) (C - alpha)^p
-    over an even grid of alpha, maximized over components: an upper bound on
-    the continuum floor."""
-    H = h_tot(oset, pairing=pairing)
-    d, best = oset.dim, max(float(np.linalg.eigvalsh(H)[0]), 0.0)
-    for C in oset.components():
-        evs = np.linalg.eigvalsh(C)
-        Ca = C - np.linspace(evs[0], evs[-1], grid_points)[:, None, None] * np.eye(d)
-        Cp = Ca.transpose(0, 2, 1) if pairing == "transpose" else Ca
-        shift = np.einsum("nab,ncd->nacbd", Ca, Cp).reshape(-1, d * d, d * d)
-        best = max(best, float(np.linalg.eigvalsh(H + shift)[:, 0].min()))
-    return best
+        top = max(top, max(map(abs, lam)))
+    return lower, upper, top
 
 
 class TestAlphaScan:
@@ -1157,16 +1144,22 @@ class TestAlphaScan:
         rng = np.random.default_rng(seed)
         make = random_hermitian if kind == "hermitian" else random_operator
         ops = [make(d, rng) for _ in range(n_ops)]
-        lower, upper = _scan_loop(OperatorSet(tuple(ops)), grid_points, pairing)
+        lower, upper, _ = _scan_loop(OperatorSet(tuple(ops)), grid_points, pairing)
+        # the scan's slack: 1e-10 of the largest value at its 17 starting shifts
+        slack = 1e-10 * _scan_loop(OperatorSet(tuple(ops)), 17, pairing)[2]
+        bounds._records.clear()  # examples may repeat a set: scan afresh
+        whole = tighten_alpha_scan(OperatorSet(tuple(ops)), pairing)
         # stacks of per_stack real (or half as many complex) d^2 x d^2 matrices,
         # so the bisection rounds cross stack boundaries
-        # examples may repeat a set with another per_stack: scan afresh
         bounds._records.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "_STACK_BYTES", per_stack * d**4 * 8)
             got = tighten_alpha_scan(OperatorSet(tuple(ops)), pairing)
-        # above the grid's own certified bound, and below its least value
-        assert got >= lower - 1e-12 * max(1.0, abs(lower))
+        # each shift's value stays with its alpha across the stacks
+        assert got == pytest.approx(whole, abs=2e-12 * max(1.0, abs(whole)))
+        # above the grid's own certified bound less the slack, and below its
+        # least value
+        assert got >= lower - slack - 1e-12 * max(1.0, abs(lower))
         assert got <= upper + 1e-12 * max(1.0, abs(upper))
 
     @pytest.mark.parametrize("pairing", ["transpose", "plain"])
@@ -1174,7 +1167,18 @@ class TestAlphaScan:
         # a grid's least value lies above the continuum minimum; the
         # certified floor does not
         ops = cli.load_problem("example2").operator_set()
-        assert tighten_alpha_scan(ops, pairing) <= _grid_floor(ops, pairing, 4001)
+        assert tighten_alpha_scan(ops, pairing) <= _scan_loop(ops, 4001, pairing)[1]
+
+    @pytest.mark.parametrize("pairing", ["transpose", "plain"])
+    def test_floor_scales_with_the_set(self, pairing):
+        # the stopping slack is relative to the set's own values, so the
+        # floor of c A is c^2 times that of A to the slack, at any c
+        rng = np.random.default_rng(4)
+        ops = [random_hermitian(4, rng) for _ in range(3)]
+        want = tighten_alpha_scan(OperatorSet(tuple(ops)), pairing)
+        for c in (1e-6, 1e3):
+            got = tighten_alpha_scan(OperatorSet(tuple(c * A for A in ops)), pairing)
+            assert got / c**2 == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["hermitian", "ginibre"])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
