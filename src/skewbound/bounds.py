@@ -60,6 +60,7 @@ from .linalg import (
     DensityOperator,
     DensityStack,
     Tolerances,
+    _exponents,
     _ginibre_states,
     _powers,
     as_operator,
@@ -563,15 +564,10 @@ class SpectralBound:
     feasible: object = True
 
 
-def _check_s(s: float) -> None:
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0, 1), got {s}")
-
-
 def embedding(rho: DensityOperator, s: float) -> EmbeddingVectors:
     """Row-major vec(rho^s) = sum_i lambda_i^s |i>|i*>, and vec(rho^(1-s)); a
     DensityStack gives one row and one pair of norms per state."""
-    _check_s(s)
+    _exponents(s)
     w = rho.eigenvalues
     norms = (np.sum(w ** (2 * s), axis=-1), np.sum(w ** (2 * (1 - s)), axis=-1))
     vecs = w.shape[:-1] + (-1,)
@@ -767,7 +763,7 @@ def bound_wyd(
     are built once per set.  A DensityStack gets its bounds from a few
     stacked calls per chunk of states, each bound equal to the state's own.
     """
-    _check_s(s)
+    _exponents(s)
     if abs(s - 0.5) < 1e-12:
         raise DomainError("s = 1/2 has an exact spectral bound; use bound_wy")
     oset = _as_set(ops)

@@ -179,11 +179,14 @@ def _parse_nu_value(x) -> float:
 
 
 def _number(x, field: str, kind=float):
-    """``kind(x)``, or a ParseError naming the field."""
+    """``kind(x)``, or a ParseError naming the field; a boolean is no number,
+    and a fraction no integer."""
+    what = "an integer" if kind is int else "a number"
     try:
+        if isinstance(x, bool) or (kind is int and isinstance(x, float) and not x.is_integer()):
+            raise TypeError(f"not {what}")
         return kind(x)
     except (TypeError, ValueError, OverflowError) as exc:
-        what = "an integer" if kind is int else "a number"
         raise ParseError(f"{field} must be {what}, got {x!r}") from exc
 
 
@@ -454,8 +457,7 @@ def cmd_bound(pf: ProblemFile, args) -> tuple:
     _need(pf.operators, "bound needs at least one operator")
     p = pf.params
     ops = pf.operator_set()
-    if abs(p.s - 0.5) >= 1e-12:  # the checks of _bound, before any state is drawn
-        bounds._check_s(p.s)
+    linalg._exponents(p.s)  # bound_wyd's check of s, at s = 1/2 too, before any draw
     bounds._spectral(ops, pf.rho)
     scan = {}
     if args.alpha_scan:

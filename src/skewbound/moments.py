@@ -4,7 +4,8 @@ All operations accept arbitrary (not necessarily Hermitian) operators; the
 symmetrized definitions below reduce to the textbook ones on Hermitian input.
 Every skew is sum_ij G_ij |A~_ij|^2 with A~ = V^dag A V in rho's eigenbasis,
 its gaps G_ij (the arithmetic mean of the pair's eigenvalues less the family's
-weight) formed >= 0 with no subtraction.  The state functions are
+weight) formed >= 0 with no subtraction; the power mean m_nu = GM exp(-L)
+takes its L = log(GM/m_nu) from :func:`_log_ratio`.  The state functions are
 ``linalg.rowwise``: a DensityStack gives one value per state, for one
 operator or a stack of one per state.
 """
@@ -72,10 +73,6 @@ def as_mean_order(order) -> MeanOrder:
     return MeanOrder(float(order))
 
 
-# Below this |nu| the closed form cancels catastrophically; switch to the
-# second-order expansion around the geometric mean.
-_NU_SERIES_CUTOFF = 1e-6
-
 # largest (k, N, d, d) complex product of one _skew_kernel block of operators:
 # past it, the temporaries of K operators on a large stack outgrow the L2 cache,
 # and whether malloc hands them out already mapped depends on earlier calls
@@ -86,12 +83,16 @@ def generalized_mean(x: float, y: float, order) -> float:
     """Power mean m_nu(x, y) of two positive numbers with equal weights.
 
     m_0 = sqrt(xy), m_{-inf} = min(x, y), otherwise
-    ((x**nu + y**nu)/2)**(1/nu).  Monotone nonincreasing as nu decreases.
-    Callers must pre-filter zero eigenvalues; see :func:`gen_skew`.
+    ((x**nu + y**nu)/2)**(1/nu), evaluated as sqrt(xy) exp(-L) with the
+    L = log(GM/m_nu) of :func:`_log_ratio`.  Monotone nonincreasing as nu
+    decreases.  Callers must pre-filter zero eigenvalues; see :func:`gen_skew`.
     """
     if x <= 0 or y <= 0:
         raise DomainError("generalized_mean requires strictly positive arguments")
-    return float(_mean_weights(np.array([x, y], dtype=float), order, 0.0)[0, 1])
+    order = as_mean_order(order)
+    if order.is_min:
+        return float(min(x, y))
+    return float(np.sqrt(x) * np.sqrt(y) * np.exp(-_log_ratio(x - y, min(x, y), order)))
 
 
 @dataclass(frozen=True)
@@ -216,66 +217,39 @@ def _logcosh(x: np.ndarray) -> np.ndarray:
     return np.log1p(2 * np.sinh(np.minimum(x, 700.0) / 2) ** 2) + np.maximum(x - 700.0, 0.0)
 
 
-def _by_order(weigh):
-    """``weigh(eigs, order, tol_psd)`` at one MeanOrder, taking ``order`` as a
-    float or MeanOrder for all spectra of the stack ``eigs`` or as an array
-    of one per spectrum; the spectra of each distinct order are weighed
-    together."""
-    def by_order(eigs: np.ndarray, order, tol_psd: float) -> np.ndarray:
-        if isinstance(order, MeanOrder) or not np.ndim(order):
-            return weigh(eigs, as_mean_order(order), tol_psd)
-        nu = np.broadcast_to(np.asarray(order, dtype=float), eigs.shape[:-1])
-        M = np.empty(eigs.shape + eigs.shape[-1:])
-        for u in np.unique(nu):
-            M[nu == u] = weigh(eigs[nu == u], as_mean_order(u), tol_psd)
-        return M
-    return by_order
+def _log_ratio(diff, lo, order: MeanOrder):
+    """L = log(GM/m_nu) of positive pairs with difference ``diff`` and lesser
+    value ``lo``: 0 at nu = 0, D/2 at nu = -inf, log cosh(|nu| D/2)/|nu|
+    otherwise, with D = |log(x/y)| = log1p(|diff|/lo)."""
+    if order.is_zero:
+        return 0.0
+    half_D = np.log1p(np.abs(diff) / lo) / 2
+    k = abs(order.nu)
+    return half_D if order.is_min else _logcosh(k * half_D) / k
 
 
-@_by_order
-def _mean_weights(eigs: np.ndarray, order: MeanOrder, tol_psd: float) -> np.ndarray:
-    """Matrix m_nu(lambda_i, lambda_j); pairs touching the kernel weigh 0.
-
-    The zero-eigenvalue rule is the continuous limit of the power mean with a
-    vanishing argument and nonpositive exponent, consistent with 0**s = 0.
-    A stack of spectra gives a stack of matrices.
-    """
-    pos = eigs > tol_psd
-    x = np.where(pos, eigs, 1.0)  # placeholder 1 off the support, masked below
-    if order.is_min:
-        M = np.minimum(x[..., :, None], x[..., None, :])
-    else:
-        # log-domain formulas, on all pairs at once
-        a = np.log(x)
-        mid = (a[..., :, None] + a[..., None, :]) / 2
-        diff = a[..., :, None] - a[..., None, :]
-        if order.is_zero or abs(order.nu) < _NU_SERIES_CUTOFF:
-            M = np.exp(mid + order.nu * diff**2 / 8)
-        else:
-            # exp((a+b)/2 + logcosh(nu*(a-b)/2)/nu), stable for very negative nu
-            z = np.abs(order.nu * diff / 2)
-            logcosh = z + np.log1p(np.exp(-2 * z)) - math.log(2)
-            M = np.exp(mid + logcosh / order.nu)
-    return np.where(_pairs(pos, np.logical_and), M, 0.0)
-
-
-@_by_order
-def _mean_gaps(eigs: np.ndarray, order: MeanOrder, tol_psd: float) -> np.ndarray:
+def _mean_gaps(eigs: np.ndarray, order, tol_psd: float) -> np.ndarray:
     """G_ij = (l_i + l_j)/2 - m_nu(l_i, l_j) of :func:`gen_skew` as the sum of
     AM - GM = ((l_i - l_j)/(sqrt(l_i) + sqrt(l_j)))^2/2 and GM - m_nu =
-    GM (1 - exp(-L)), L = log(GM/m_nu) = log cosh(|nu| D/2)/|nu| with
-    D = |log(l_i/l_j)| (0 at nu = 0, D/2 at nu = -inf).  Pairs touching the
-    kernel (see :func:`_mean_weights`) get (l_i + l_j)/2."""
+    GM (1 - exp(-L)), with the L = log(GM/m_nu) of :func:`_log_ratio`.
+    Pairs touching the kernel get (l_i + l_j)/2: m_nu with a vanishing
+    argument and nu <= 0 tends to 0, as 0**s = 0.  ``order`` is a float or
+    MeanOrder for all spectra of the stack ``eigs`` or an array of one per
+    spectrum; the spectra of each distinct order are evaluated together."""
+    if not (isinstance(order, MeanOrder) or np.ndim(order) == 0):
+        nu = np.broadcast_to(np.asarray(order, dtype=float), eigs.shape[:-1])
+        G = np.empty(eigs.shape + eigs.shape[-1:])
+        for u in np.unique(nu):
+            G[nu == u] = _mean_gaps(eigs[nu == u], u, tol_psd)
+        return G
+    order = as_mean_order(order)
     pos = eigs > tol_psd
     x = np.where(pos, eigs, 1.0)  # placeholder 1 off the support, masked below
     r = np.sqrt(x)
     diff = _pairs(x, np.subtract)
     G = (diff / _pairs(r, np.add)) ** 2 / 2
     if not order.is_zero:
-        half_D = np.log1p(np.abs(diff) / _pairs(x, np.minimum)) / 2
-        k = abs(order.nu)
-        L = half_D if order.is_min else _logcosh(k * half_D) / k
-        G += _pairs(r, np.multiply) * -np.expm1(-L)
+        G += _pairs(r, np.multiply) * -np.expm1(-_log_ratio(diff, _pairs(x, np.minimum), order))
     return np.where(_pairs(pos, np.logical_and), G, _pairs(eigs, np.add) / 2)
 
 

@@ -424,9 +424,9 @@ class TestReducibleSets:
 
 
 @st.composite
-def _operator_sets(draw):
-    """Hermitian, Ginibre or block-diagonal (reducible) sets, d 2-8, 1-4 operators."""
-    d = draw(st.integers(2, 8))
+def _operator_sets(draw, max_d: int = 8):
+    """Hermitian, Ginibre or block-diagonal (reducible) sets, d 2-max_d, 1-4 operators."""
+    d = draw(st.integers(2, max_d))
     n_ops = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["hermitian", "ginibre", "reducible"]))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -436,6 +436,34 @@ def _operator_sets(draw):
     rng = np.random.default_rng(seed)
     make = random_hermitian if kind == "hermitian" else random_operator
     return OperatorSet(tuple(make(d, rng) for _ in range(n_ops)))
+
+
+class TestNearTightStates:
+    """sqrt(rho) proportional to I + tE, E a Hermitian eps1-eigenvector of
+    H_tot of unit norm, has skew sum t^2 eps1/(d + t^2) at s = 1/2, which
+    bound_wy reaches: its kernel part is I/sqrt(d + t^2).  Up to the PSD
+    edge t = 1/|min eig E|, I + tE is that square root."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(oset=_operator_sets(max_d=6))
+    def test_bound_wy_is_tight_and_bound_wyd_holds(self, oset):
+        d, spec = oset.dim, oset.spectral()
+        w, V = hermitian_eigen(h_tot(oset))
+        M = V[:, int(np.argmin(np.abs(w - spec.epsilon1)))].reshape(d, d)
+        E = M + M.conj().T
+        if np.linalg.norm(E) < 1e-6:
+            E = 1j * (M - M.conj().T)
+        E /= np.linalg.norm(E)
+        edge = 1 / -np.linalg.eigvalsh(E)[0]
+        X = np.eye(d) + np.geomspace(1e-2, edge, 6)[:, None, None] * E
+        rho = density_stack([Y / np.trace(Y).real for Y in X @ X])
+        total = sum(wyd_skew(A, rho, 0.5) for A in oset.operators)
+        np.testing.assert_allclose(bound_wy(oset, rho).bound, total, rtol=1e-9, atol=0)
+        for s in (0.3, 0.7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NoFeasibleChiWarning)
+                sb = bound_wyd(oset, rho, s)
+            assert np.all(sb.bound <= sum(wyd_skew(A, rho, s) for A in oset.operators))
 
 
 class TestRealSpectrum:

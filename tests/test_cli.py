@@ -245,6 +245,23 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert err.startswith("parse error: ")
 
+    @pytest.mark.parametrize("params, err", [
+        ({"seed": 1.7}, "params.seed must be an integer, got 1.7"),
+        ({"seed": True}, "params.seed must be an integer, got True"),
+        ({"dims": [True, 2.9]}, "params.dims must be an integer, got True"),
+        ({"dims": [2, 2.9]}, "params.dims must be an integer, got 2.9"),
+        ({"tolerances": {"tol_residual": True}},
+         "params.tolerances.tol_residual must be a number, got True"),
+    ], ids=["seed-fraction", "seed-bool", "dims-bool", "dims-fraction", "tolerance-bool"])
+    def test_number_is_not_coerced(self, capsys, tmp_path, params, err):
+        # a JSON boolean is no number, nor a fraction a seed or a dimension
+        path = write_json(tmp_path, "coerced.json", {
+            "version": 1, "rho": [[0.5, 0], [0, 0.5]], "operators": {"Z": [[1, 0], [0, -1]]},
+            "params": params,
+        })
+        code, out, got = run(capsys, "bound", path, "--oracle", "5")
+        assert (code, out, got) == (EXIT_PARSE, "", f"parse error: {err}\n")
+
     @pytest.mark.parametrize("argv", ["bound --oracle 5", "moments"])
     def test_negative_file_seed_is_2(self, capsys, tmp_path, argv):
         path = write_json(tmp_path, "seed.json", {
@@ -786,18 +803,23 @@ class TestGoldenReports:
         assert (rep["oracle_min"], rep["oracle_samples"], rep["oracle_margin_min"]) == (
             lowest, int(n), margin)
 
-    def test_s_is_checked_before_any_sample(self, capsys, monkeypatch):
-        # s = 1.5 fails as the bound's own check, before the skew sums (whose
-        # mean order it would be), the alpha scan and the draw (which fails
-        # here if reached)
+    @pytest.mark.parametrize("s", [1.5, float("nan")])
+    def test_s_is_checked_before_any_sample(self, capsys, monkeypatch, tmp_path, s):
+        # s = 1.5 or nan, as the flag or as params.s, fails as the bound's own
+        # check, before the skew sums (whose mean order it would be), the alpha
+        # scan and the draw (which fails here if reached)
         def draw(*args):
             raise AssertionError("drawn before s was checked")
 
         monkeypatch.setattr(bounds, "sample_stacks", draw)
-        for argv in (("--oracle", "5"), ("--oracle", "5", "--alpha-scan"), ()):
-            code, out, err = run(capsys, "bound", "example1_spinhalf", "--s", "1.5", *argv)
-            assert (code, out, err) == (
-                EXIT_VALIDATION, "", "validation error: s must lie in (0, 1), got 1.5\n")
+        problem = json.loads(Path(cli._resolve_path("example1_spinhalf")).read_text())
+        problem["params"] = {**problem.get("params", {}), "s": s}
+        given = (("example1_spinhalf", "--s", str(s)), (write_json(tmp_path, "s.json", problem),))
+        for head in given:
+            for argv in (("--oracle", "5"), ("--oracle", "5", "--alpha-scan"), ()):
+                code, out, err = run(capsys, "bound", *head, *argv)
+                assert (code, out, err) == (
+                    EXIT_VALIDATION, "", f"validation error: s must lie in (0, 1), got {s}\n")
 
     @pytest.mark.parametrize("oracle", [(), ("--oracle", "1"), ("--oracle", "30")])
     def test_warning_at_the_reported_state_only(self, capsys, monkeypatch, tmp_path, oracle):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -166,28 +167,24 @@ class TestGeneralizedMean:
     def test_very_negative_order_stable(self):
         assert generalized_mean(0.3, 0.7, -1e6) == pytest.approx(0.3, rel=1e-6)
 
-
-class TestMeanWeights:
-    @pytest.mark.parametrize("nu", [0.0, -1e-7, -1.0, -50.0, float("-inf")])
-    def test_matches_scalar_mean(self, nu):
-        from skewbound.moments import _mean_weights
-
-        tol_psd = 1e-10
-        spectra = [
-            np.array([0.0, 0.0, 0.2, 0.8]),
-            np.array([0.0, 1e-10, 0.25, 0.25 * (1 + 1e-12), 0.5 - 1e-15, 0.5]),
-            np.array([1e-9, 1e-9 * (1 + 1e-13), 0.3, 0.7 - 2e-9]),
-            np.sort(np.random.default_rng(5).dirichlet(np.ones(7))),
-        ]
-        for eigs in spectra:
-            W = _mean_weights(eigs, MeanOrder(nu), tol_psd)
-            for i, x in enumerate(eigs):
-                for j, y in enumerate(eigs):
-                    if min(x, y) > tol_psd:
-                        want = generalized_mean(x, y, nu)
-                        assert abs(W[i, j] - want) <= 1e-14 * want
-                    else:
-                        assert W[i, j] == 0.0
+    @pytest.mark.parametrize("nu", [0.0, -1e-9, -9e-7, -1.1e-6, -1e-5, -1e-3, -0.5, -1.0,
+                                    -2.0, -50.0, -1e6, float("-inf")])
+    def test_matches_decimal_power_mean(self, nu):
+        # 60-digit m_nu written as lo ((1 + (hi/lo)^nu)/2)^(1/nu), which does
+        # not overflow at nu = -1e6
+        for x, y in ((0.3, 0.7), (1e-9, 0.7), (1e-12, 1.0), (0.25, 0.25 * (1 + 1e-12))):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                lo, hi = sorted(map(Decimal, (x, y)))
+                if nu == 0:
+                    want = float((lo * hi).sqrt())
+                elif math.isinf(nu):
+                    want = float(lo)
+                else:
+                    n = Decimal(nu)
+                    want = float(lo * ((1 + (hi / lo) ** n) / 2) ** (1 / n))
+            for a, b in ((x, y), (y, x)):
+                assert abs(generalized_mean(a, b, nu) - want) <= 1e-14 * want
 
 
 class TestGenSkew:
